@@ -44,7 +44,6 @@ from .fields import (
 )
 from .linalg import SolveReport, cg_solve, gauss_solve, quadratic_form
 from .mesh import (
-    BoundaryFacet,
     Mesh,
     boundary_vertex_indices,
     build_interval_mesh,

@@ -94,9 +94,7 @@ def _region_entities(mesh: Mesh, region: str, order: int):
         return mesh.cells, mesh.cell_measures, points, weights
     if region == "boundary":
         points, weights = facet_rule(mesh.dim, order)
-        ids = np.array([f.vertex_indices for f in mesh.boundary_facets])
-        measures = np.array([f.measure for f in mesh.boundary_facets])
-        return ids, measures, points, weights
+        return mesh.facet_vertices, mesh.facet_measures, points, weights
     raise InvalidArgumentError(f"region must be domain or boundary, got {region!r}")
 
 

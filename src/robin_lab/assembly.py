@@ -20,7 +20,7 @@ from .errors import (
     InvalidArgumentError,
     SingularSystemError,
 )
-from .fields import BoundaryField, SourceField, eval_boundary_batch, eval_source
+from .fields import BoundaryField, SourceField, eval_boundary, eval_source
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
@@ -94,21 +94,19 @@ def _cell_geometry(mesh: Mesh):
     return measures, grads
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> SymmetricSparseMatrix:
-    """Accumulate per-cell (nc, nloc, nloc) blocks into a global matrix."""
-    nloc = mesh.dim + 1
-    rows = np.repeat(mesh.cells, nloc, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, nloc)).ravel()
-    return SymmetricSparseMatrix.from_triplets(
-        mesh.num_vertices, rows, cols, local.ravel()
-    )
+def _scatter(num_vertices: int, ids, local) -> SymmetricSparseMatrix:
+    """Accumulate (ne, nloc, nloc) blocks on the (ne, nloc) vertex ids."""
+    nloc = ids.shape[1]
+    rows = np.repeat(ids, nloc, axis=1).ravel()
+    cols = np.tile(ids, (1, nloc)).ravel()
+    return SymmetricSparseMatrix.from_triplets(num_vertices, rows, cols, local.ravel())
 
 
 def assemble_stiffness(mesh: Mesh) -> SymmetricSparseMatrix:
     """Gradient-gradient matrix; constants lie in its kernel."""
     measures, grads = _cell_geometry(mesh)
     local = measures[:, None, None] * (grads @ np.transpose(grads, (0, 2, 1)))
-    return _scatter(mesh, local)
+    return _scatter(mesh.num_vertices, mesh.cells, local)
 
 
 def assemble_mass(mesh: Mesh, lumped: bool = False) -> SymmetricSparseMatrix:
@@ -122,7 +120,7 @@ def assemble_mass(mesh: Mesh, lumped: bool = False) -> SymmetricSparseMatrix:
         return SymmetricSparseMatrix.from_triplets(mesh.num_vertices, idx, idx, diag)
     pattern = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
     local = measures[:, None, None] * pattern[None, :, :]
-    return _scatter(mesh, local)
+    return _scatter(mesh.num_vertices, mesh.cells, local)
 
 
 def assemble_boundary_mass(
@@ -130,25 +128,12 @@ def assemble_boundary_mass(
 ) -> SymmetricSparseMatrix:
     """Boundary matrix with entries sum_facets int_facet beta phi_i phi_j."""
     rule_points, weights = facet_rule(mesh.dim, quad_order)
-    rows, cols, values = [], [], []
-    for facet in mesh.boundary_facets:
-        ids = np.asarray(facet.vertex_indices)
-        corners = mesh.vertices[ids]
-        physical = rule_points @ corners
-        beta_vals = eval_boundary_batch(beta, facet, physical)
-        # basis values at the quad nodes are the barycentric coordinates
-        local = facet.measure * np.einsum(
-            "q,q,qi,qj->ij", weights, beta_vals, rule_points, rule_points
-        )
-        nloc = ids.size
-        rows.append(np.repeat(ids, nloc))
-        cols.append(np.tile(ids, nloc))
-        values.append(local.ravel())
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        values = np.concatenate(values)
-    return SymmetricSparseMatrix.from_triplets(mesh.num_vertices, rows, cols, values)
+    beta_vals = eval_boundary(beta, mesh, rule_points)  # (nf, nq)
+    # basis values at the quad nodes are the barycentric coordinates
+    local = mesh.facet_measures[:, None, None] * np.einsum(
+        "q,fq,qi,qj->fij", weights, beta_vals, rule_points, rule_points
+    )
+    return _scatter(mesh.num_vertices, mesh.facet_vertices, local)
 
 
 def assemble_load(mesh: Mesh, f: SourceField, quad_order: int = 2) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Command line front end: config ingestion, orchestration, CSV/SVG output.
 
-Usage:  robin-lab <experiment> --config path.json [--output dir] [--threads k]
+Usage:  robin-lab <experiment> --config path.json [--output dir]
 
 The JSON config holds the domain (interval, square, cube), the mesh
 parameter n, lambda, the source spec, a boundary coefficient sequence
@@ -73,8 +73,8 @@ class RunConfig:
     domain: str
     n: int
     lam: float
-    f_spec: dict
-    beta_specs: list  # list of field spec dicts (generator already expanded)
+    f: SourceField
+    betas: list  # BoundaryFields, generator already expanded
     experiment: str
     output_dir: str
     p: float = 4.0
@@ -82,7 +82,7 @@ class RunConfig:
     quad_order: int = 2
     lumped: bool = False
     tol: float = 1e-10
-    beta_limit_spec: dict = None
+    beta_limit: BoundaryField = None
     raw: dict = field(default_factory=dict)  # echoed into the manifest
 
 
@@ -131,19 +131,21 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
     f_spec = data.get("f")
     if not isinstance(f_spec, dict):
         raise ConfigError("f", "missing or malformed source field spec")
-    _check_field_spec(f_spec, "f", allow_per_facet=False)
+    f = _parse_field(f_spec, "f", SourceField)
 
     beta_specs = expand_beta_sequence(data.get("beta_sequence"))
-    for i, spec in enumerate(beta_specs):
-        _check_field_spec(spec, f"beta_sequence[{i}]", allow_per_facet=True)
+    betas = [
+        _parse_field(spec, f"beta_sequence[{i}]", BoundaryField)
+        for i, spec in enumerate(beta_specs)
+    ]
 
-    beta_limit_spec = data.get("beta_limit")
-    if beta_limit_spec is not None:
-        _check_field_spec(beta_limit_spec, "beta_limit", allow_per_facet=True)
+    beta_limit = None
+    if data.get("beta_limit") is not None:
+        beta_limit = _parse_field(data["beta_limit"], "beta_limit", BoundaryField)
     elif experiment == "convergence":
         raw_seq = data.get("beta_sequence")
         if isinstance(raw_seq, dict):
-            beta_limit_spec = {"kind": "constant", "value": raw_seq["base"]}
+            beta_limit = BoundaryField.constant(raw_seq["base"])
         else:
             raise ConfigError(
                 "beta_limit",
@@ -188,8 +190,8 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
         domain=domain,
         n=n,
         lam=float(lam),
-        f_spec=f_spec,
-        beta_specs=beta_specs,
+        f=f,
+        betas=betas,
         experiment=experiment,
         output_dir=output_dir,
         p=float(p),
@@ -197,41 +199,33 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
         quad_order=quad_order,
         lumped=lumped,
         tol=float(tol),
-        beta_limit_spec=beta_limit_spec,
+        beta_limit=beta_limit,
         raw=dict(data),
     )
 
 
-def _check_field_spec(spec, where: str, allow_per_facet: bool) -> None:
+def _parse_field(spec, where: str, cls):
+    """Build a SourceField or BoundaryField (per_facet allowed) from its spec."""
     if not isinstance(spec, dict):
         raise ConfigError(where, "field spec must be an object")
     kind = spec.get("kind")
-    if kind == "constant":
-        if not isinstance(spec.get("value"), (int, float)):
-            raise ConfigError(where, "constant field needs a numeric 'value'")
-    elif kind == "per_facet" and allow_per_facet:
-        values = spec.get("values")
-        if not isinstance(values, list) or not values:
-            raise ConfigError(where, "per_facet field needs a nonempty 'values' list")
-    elif kind == "expr":
-        if not isinstance(spec.get("expr"), str):
-            raise ConfigError(where, "expr field needs an 'expr' string")
-    else:
-        raise ConfigError(where, f"unsupported field kind {kind!r}")
-
-
-def build_boundary_field(spec: dict) -> BoundaryField:
-    if spec["kind"] == "constant":
-        return BoundaryField.constant(spec["value"])
-    if spec["kind"] == "per_facet":
-        return BoundaryField.per_facet(spec["values"])
-    return BoundaryField.from_expression(spec["expr"])
-
-
-def build_source_field(spec: dict) -> SourceField:
-    if spec["kind"] == "constant":
-        return SourceField.constant(spec["value"])
-    return SourceField.from_expression(spec["expr"])
+    try:
+        if kind == "constant":
+            if not isinstance(spec.get("value"), (int, float)):
+                raise ConfigError(where, "constant field needs a numeric 'value'")
+            return cls.constant(spec["value"])
+        if kind == "per_facet" and cls is BoundaryField:
+            values = spec.get("values")
+            if not isinstance(values, list) or not values:
+                raise ConfigError(where, "per_facet field needs a nonempty 'values' list")
+            return cls.per_facet(values)
+        if kind == "expr":
+            if not isinstance(spec.get("expr"), str):
+                raise ConfigError(where, "expr field needs an 'expr' string")
+            return cls.from_expression(spec["expr"])
+    except ValueError as exc:  # InvalidArgumentError, or a non-numeric value
+        raise ConfigError(where, str(exc)) from exc
+    raise ConfigError(where, f"unsupported field kind {kind!r}")
 
 
 def format_float(value) -> str:
@@ -241,24 +235,26 @@ def format_float(value) -> str:
 
 
 def emit_csv(header, rows, path) -> None:
-    """Write a CSV table: '.' decimals, '\\n' endings, 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif cell is None:
-                cells.append("")
-            elif isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, int):
-                cells.append(str(cell))
-            else:
-                cells.append(format_float(cell))
-        lines.append(",".join(cells))
+    """Write a CSV table: '.' decimals, '\\n' endings, 17 significant digits.
+
+    ``rows`` may be any iterable; each row is written as it is produced.
+    """
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            cells = []
+            for cell in row:
+                if isinstance(cell, str):
+                    cells.append(cell)
+                elif cell is None:
+                    cells.append("")
+                elif isinstance(cell, bool):
+                    cells.append("true" if cell else "false")
+                elif isinstance(cell, int):
+                    cells.append(str(cell))
+                else:
+                    cells.append(format_float(cell))
+            handle.write(",".join(cells) + "\n")
 
 
 _SVG_W, _SVG_H = 640, 480
@@ -334,7 +330,7 @@ def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") 
         handle.write("\n".join(parts) + "\n")
 
 
-def run(config: RunConfig, output_dir: str = None, threads: int = 1) -> int:
+def run(config: RunConfig, output_dir: str = None) -> int:
     """Execute one experiment; writes manifest, CSVs, and SVGs."""
     out = output_dir or config.output_dir
     timings = {}
@@ -356,12 +352,22 @@ def run(config: RunConfig, output_dir: str = None, threads: int = 1) -> int:
     mesh = build_mesh(config.domain, config.n)
     timings["mesh_seconds"] = time.perf_counter() - started
 
-    f = build_source_field(config.f_spec)
-    betas = [build_boundary_field(spec) for spec in config.beta_specs]
+    named = [(f"beta_sequence[{i}]", beta) for i, beta in enumerate(config.betas)]
+    named.append(("beta_limit", config.beta_limit))
+    for where, beta in named:
+        if beta is None or beta.kind != "per_facet":
+            continue
+        if beta.facet_values.size != mesh.num_facets:
+            _emit_error(
+                where,
+                f"per_facet field has {beta.facet_values.size} values but the "
+                f"mesh has {mesh.num_facets} boundary facets",
+            )
+            return EXIT_CONFIG
 
     started = time.perf_counter()
     try:
-        tables, plots, summary = _run_experiment(config, mesh, f, betas)
+        tables, plots, summary = _run_experiment(config, mesh)
     except RobinLabError as exc:
         _emit_error("solve", str(exc))
         return EXIT_SOLVE
@@ -386,10 +392,9 @@ def run(config: RunConfig, output_dir: str = None, threads: int = 1) -> int:
             "dim": mesh.dim,
             "vertices": mesh.num_vertices,
             "cells": mesh.num_cells,
-            "boundary_facets": len(mesh.boundary_facets),
+            "boundary_facets": mesh.num_facets,
             "h": mesh.h,
         },
-        "threads": threads,
         "timings": timings,
         "warnings": warnings,
         "summary": summary,
@@ -404,8 +409,9 @@ def run(config: RunConfig, output_dir: str = None, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def _run_experiment(config: RunConfig, mesh, f, betas):
+def _run_experiment(config: RunConfig, mesh):
     """Returns (tables, plots, summary) for the configured experiment."""
+    f, betas = config.f, config.betas
     tables, plots, summary = {}, {}, {}
 
     if config.experiment == "solve":
@@ -421,10 +427,10 @@ def _run_experiment(config: RunConfig, mesh, f, betas):
         u = solve_robin(problem)
         coord_names = ["x", "y", "z"][: mesh.dim]
         header = ["vertex_index"] + coord_names + ["value"]
-        rows = [
+        rows = (
             [i] + [float(c) for c in mesh.vertices[i]] + [float(v)]
             for i, v in enumerate(u.nodal_values)
-        ]
+        )
         tables["solution"] = (header, rows)
         if mesh.dim == 1:
             xs = [float(c[0]) for c in mesh.vertices]
@@ -469,13 +475,12 @@ def _run_experiment(config: RunConfig, mesh, f, betas):
         summary["records"] = len(records)
 
     elif config.experiment == "convergence":
-        beta_limit = build_boundary_field(config.beta_limit_spec)
         records = convergence_study(
             mesh,
             config.lam,
             f,
             betas,
-            beta_limit,
+            config.beta_limit,
             quad_order=config.quad_order,
             lumped=config.lumped,
             tol=config.tol,
@@ -575,8 +580,6 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--output", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for "
-                        "compatibility; execution is deterministic regardless")
     args = parser.parse_args(argv)
 
     try:
@@ -601,7 +604,7 @@ def main(argv=None) -> int:
         _emit_error(exc.field_name, str(exc))
         return EXIT_CONFIG
 
-    return run(config, output_dir=args.output, threads=args.threads)
+    return run(config, output_dir=args.output)
 
 
 if __name__ == "__main__":

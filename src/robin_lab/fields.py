@@ -4,13 +4,18 @@ A :class:`BoundaryField` is a nonnegative bounded scalar field on the
 domain boundary.  Three representations are supported:
 
 * ``constant`` - one value everywhere;
-* ``per_facet`` - one value per boundary facet, the canonical form for
-  stability experiments because sup-norm differences of two such fields
-  are exact (no quadrature error);
+* ``per_facet`` - one value per boundary facet (row of the mesh's facet
+  arrays), the canonical form for stability experiments because sup-norm
+  differences of two such fields are exact (no quadrature error);
 * ``closure`` - an arbitrary callable of the coordinates.
 
-Negative values are rejected at evaluation time, where the evidence is;
-closures cannot be validated eagerly.
+A closure receives every evaluation point at once as an array ``p`` of
+shape (dim, k), so ``p[i]`` holds coordinate i of all k points; it returns
+k values or a scalar, which is broadcast.  ``lambda p: 1.0 + p[0]`` is a
+valid closure on every domain.
+
+Negative and non-finite values are rejected at evaluation time, where the
+evidence is; closures cannot be validated eagerly.
 
 Sup and inf norms are approximated by maxima/minima over a per-facet
 sample set consisting of the facet vertices plus the quadrature nodes of
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidCoefficientError
-from .mesh import BoundaryFacet, Mesh
+from .mesh import Mesh
 from .quadrature import facet_rule
 
 
@@ -84,44 +89,33 @@ class SourceField:
         return cls.from_function(compile_expression(expr))
 
 
-def eval_boundary(field: BoundaryField, facet: BoundaryFacet, point) -> float:
-    """Value of the field at a point of the given facet."""
-    if field.kind == "constant":
-        value = field.constant_value
-    elif field.kind == "per_facet":
-        if facet.index >= field.facet_values.size:
-            raise InvalidArgumentError(
-                f"per_facet field has {field.facet_values.size} values but facet "
-                f"index is {facet.index}"
-            )
-        value = float(field.facet_values[facet.index])
-    else:
-        value = float(field.closure(np.asarray(point, dtype=float)))
-    if value < 0.0:
-        raise InvalidCoefficientError(
-            f"boundary coefficient is negative ({value}) on facet {facet.index}"
-        )
-    return value
+def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
+    """Values at barycentric points of every boundary facet, shape (nf, k).
 
-
-def eval_boundary_batch(field: BoundaryField, facet: BoundaryFacet, points) -> np.ndarray:
-    """Values at several points of one facet, shape (len(points),)."""
-    points = np.asarray(points, dtype=float)
+    ``bary_points`` has shape (k, dim): row j is a point in barycentric
+    coordinates of the facet's (sorted) vertices.
+    """
+    bary_points = np.asarray(bary_points, dtype=float)
+    shape = (mesh.num_facets, bary_points.shape[0])
     if field.kind == "constant":
-        values = np.full(points.shape[0], field.constant_value)
+        values = np.full(shape, field.constant_value)
     elif field.kind == "per_facet":
-        if facet.index >= field.facet_values.size:
+        if field.facet_values.size != mesh.num_facets:
             raise InvalidArgumentError(
-                f"per_facet field has {field.facet_values.size} values but facet "
-                f"index is {facet.index}"
+                f"per_facet field has {field.facet_values.size} values but the "
+                f"mesh has {mesh.num_facets} boundary facets"
             )
-        values = np.full(points.shape[0], field.facet_values[facet.index])
+        values = np.repeat(field.facet_values[:, None], shape[1], axis=1)
     else:
-        values = np.array([float(field.closure(p)) for p in points])
-    if np.any(values < 0.0):
-        worst = float(values.min())
+        physical = bary_points @ mesh.vertices[mesh.facet_vertices]  # (nf, k, dim)
+        values = _eval_closure(field.closure, physical.reshape(-1, mesh.dim))
+        values = values.reshape(shape)
+    invalid = ~(np.isfinite(values) & (values >= 0.0))
+    if invalid.any():
+        facet, j = np.argwhere(invalid)[0]
         raise InvalidCoefficientError(
-            f"boundary coefficient is negative ({worst}) on facet {facet.index}"
+            f"boundary coefficient is negative or not finite ({values[facet, j]}) "
+            f"on facet {facet}"
         )
     return values
 
@@ -132,49 +126,42 @@ def eval_source(field: SourceField, points) -> np.ndarray:
     if field.kind == "constant":
         values = np.full(points.shape[0], field.constant_value)
     else:
-        values = np.array([float(field.closure(p)) for p in points])
+        values = _eval_closure(field.closure, points)
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("source field evaluated to a non-finite value")
     return values
 
 
-def facet_sample_points(mesh: Mesh, quad_order: int):
-    """Yield (facet, sample points) with vertices prepended to quad nodes."""
+def _eval_closure(fn, points: np.ndarray) -> np.ndarray:
+    """fn at all points (k, dim) in one call; see the module docstring."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(fn(points.T), dtype=float)
+    return np.broadcast_to(values, points.shape[:1])
+
+
+def _sample_points(mesh: Mesh, quad_order: int) -> np.ndarray:
+    """Barycentric sample set: the facet vertices, then the quad nodes."""
     rule_points, _ = facet_rule(mesh.dim, quad_order)
-    for facet in mesh.boundary_facets:
-        corners = mesh.vertices[list(facet.vertex_indices)]
-        physical = rule_points @ corners
-        yield facet, np.vstack([corners, physical])
+    return np.vstack([np.eye(mesh.dim), rule_points])
 
 
 def boundary_sup(field: BoundaryField, mesh: Mesh, quad_order: int = 2) -> float:
     """Max of the field over the boundary sample set (exact for constants)."""
-    return _boundary_extremum(field, mesh, quad_order, np.max, max)
+    return float(eval_boundary(field, mesh, _sample_points(mesh, quad_order)).max())
 
 
 def boundary_inf(field: BoundaryField, mesh: Mesh, quad_order: int = 2) -> float:
     """Min of the field over the boundary sample set."""
-    return _boundary_extremum(field, mesh, quad_order, np.min, min)
-
-
-def _boundary_extremum(field, mesh, quad_order, reducer, combiner):
-    result = None
-    for facet, pts in facet_sample_points(mesh, quad_order):
-        value = float(reducer(eval_boundary_batch(field, facet, pts)))
-        result = value if result is None else combiner(result, value)
-    return result
+    return float(eval_boundary(field, mesh, _sample_points(mesh, quad_order)).min())
 
 
 def boundary_sup_diff(
     a: BoundaryField, b: BoundaryField, mesh: Mesh, quad_order: int = 2
 ) -> float:
     """Sup over the boundary sample set of |a - b| (exact for per-facet data)."""
-    worst = 0.0
-    for facet, pts in facet_sample_points(mesh, quad_order):
-        va = eval_boundary_batch(a, facet, pts)
-        vb = eval_boundary_batch(b, facet, pts)
-        worst = max(worst, float(np.max(np.abs(va - vb))))
-    return worst
+    points = _sample_points(mesh, quad_order)
+    diff = eval_boundary(a, mesh, points) - eval_boundary(b, mesh, points)
+    return float(np.abs(diff).max())
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
@@ -185,8 +172,11 @@ _COORD_NAMES = ("x", "y", "z")
 def compile_expression(expr: str):
     """Compile a coordinate expression (x, y, z, + - * /, constants).
 
-    Returns a callable taking one coordinate array.  Using a variable the
-    domain does not have (e.g. ``z`` on the square) fails at evaluation.
+    Returns a closure taking a coordinate array ``p`` whose ``p[i]`` is
+    coordinate i (a number, or an array of them); it evaluates element by
+    element.  A constant subexpression that divides by zero is rejected
+    here; using a variable the domain does not have (e.g. ``z`` on the
+    square) fails at evaluation.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -211,10 +201,21 @@ def compile_expression(expr: str):
         )
     code = compile(tree, "<field-expression>", "eval")
 
+    # numpy coordinates divide by zero to inf or nan; only arithmetic on
+    # constants alone raises, whatever the point, so one probe finds it
+    probe = dict.fromkeys(_COORD_NAMES, np.float64(0.0))
+    try:
+        with np.errstate(all="ignore"):
+            eval(code, {"__builtins__": {}}, probe)
+    except ArithmeticError as exc:
+        raise InvalidArgumentError(
+            f"field expression {expr!r} cannot be evaluated: {exc}"
+        ) from exc
+
     def evaluate(point):
         scope = {name: point[i] for i, name in enumerate(_COORD_NAMES) if i < len(point)}
         try:
-            return float(eval(code, {"__builtins__": {}}, scope))
+            return eval(code, {"__builtins__": {}}, scope)
         except NameError as exc:
             raise InvalidArgumentError(
                 f"field expression {expr!r} references a coordinate the "

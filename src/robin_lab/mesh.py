@@ -27,33 +27,27 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 
-@dataclass(frozen=True)
-class BoundaryFacet:
-    """One (dim-1)-simplex of the boundary.
-
-    ``vertex_indices`` has dim entries (a single vertex in 1D), ``measure``
-    is the surface measure (1.0 for interval endpoints), ``outward_normal``
-    is a unit vector pointing away from the owning cell, ``parent_cell`` is
-    the unique cell the facet belongs to, and ``index`` is the facet's
-    position inside ``mesh.boundary_facets`` (used by per-facet fields).
-    """
-
-    vertex_indices: tuple
-    measure: float
-    outward_normal: tuple
-    parent_cell: int
-    index: int
-
-
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Simplicial mesh of one of the unit boxes, with boundary data."""
+    """Simplicial mesh of one of the unit boxes, with boundary data.
+
+    Boundary facets are rows of the ``facet_*`` arrays, in cell-major order
+    and, within a cell, in ``itertools.combinations`` order of its vertex
+    columns; a per-facet field's i-th value belongs to row i.
+    ``facet_vertices`` holds each facet's sorted vertex indices (a single
+    vertex in 1D), ``facet_measures`` the surface measure (1.0 for interval
+    endpoints), ``facet_normals`` the unit normal pointing away from the
+    owning cell, and ``facet_cells`` that cell's index.
+    """
 
     dim: int
     vertices: np.ndarray  # (num_vertices, dim)
     cells: np.ndarray  # (num_cells, dim + 1), vertex indices
     cell_measures: np.ndarray  # (num_cells,)
-    boundary_facets: list
+    facet_vertices: np.ndarray  # (num_facets, dim)
+    facet_measures: np.ndarray  # (num_facets,)
+    facet_normals: np.ndarray  # (num_facets, dim)
+    facet_cells: np.ndarray  # (num_facets,)
     h: float
 
     @property
@@ -63,6 +57,10 @@ class Mesh:
     @property
     def num_cells(self) -> int:
         return self.cells.shape[0]
+
+    @property
+    def num_facets(self) -> int:
+        return self.facet_vertices.shape[0]
 
 
 def build_interval_mesh(n: int) -> Mesh:
@@ -80,25 +78,24 @@ def build_unit_square_mesh(n: int) -> Mesh:
     xs = np.arange(side, dtype=float) / n
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def vid(ix, iy):
-        return iy * side + ix
-
-    cells = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            # both triangles share the v00-v11 diagonal
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return _finish_mesh(2, vertices, np.array(cells), n)
+    # vertex index iy * side + ix; squares in row-major (iy, ix) order
+    v00 = (np.arange(n)[:, None] * side + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + side, v00 + side + 1
+    # both triangles share the v00-v11 diagonal
+    cells = np.stack(
+        [np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])], axis=1
+    )
+    return _finish_mesh(2, vertices, cells.reshape(-1, 3), n)
 
 
-# axis orders of the six Kuhn tetrahedra inside one grid cube
-_KUHN_PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
+# vertex paths of the six Kuhn tetrahedra inside one grid cube: start at the
+# low corner and step along the axes in each order, shape (6, 4, 3)
+_KUHN_PATHS = np.array(
+    [
+        np.cumsum([(0, 0, 0), *np.eye(3, dtype=np.int64)[list(perm)]], axis=0)
+        for perm in itertools.permutations((0, 1, 2))
+    ]
+)
 
 
 def build_unit_cube_mesh(n: int) -> Mesh:
@@ -109,24 +106,11 @@ def build_unit_cube_mesh(n: int) -> Mesh:
     gx, gy, gz = np.meshgrid(coords, coords, coords, indexing="ij")
     # index = (ix * side + iy) * side + iz
     vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-
-    def vid(ix, iy, iz):
-        return (ix * side + iy) * side + iz
-
-    cells = []
-    for ix in range(n):
-        for iy in range(n):
-            for iz in range(n):
-                corner = np.array((ix, iy, iz))
-                for perm in _KUHN_PERMUTATIONS:
-                    tet = [corner.copy()]
-                    cur = corner.copy()
-                    for axis in perm:
-                        cur = cur.copy()
-                        cur[axis] += 1
-                        tet.append(cur)
-                    cells.append(tuple(vid(*v) for v in tet))
-    return _finish_mesh(3, vertices, np.array(cells), n)
+    r = np.arange(n)
+    corners = ((r[:, None, None] * side + r[:, None]) * side + r).ravel()
+    steps = _KUHN_PATHS @ np.array([side * side, side, 1])  # (6, 4) index offsets
+    cells = corners[:, None, None] + steps
+    return _finish_mesh(3, vertices, cells.reshape(-1, 4), n)
 
 
 def build_mesh(domain: str, n: int) -> Mesh:
@@ -145,10 +129,7 @@ def build_mesh(domain: str, n: int) -> Mesh:
 
 def boundary_vertex_indices(mesh: Mesh) -> list:
     """Sorted indices of the vertices that lie on some boundary facet."""
-    seen = set()
-    for facet in mesh.boundary_facets:
-        seen.update(facet.vertex_indices)
-    return sorted(seen)
+    return np.unique(mesh.facet_vertices).tolist()
 
 
 def export_text(mesh: Mesh) -> str:
@@ -158,10 +139,12 @@ def export_text(mesh: Mesh) -> str:
         lines.append("v " + " ".join(f"{x:.17g}" for x in v))
     for cell in mesh.cells:
         lines.append("c " + " ".join(str(int(i)) for i in cell))
-    for facet in mesh.boundary_facets:
-        ids = " ".join(str(int(i)) for i in facet.vertex_indices)
-        normal = " ".join(f"{x:.17g}" for x in facet.outward_normal)
-        lines.append(f"f {ids} | {facet.measure:.17g} | {normal}")
+    for ids, measure, normal in zip(
+        mesh.facet_vertices, mesh.facet_measures, mesh.facet_normals
+    ):
+        ids = " ".join(str(int(i)) for i in ids)
+        normal = " ".join(f"{x:.17g}" for x in normal)
+        lines.append(f"f {ids} | {measure:.17g} | {normal}")
     return "\n".join(lines) + "\n"
 
 
@@ -172,18 +155,15 @@ def _check_n(n: int) -> None:
 
 def _finish_mesh(dim, vertices, cells, n) -> Mesh:
     cells = np.asarray(cells, dtype=np.int64)
-    measures = _simplex_measures(vertices, cells, dim)
-    facets = _extract_boundary_facets(vertices, cells, dim)
-    for arr in (vertices, cells, measures):
+    arrays = {
+        "vertices": vertices,
+        "cells": cells,
+        "cell_measures": _simplex_measures(vertices, cells, dim),
+        **_boundary_facets(vertices, cells, dim),
+    }
+    for arr in arrays.values():
         arr.setflags(write=False)
-    return Mesh(
-        dim=dim,
-        vertices=vertices,
-        cells=cells,
-        cell_measures=measures,
-        boundary_facets=facets,
-        h=1.0 / n,
-    )
+    return Mesh(dim=dim, h=1.0 / n, **arrays)
 
 
 def _simplex_measures(vertices, cells, dim) -> np.ndarray:
@@ -194,52 +174,39 @@ def _simplex_measures(vertices, cells, dim) -> np.ndarray:
     return np.abs(np.linalg.det(edges)) / math.factorial(dim)
 
 
-def _extract_boundary_facets(vertices, cells, dim) -> list:
-    # a face is on the boundary iff it belongs to exactly one cell
-    counts: dict = {}
-    for ci, cell in enumerate(cells):
-        for face in itertools.combinations(cell, dim):
-            key = tuple(sorted(int(i) for i in face))
-            entry = counts.get(key)
-            if entry is None:
-                counts[key] = [1, ci]
-            else:
-                entry[0] += 1
-    facets = []
-    for ci, cell in enumerate(cells):
-        for face in itertools.combinations(cell, dim):
-            key = tuple(sorted(int(i) for i in face))
-            count, owner = counts[key]
-            if count == 1 and owner == ci:
-                measure, normal = _facet_geometry(vertices, key, cells[ci], dim)
-                facets.append(
-                    BoundaryFacet(
-                        vertex_indices=key,
-                        measure=measure,
-                        outward_normal=tuple(normal),
-                        parent_cell=ci,
-                        index=len(facets),
-                    )
-                )
-    return facets
+def _boundary_facets(vertices, cells, dim) -> dict:
+    # a face is on the boundary iff it belongs to exactly one cell; the
+    # faces keep their flat (cell, combination) positions, which fixes the
+    # facet order.  Each sorted face is keyed by one integer, because
+    # np.unique over rows (axis=0) is about 20x slower on the cube.
+    combos = list(itertools.combinations(range(dim + 1), dim))
+    faces = np.sort(cells[:, combos], axis=2).reshape(-1, dim)
+    keys = np.ravel_multi_index(faces.T, (vertices.shape[0],) * dim)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    on_boundary = counts[inverse] == 1
+    facet_vertices = faces[on_boundary]
+    facet_cells = np.repeat(np.arange(cells.shape[0]), len(combos))[on_boundary]
 
-
-def _facet_geometry(vertices, face, parent_cell, dim):
-    pts = vertices[list(face)]
-    facet_centroid = pts.mean(axis=0)
-    cell_centroid = vertices[parent_cell].mean(axis=0)
+    pts = vertices[facet_vertices]  # (nf, dim, dim)
+    nf = facet_vertices.shape[0]
     if dim == 1:
-        measure = 1.0  # counting measure on the two endpoints
-        normal = np.array([1.0])
+        measures = np.ones(nf)  # counting measure on the two endpoints
+        normals = np.ones((nf, 1))
     elif dim == 2:
-        tangent = pts[1] - pts[0]
-        measure = float(np.linalg.norm(tangent))
-        normal = np.array([tangent[1], -tangent[0]]) / measure
+        tangents = pts[:, 1] - pts[:, 0]
+        measures = np.linalg.norm(tangents, axis=1)
+        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / measures[:, None]
     else:
-        cross = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-        doubled = float(np.linalg.norm(cross))
-        measure = doubled / 2.0
-        normal = cross / doubled
-    if float(np.dot(normal, facet_centroid - cell_centroid)) < 0.0:
-        normal = -normal
-    return measure, normal
+        cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+        doubled = np.linalg.norm(cross, axis=1)
+        measures = doubled / 2.0
+        normals = cross / doubled[:, None]
+    away = pts.mean(axis=1) - vertices[cells[facet_cells]].mean(axis=1)
+    inward = np.einsum("fd,fd->f", normals, away) < 0.0
+    normals[inward] = -normals[inward]
+    return {
+        "facet_vertices": facet_vertices,
+        "facet_measures": measures,
+        "facet_normals": normals,
+        "facet_cells": facet_cells,
+    }

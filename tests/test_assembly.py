@@ -147,9 +147,7 @@ def test_random_vectors_see_positive_definiteness():
 def test_higher_orders_saturate_for_boundary_mass(domain):
     # orders >= 2 share the quadratic-exact rule, so B is bit-identical
     m = build_mesh(domain, 2)
-    beta = BoundaryField.per_facet(
-        np.linspace(0.5, 1.5, len(m.boundary_facets))
-    )
+    beta = BoundaryField.per_facet(np.linspace(0.5, 1.5, m.num_facets))
     B2 = assemble_boundary_mass(m, beta, quad_order=2)
     B4 = assemble_boundary_mass(m, beta, quad_order=4)
     assert np.max(np.abs(B2.toarray() - B4.toarray())) < 1e-12
@@ -172,7 +170,10 @@ def test_degenerate_cell_detected():
         vertices=vertices,
         cells=cells,
         cell_measures=np.array([0.0, 1.0]),
-        boundary_facets=[],
+        facet_vertices=np.array([[0], [2]]),
+        facet_measures=np.ones(2),
+        facet_normals=np.array([[-1.0], [1.0]]),
+        facet_cells=np.array([0, 1]),
         h=1.0,
     )
     with pytest.raises(DegenerateMeshError):

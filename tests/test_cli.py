@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -60,6 +61,66 @@ def test_invalid_lambda_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     payload = json.loads(err)
     assert payload["error"]["field"] == "lambda"
+
+
+def _square_stability_config(output_dir, beta):
+    return {
+        "domain": "square",
+        "n": 2,  # 8 boundary facets
+        "lambda": 1.0,
+        "f": {"kind": "constant", "value": 1.0},
+        "beta_sequence": [{"kind": "constant", "value": 1.0}, beta],
+        "experiment": "stability",
+        "output_dir": output_dir,
+    }
+
+
+def _single_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("count", [7, 9])
+def test_per_facet_length_mismatch_exits_2(tmp_path, capsys, count):
+    beta = {"kind": "per_facet", "values": [1.0] * count}
+    path = _write(tmp_path, "c.json", _square_stability_config(str(tmp_path / "o"), beta))
+    assert main(["stability", "--config", path]) == EXIT_CONFIG
+    error = _single_error_line(capsys)
+    assert error["field"] == "beta_sequence[1]"
+    assert "8 boundary facets" in error["message"]
+
+
+@pytest.mark.parametrize("expr", ["x +", "x + 1/0"])
+@pytest.mark.parametrize("where", ["f", "beta_sequence[1]", "beta_limit"])
+def test_bad_expression_exits_2_naming_the_field(tmp_path, capsys, expr, where):
+    cfg = _square_stability_config(str(tmp_path / "o"), {"kind": "constant", "value": 2.0})
+    spec = {"kind": "expr", "expr": expr}
+    if where == "f":
+        cfg["f"] = spec
+    elif where == "beta_limit":
+        cfg["beta_limit"] = spec
+    else:
+        cfg["beta_sequence"][1] = spec
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["stability", "--config", path]) == EXIT_CONFIG
+    assert _single_error_line(capsys)["field"] == where
+
+
+@pytest.mark.parametrize("where", ["f", "beta"])
+def test_non_finite_field_exits_3_with_one_line(tmp_path, capsys, where):
+    spec = {"kind": "expr", "expr": "1/(x - x)"}
+    beta = spec if where == "beta" else {"kind": "constant", "value": 2.0}
+    cfg = _square_stability_config(str(tmp_path / "o"), beta)
+    if where == "f":
+        cfg["f"] = spec
+    path = _write(tmp_path, "c.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        assert main(["stability", "--config", path]) == EXIT_SOLVE
+    error = _single_error_line(capsys)
+    assert error["field"] == "solve"
+    assert "finite" in error["message"]
 
 
 def test_config_and_cli_experiment_must_agree(tmp_path, capsys):

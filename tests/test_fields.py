@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,41 +19,64 @@ from robin_lab.mesh import build_interval_mesh, build_unit_square_mesh
 
 def test_eval_constant():
     m = build_interval_mesh(2)
-    field = BoundaryField.constant(1.0)
-    for facet in m.boundary_facets:
-        point = m.vertices[facet.vertex_indices[0]]
-        assert eval_boundary(field, facet, point) == 1.0
+    values = eval_boundary(BoundaryField.constant(1.0), m, np.ones((1, 1)))
+    assert values.shape == (2, 1)
+    assert np.all(values == 1.0)
 
 
 def test_eval_per_facet_lookup():
     m = build_interval_mesh(2)
     field = BoundaryField.per_facet([0.5, 2.0])
-    facet = m.boundary_facets[1]
-    point = m.vertices[facet.vertex_indices[0]]
-    assert eval_boundary(field, facet, point) == 2.0
+    assert eval_boundary(field, m, np.ones((1, 1))).tolist() == [[0.5], [2.0]]
+
+
+@pytest.mark.parametrize("count", [7, 9])
+def test_per_facet_length_must_match_facet_count(count):
+    m = build_unit_square_mesh(2)  # 8 facets
+    with pytest.raises(InvalidArgumentError, match="8 boundary facets"):
+        eval_boundary(BoundaryField.per_facet(np.ones(count)), m, np.eye(2))
 
 
 def test_eval_closure_on_square_edge():
     m = build_unit_square_mesh(2)
     field = BoundaryField.from_function(lambda p: p[0] + 1.0)
-    # bottom edge containing (0.25, 0)
-    facet = next(
-        f
-        for f in m.boundary_facets
-        if all(m.vertices[i, 1] == 0.0 for i in f.vertex_indices)
-        and min(m.vertices[i, 0] for i in f.vertex_indices) == 0.0
-    )
-    assert eval_boundary(field, facet, np.array([0.25, 0.0])) == pytest.approx(1.25)
+    # bottom edge from (0, 0) to (0.5, 0), evaluated at its midpoint
+    corners = m.vertices[m.facet_vertices]  # (nf, 2, 2)
+    bottom = np.all(corners[:, :, 1] == 0.0, axis=1) & (corners[:, :, 0].min(axis=1) == 0.0)
+    facet = int(np.flatnonzero(bottom)[0])
+    values = eval_boundary(field, m, np.array([[0.5, 0.5], [1.0, 0.0]]))
+    assert values[facet, 0] == pytest.approx(1.25)
+    assert values.shape == (m.num_facets, 2)
+
+
+def test_closure_sees_all_points_at_once():
+    m = build_unit_square_mesh(3)
+    shapes = []
+
+    def fn(p):
+        shapes.append(p.shape)
+        return 2.0  # a scalar broadcasts to every point
+
+    values = eval_boundary(BoundaryField.from_function(fn), m, np.eye(2))
+    assert shapes == [(2, m.num_facets * 2)]
+    assert values.shape == (m.num_facets, 2) and np.all(values == 2.0)
 
 
 def test_negative_coefficient_rejected_at_evaluation():
     m = build_interval_mesh(2)
-    facet = m.boundary_facets[0]
-    point = m.vertices[facet.vertex_indices[0]]
     with pytest.raises(InvalidCoefficientError):
-        eval_boundary(BoundaryField.constant(-1.0), facet, point)
+        eval_boundary(BoundaryField.constant(-1.0), m, np.ones((1, 1)))
     with pytest.raises(InvalidCoefficientError):
         boundary_sup(BoundaryField.from_function(lambda p: -p[0] - 0.1), m)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_coefficient_rejected_at_evaluation(bad):
+    m = build_interval_mesh(2)
+    with pytest.raises(InvalidCoefficientError, match="not finite"):
+        boundary_sup(BoundaryField.constant(bad), m)
+    with pytest.raises(InvalidCoefficientError):
+        boundary_sup(BoundaryField.from_expression("1/(x-x)"), m)
 
 
 def test_sup_diff_examples():
@@ -69,7 +94,7 @@ def test_sup_diff_examples():
 def test_sup_diff_symmetry_and_triangle_inequality():
     m = build_unit_square_mesh(2)
     rng = np.random.default_rng(7)
-    nf = len(m.boundary_facets)
+    nf = m.num_facets
     a = BoundaryField.per_facet(rng.uniform(0.0, 2.0, nf))
     b = BoundaryField.per_facet(rng.uniform(0.0, 2.0, nf))
     c = BoundaryField.per_facet(rng.uniform(0.0, 2.0, nf))
@@ -132,6 +157,19 @@ def test_expression_rejects_unsupported_syntax():
             compile_expression(bad)
     with pytest.raises(InvalidArgumentError):
         compile_expression("x +")
+    with pytest.raises(InvalidArgumentError, match="division by zero"):
+        compile_expression("x + 1/0")
+
+
+def test_expression_evaluates_arrays_without_warnings():
+    fn = compile_expression("1/(x - x) + y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError):
+            eval_source(SourceField.from_function(fn), np.array([[0.5, 0.25]]))
+    assert np.allclose(
+        compile_expression("x + 2*y")(np.array([[0.5, 1.0], [0.25, 0.0]])), [1.0, 1.0]
+    )
 
 
 def test_expression_missing_coordinate():

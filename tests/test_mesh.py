@@ -1,7 +1,10 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.mesh import (
@@ -24,7 +27,7 @@ def test_interval_counts():
     m = build_interval_mesh(2)
     assert m.num_vertices == 3
     assert m.num_cells == 2
-    assert len(m.boundary_facets) == 2
+    assert m.num_facets == 2
     assert np.allclose(sorted(v[0] for v in m.vertices), [0.0, 0.5, 1.0])
 
     m1 = build_interval_mesh(1)
@@ -40,45 +43,41 @@ def test_interval_partition_of_unity():
 
 def test_interval_endpoint_facets():
     m = build_interval_mesh(4)
-    normals = {}
-    for f in m.boundary_facets:
-        assert f.measure == 1.0  # counting measure on the two endpoints
-        x = m.vertices[f.vertex_indices[0], 0]
-        normals[x] = f.outward_normal[0]
-    assert normals[0.0] == -1.0
-    assert normals[1.0] == 1.0
+    # counting measure on the two endpoints
+    assert m.facet_measures.tolist() == [1.0, 1.0]
+    xs = m.vertices[m.facet_vertices[:, 0], 0]
+    normals = dict(zip(xs.tolist(), m.facet_normals[:, 0].tolist()))
+    assert normals == {0.0: -1.0, 1.0: 1.0}
 
 
 def test_square_counts():
     m = build_unit_square_mesh(2)
     assert m.num_vertices == 9
     assert m.num_cells == 8
-    assert len(m.boundary_facets) == 8
+    assert m.num_facets == 8
 
     m1 = build_unit_square_mesh(1)
     assert m1.num_vertices == 4
     assert m1.num_cells == 2
-    assert len(m1.boundary_facets) == 4
+    assert m1.num_facets == 4
 
 
 def test_square_perimeter():
     m = build_unit_square_mesh(4)
-    total = sum(f.measure for f in m.boundary_facets)
-    assert abs(total - 4.0) < 1e-12
-    for f in m.boundary_facets:
-        assert f.measure == pytest.approx(0.25, abs=1e-15)
+    assert abs(m.facet_measures.sum() - 4.0) < 1e-12
+    assert np.allclose(m.facet_measures, 0.25, rtol=0.0, atol=1e-15)
 
 
 def test_cube_counts():
     m1 = build_unit_cube_mesh(1)
     assert m1.num_vertices == 8
     assert m1.num_cells == 6
-    assert len(m1.boundary_facets) == 12
+    assert m1.num_facets == 12
 
     m2 = build_unit_cube_mesh(2)
     assert m2.num_vertices == 27
     assert m2.num_cells == 48
-    assert len(m2.boundary_facets) == 48
+    assert m2.num_facets == 48
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -94,19 +93,22 @@ def test_measure_sums(domain, dim, surface):
     m = build_mesh(domain, 3)
     assert m.dim == dim
     assert abs(m.cell_measures.sum() - 1.0) < 1e-12
-    assert abs(sum(f.measure for f in m.boundary_facets) - surface) < 1e-12
+    assert abs(m.facet_measures.sum() - surface) < 1e-12
     assert m.h == pytest.approx(1.0 / 3.0)
 
 
 @pytest.mark.parametrize("domain", ["interval", "square", "cube"])
 def test_normals_unit_and_outward(domain):
     m = build_mesh(domain, 2)
-    for f in m.boundary_facets:
-        normal = np.asarray(f.outward_normal)
-        assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
-        facet_centroid = m.vertices[list(f.vertex_indices)].mean(axis=0)
-        cell_centroid = m.vertices[m.cells[f.parent_cell]].mean(axis=0)
-        assert np.dot(normal, facet_centroid - cell_centroid) > 0.0
+    _assert_normals_unit_and_outward(m)
+
+
+def _assert_normals_unit_and_outward(m):
+    assert np.max(np.abs(np.linalg.norm(m.facet_normals, axis=1) - 1.0)) < 1e-12
+    facet_centroids = m.vertices[m.facet_vertices].mean(axis=1)
+    cell_centroids = m.vertices[m.cells[m.facet_cells]].mean(axis=1)
+    outward = np.sum(m.facet_normals * (facet_centroids - cell_centroids), axis=1)
+    assert np.all(outward > 0.0)
 
 
 @pytest.mark.parametrize("domain", ["interval", "square", "cube"])
@@ -119,9 +121,9 @@ def test_facet_sharing(domain):
             counts[face] = counts.get(face, 0) + 1
     assert set(counts.values()) <= {1, 2}
     boundary_keys = {face for face, c in counts.items() if c == 1}
-    assert {f.vertex_indices for f in m.boundary_facets} == boundary_keys
-    for f in m.boundary_facets:
-        assert all(i < m.num_vertices for i in f.vertex_indices)
+    assert {tuple(f) for f in m.facet_vertices.tolist()} == boundary_keys
+    assert m.num_facets == len(boundary_keys)
+    assert np.all(m.facet_vertices < m.num_vertices)
     assert all(int(i) < m.num_vertices for i in m.cells.ravel())
 
 
@@ -149,11 +151,11 @@ def test_export_text_format():
     m = build_unit_square_mesh(1)
     text = export_text(m)
     lines = text.strip().split("\n")
-    assert len(lines) == m.num_vertices + m.num_cells + len(m.boundary_facets)
+    assert len(lines) == m.num_vertices + m.num_cells + m.num_facets
     assert sum(1 for l in lines if l.startswith("v ")) == m.num_vertices
     assert sum(1 for l in lines if l.startswith("c ")) == m.num_cells
     facet_lines = [l for l in lines if l.startswith("f ")]
-    assert len(facet_lines) == len(m.boundary_facets)
+    assert len(facet_lines) == m.num_facets
     assert all(l.count("|") == 2 for l in facet_lines)
 
 
@@ -161,3 +163,30 @@ def test_mesh_is_immutable():
     m = build_interval_mesh(4)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 9.9
+    for arr in (m.facet_vertices, m.facet_measures, m.facet_normals, m.facet_cells):
+        assert not arr.flags.writeable
+
+
+def _oracle_facets(m):
+    """Each face of each cell, in cell order and then in combination order,
+    kept when it occurs in exactly one cell: (vertex lists, owning cells)."""
+    faces = [
+        (sorted(face), ci)
+        for ci, cell in enumerate(m.cells.tolist())
+        for face in itertools.combinations(cell, m.dim)
+    ]
+    counts = Counter(tuple(face) for face, _ in faces)
+    kept = [(face, ci) for face, ci in faces if counts[tuple(face)] == 1]
+    return [face for face, _ in kept], [ci for _, ci in kept]
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(min_value=1, max_value=4))
+def test_facet_arrays_match_brute_force_oracle(family, n):
+    domain, _, surface = family
+    m = build_mesh(domain, n)
+    vertices, cells = _oracle_facets(m)
+    assert m.facet_vertices.tolist() == vertices
+    assert m.facet_cells.tolist() == cells
+    _assert_normals_unit_and_outward(m)
+    assert abs(m.facet_measures.sum() - surface) < 1e-12
