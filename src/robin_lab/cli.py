@@ -128,10 +128,7 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
             "experiment", f"must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
         )
 
-    f_spec = data.get("f")
-    if not isinstance(f_spec, dict):
-        raise ConfigError("f", "missing or malformed source field spec")
-    f = _parse_field(f_spec, "f", SourceField)
+    f = _parse_field(data.get("f"), "f", SourceField)
 
     beta_specs = expand_beta_sequence(data.get("beta_sequence"))
     betas = [
