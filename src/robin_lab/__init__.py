@@ -15,10 +15,10 @@ from .analysis import (
     truncate,
 )
 from .assembly import (
-    SymmetricSparseMatrix,
     assemble_boundary_mass,
     assemble_load,
     assemble_mass,
+    assemble_operator,
     assemble_stiffness,
     assemble_system,
 )

@@ -136,7 +136,7 @@ def h1_norm(u: DiscreteSolution) -> float:
     stiffness = assembly.assemble_stiffness(u.mesh)
     mass = assembly.assemble_mass(u.mesh)
     v = u.nodal_values
-    return float(np.sqrt(v @ stiffness.matvec(v) + v @ mass.matvec(v)))
+    return float(np.sqrt(v @ (stiffness @ v) + v @ (mass @ v)))
 
 
 def truncate(u: DiscreteSolution, k: float) -> DiscreteSolution:

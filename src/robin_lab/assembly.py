@@ -6,6 +6,11 @@ simplex formulas), and B the boundary mass matrix weighted by the
 coefficient beta, integrated with facet quadrature (exact for per-facet
 beta at quad_order >= 2).  The load vector integrates the source against
 the P1 basis with cell quadrature.
+
+Matrices are plain ``scipy.sparse.csr_array``.  K + lambda*M and the load
+do not depend on beta, so a family of problems that differ only in beta
+builds them once (`assemble_operator`, `assemble_load`) and each member
+adds its own B (`assemble_system`).
 """
 
 from __future__ import annotations
@@ -15,62 +20,10 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DegenerateMeshError,
-    InvalidArgumentError,
-    SingularSystemError,
-)
+from .errors import DegenerateMeshError, InvalidArgumentError
 from .fields import BoundaryField, SourceField, eval_boundary, eval_source
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
-
-
-class SymmetricSparseMatrix:
-    """Symmetric sparse operator with canonical upper-triangle storage.
-
-    ``rows``, ``cols``, ``values`` hold the deduplicated entries with
-    ``row <= col``; the full symmetric CSR form is cached for products.
-    """
-
-    def __init__(self, dimension: int, csr: sp.csr_matrix):
-        self.dimension = int(dimension)
-        self._csr = csr
-        coo = csr.tocoo()
-        keep = coo.row <= coo.col
-        order = np.lexsort((coo.col[keep], coo.row[keep]))
-        self.rows = coo.row[keep][order].astype(np.int64)
-        self.cols = coo.col[keep][order].astype(np.int64)
-        self.values = coo.data[keep][order]
-
-    @classmethod
-    def from_triplets(cls, dimension, rows, cols, values) -> "SymmetricSparseMatrix":
-        """Build from full-matrix triplets (duplicates are summed)."""
-        csr = sp.coo_matrix(
-            (np.asarray(values, dtype=float), (rows, cols)),
-            shape=(dimension, dimension),
-        ).tocsr()
-        csr.sum_duplicates()
-        return cls(dimension, csr)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._csr @ np.asarray(v, dtype=float)
-
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
-    def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def __add__(self, other: "SymmetricSparseMatrix") -> "SymmetricSparseMatrix":
-        if self.dimension != other.dimension:
-            raise InvalidArgumentError("cannot add matrices of different dimensions")
-        return SymmetricSparseMatrix(self.dimension, (self._csr + other._csr).tocsr())
-
-    def scaled(self, factor: float) -> "SymmetricSparseMatrix":
-        return SymmetricSparseMatrix(self.dimension, (self._csr * float(factor)).tocsr())
 
 
 def _cell_geometry(mesh: Mesh):
@@ -94,30 +47,34 @@ def _cell_geometry(mesh: Mesh):
     return measures, grads
 
 
-def _scatter(num_vertices: int, ids, local) -> SymmetricSparseMatrix:
-    """Accumulate (ne, nloc, nloc) blocks on the (ne, nloc) vertex ids."""
+def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
+    """Accumulate (ne, nloc, nloc) blocks on the (ne, nloc) vertex ids.
+
+    Duplicate (row, col) entries are summed by the COO -> CSR conversion.
+    """
     nloc = ids.shape[1]
     rows = np.repeat(ids, nloc, axis=1).ravel()
     cols = np.tile(ids, (1, nloc)).ravel()
-    return SymmetricSparseMatrix.from_triplets(num_vertices, rows, cols, local.ravel())
+    shape = (num_vertices, num_vertices)
+    return sp.coo_array((local.ravel(), (rows, cols)), shape=shape).tocsr()
 
 
-def assemble_stiffness(mesh: Mesh) -> SymmetricSparseMatrix:
+def assemble_stiffness(mesh: Mesh) -> sp.csr_array:
     """Gradient-gradient matrix; constants lie in its kernel."""
     measures, grads = _cell_geometry(mesh)
     local = measures[:, None, None] * (grads @ np.transpose(grads, (0, 2, 1)))
     return _scatter(mesh.num_vertices, mesh.cells, local)
 
 
-def assemble_mass(mesh: Mesh, lumped: bool = False) -> SymmetricSparseMatrix:
+def assemble_mass(mesh: Mesh, lumped: bool = False) -> sp.csr_array:
     """Consistent P1 mass matrix, or its row-sum-lumped diagonal."""
     d = mesh.dim
-    measures, _ = _cell_geometry(mesh)
+    measures = mesh.cell_measures
     if lumped:
         diag = np.zeros(mesh.num_vertices)
         np.add.at(diag, mesh.cells, (measures / (d + 1))[:, None])
-        idx = np.arange(mesh.num_vertices)
-        return SymmetricSparseMatrix.from_triplets(mesh.num_vertices, idx, idx, diag)
+        idx = np.arange(mesh.num_vertices)[:, None]
+        return _scatter(mesh.num_vertices, idx, diag[:, None, None])
     pattern = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
     local = measures[:, None, None] * pattern[None, :, :]
     return _scatter(mesh.num_vertices, mesh.cells, local)
@@ -125,7 +82,7 @@ def assemble_mass(mesh: Mesh, lumped: bool = False) -> SymmetricSparseMatrix:
 
 def assemble_boundary_mass(
     mesh: Mesh, beta: BoundaryField, quad_order: int = 2
-) -> SymmetricSparseMatrix:
+) -> sp.csr_array:
     """Boundary matrix with entries sum_facets int_facet beta phi_i phi_j."""
     rule_points, weights = facet_rule(mesh.dim, quad_order)
     beta_vals = eval_boundary(beta, mesh, rule_points)  # (nf, nq)
@@ -139,7 +96,7 @@ def assemble_boundary_mass(
 def assemble_load(mesh: Mesh, f: SourceField, quad_order: int = 2) -> np.ndarray:
     """Load vector F_i = sum_cells int_cell f phi_i (exact for constant f)."""
     rule_points, weights = cell_rule(mesh.dim, quad_order)
-    measures, _ = _cell_geometry(mesh)
+    measures = mesh.cell_measures
     pts = mesh.vertices[mesh.cells]  # (nc, nloc, dim)
     physical = np.einsum("qk,ckd->cqd", rule_points, pts)
     nc, nq, dim = physical.shape
@@ -150,22 +107,19 @@ def assemble_load(mesh: Mesh, f: SourceField, quad_order: int = 2) -> np.ndarray
     return out
 
 
+def assemble_operator(mesh: Mesh, lam: float, lumped: bool = False) -> sp.csr_array:
+    """K + lam*M, the part of the system shared by every coefficient beta.
+
+    lam must be finite and > 0; that makes the operator positive definite
+    whatever the (nonnegative) boundary term.
+    """
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise InvalidArgumentError(f"lambda must be a finite number > 0, got {lam}")
+    return assemble_stiffness(mesh) + assemble_mass(mesh, lumped) * float(lam)
+
+
 def assemble_system(
-    mesh: Mesh,
-    lam: float,
-    beta: BoundaryField,
-    lumped: bool = False,
-    quad_order: int = 2,
-) -> SymmetricSparseMatrix:
-    """K + lam*M + B; positive definite unless lam = 0 and beta vanishes."""
-    if lam < 0.0:
-        raise InvalidArgumentError(f"lambda must be >= 0, got {lam}")
-    stiffness = assemble_stiffness(mesh)
-    boundary = assemble_boundary_mass(mesh, beta, quad_order)
-    if lam == 0.0 and boundary.max_abs() == 0.0:
-        raise SingularSystemError(
-            "lambda = 0 with vanishing boundary coefficient: constants are in "
-            "the kernel of the operator"
-        )
-    mass = assemble_mass(mesh, lumped)
-    return stiffness + mass.scaled(lam) + boundary
+    operator: sp.csr_array, mesh: Mesh, beta: BoundaryField, quad_order: int = 2
+) -> sp.csr_array:
+    """(K + lam*M) + B(beta), with the operator from `assemble_operator`."""
+    return operator + assemble_boundary_mass(mesh, beta, quad_order)

@@ -25,29 +25,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
-from .analysis import level_set_measure, sup_norm, lp_norm
+from .analysis import sup_norm, lp_norm
 from .errors import RobinLabError
 from .experiments import (
-    RobinProblem,
+    _solve_family,
     estimate_constant,
     convergence_study,
     level_set_pipeline,
-    solve_robin,
     stability_sweep,
     theorem0_ratio,
 )
-from .fields import BoundaryField, SourceField
+from .fields import BoundaryField, SourceField, check_expression_dimension
 from .mesh import build_mesh
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
+_DIMENSIONS = {"interval": 1, "square": 2, "cube": 3}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,10 +92,15 @@ def expand_beta_sequence(raw) -> list:
             raise ConfigError("beta_sequence", f"unknown generator kind {raw.get('kind')!r}")
         base = raw.get("base")
         count = raw.get("count")
-        if not isinstance(base, (int, float)):
-            raise ConfigError("beta_sequence.base", "generator base must be a number")
-        if not isinstance(count, int) or count < 1:
+        if not _is_number(base):
+            raise ConfigError("beta_sequence.base", "generator base must be a finite number")
+        if not _is_integer(count) or count < 1:
             raise ConfigError("beta_sequence.count", "generator count must be a positive integer")
+        if base + 1.0 / count < 0.0:
+            raise ConfigError(
+                "beta_sequence.base",
+                f"generator base {base!r} makes the last coefficient negative",
+            )
         return [
             {"kind": "constant", "value": base + 1.0 / (k + 1)} for k in range(count)
         ]
@@ -111,16 +115,17 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
         raise ConfigError("config", "top-level JSON value must be an object")
 
     domain = data.get("domain")
-    if domain not in ("interval", "square", "cube"):
+    if domain not in _DIMENSIONS:
         raise ConfigError("domain", f"must be interval, square, or cube, got {domain!r}")
+    dim = _DIMENSIONS[domain]
 
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ConfigError("n", f"must be a positive integer, got {n!r}")
 
     lam = data.get("lambda")
-    if not isinstance(lam, (int, float)) or lam <= 0.0:
-        raise ConfigError("lambda", f"must be a positive number, got {lam!r}")
+    if not _is_number(lam) or lam <= 0.0:
+        raise ConfigError("lambda", f"must be a finite positive number, got {lam!r}")
 
     experiment = data.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -128,21 +133,22 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
             "experiment", f"must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
         )
 
-    f = _parse_field(data.get("f"), "f", SourceField)
+    f = _parse_field(data.get("f"), "f", SourceField, dim)
 
     beta_specs = expand_beta_sequence(data.get("beta_sequence"))
     betas = [
-        _parse_field(spec, f"beta_sequence[{i}]", BoundaryField)
+        _parse_field(spec, f"beta_sequence[{i}]", BoundaryField, dim)
         for i, spec in enumerate(beta_specs)
     ]
 
     beta_limit = None
     if data.get("beta_limit") is not None:
-        beta_limit = _parse_field(data["beta_limit"], "beta_limit", BoundaryField)
+        beta_limit = _parse_field(data["beta_limit"], "beta_limit", BoundaryField, dim)
     elif experiment == "convergence":
         raw_seq = data.get("beta_sequence")
         if isinstance(raw_seq, dict):
-            beta_limit = BoundaryField.constant(raw_seq["base"])
+            limit_spec = {"kind": "constant", "value": raw_seq["base"]}
+            beta_limit = _parse_field(limit_spec, "beta_sequence.base", BoundaryField, dim)
         else:
             raise ConfigError(
                 "beta_limit",
@@ -151,15 +157,15 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
             )
 
     p = data.get("p", 4.0)
-    if not isinstance(p, (int, float)) or p < 1.0:
-        raise ConfigError("p", f"must be a number >= 1, got {p!r}")
+    if not _is_number(p) or p < 1.0:
+        raise ConfigError("p", f"must be a finite number >= 1, got {p!r}")
 
     c2 = data.get("c2", 0.0)
-    if not isinstance(c2, (int, float)) or c2 < 0.0:
-        raise ConfigError("c2", f"must be a nonnegative number, got {c2!r}")
+    if not _is_number(c2) or c2 < 0.0:
+        raise ConfigError("c2", f"must be a finite nonnegative number, got {c2!r}")
 
     quad_order = data.get("quad_order", 2)
-    if not isinstance(quad_order, int) or quad_order < 1:
+    if not _is_integer(quad_order) or quad_order < 1:
         raise ConfigError("quad_order", f"must be a positive integer, got {quad_order!r}")
 
     lumped = data.get("lumped", False)
@@ -167,8 +173,8 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
         raise ConfigError("lumped", f"must be a boolean, got {lumped!r}")
 
     tol = data.get("tol", 1e-10)
-    if not isinstance(tol, (int, float)) or tol <= 0.0:
-        raise ConfigError("tol", f"must be a positive number, got {tol!r}")
+    if not _is_number(tol) or tol <= 0.0:
+        raise ConfigError("tol", f"must be a finite positive number, got {tol!r}")
 
     if experiment == "stampacchia" and domain != "cube":
         raise ConfigError(
@@ -201,26 +207,55 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
     )
 
 
-def _parse_field(spec, where: str, cls):
-    """Build a SourceField or BoundaryField (per_facet allowed) from its spec."""
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_field(spec, where: str, cls, dim: int):
+    """Build a SourceField or BoundaryField (per_facet allowed) from its spec.
+
+    Boundary values must be finite and >= 0; an expression may name only
+    the coordinates of a dim-dimensional domain.
+    """
     if not isinstance(spec, dict):
         raise ConfigError(where, "field spec must be an object")
     kind = spec.get("kind")
     try:
         if kind == "constant":
-            if not isinstance(spec.get("value"), (int, float)):
-                raise ConfigError(where, "constant field needs a numeric 'value'")
-            return cls.constant(spec["value"])
+            value = spec.get("value")
+            if not _is_number(value) or (cls is BoundaryField and value < 0.0):
+                raise ConfigError(
+                    where,
+                    f"constant field needs a finite 'value' (>= 0 on the boundary), "
+                    f"got {value!r}",
+                )
+            return cls.constant(value)
         if kind == "per_facet" and cls is BoundaryField:
             values = spec.get("values")
             if not isinstance(values, list) or not values:
                 raise ConfigError(where, "per_facet field needs a nonempty 'values' list")
+            if not all(_is_number(v) and v >= 0.0 for v in values):
+                raise ConfigError(where, "per_facet values must be finite numbers >= 0")
             return cls.per_facet(values)
         if kind == "expr":
-            if not isinstance(spec.get("expr"), str):
+            expr = spec.get("expr")
+            if not isinstance(expr, str):
                 raise ConfigError(where, "expr field needs an 'expr' string")
-            return cls.from_expression(spec["expr"])
-    except ValueError as exc:  # InvalidArgumentError, or a non-numeric value
+            built = cls.from_expression(expr)  # reports syntax errors first
+            check_expression_dimension(expr, dim)
+            return built
+    except ValueError as exc:  # InvalidArgumentError from the expression
         raise ConfigError(where, str(exc)) from exc
     raise ConfigError(where, f"unsupported field kind {kind!r}")
 
@@ -366,7 +401,8 @@ def run(config: RunConfig, output_dir: str = None) -> int:
     try:
         tables, plots, summary = _run_experiment(config, mesh)
     except RobinLabError as exc:
-        _emit_error("solve", str(exc))
+        # a family member's failure carries a note naming its index
+        _emit_error("solve", ": ".join([*getattr(exc, "__notes__", ()), str(exc)]))
         return EXIT_SOLVE
     timings["experiment_seconds"] = time.perf_counter() - started
 
@@ -412,16 +448,7 @@ def _run_experiment(config: RunConfig, mesh):
     tables, plots, summary = {}, {}, {}
 
     if config.experiment == "solve":
-        problem = RobinProblem(
-            mesh=mesh,
-            lam=config.lam,
-            beta=betas[0],
-            f=f,
-            quad_order=config.quad_order,
-            lumped=config.lumped,
-            tol=config.tol,
-        )
-        u = solve_robin(problem)
+        (u,) = _solve(config, mesh, betas[:1])
         coord_names = ["x", "y", "z"][: mesh.dim]
         header = ["vertex_index"] + coord_names + ["value"]
         rows = (
@@ -495,11 +522,9 @@ def _run_experiment(config: RunConfig, mesh):
         summary["final_sup_err"] = records[-1].sup_err_closure
 
     elif config.experiment == "stampacchia":
-        pair = _solve_pair(config, mesh, f, betas[0], betas[1])
-        u_diff = pair[0] - pair[1]
-        report = level_set_pipeline(u_diff, mesh.dim, c2=config.c2)
-        sup_bd = sup_norm(u_diff, "boundary")
-        ks, phis = _phi_samples_for_output(u_diff, sup_bd)
+        pair = _solve(config, mesh, betas[:2])
+        report = level_set_pipeline(pair[0] - pair[1], mesh.dim, c2=config.c2)
+        ks, phis = report.samples.ks, report.samples.values
         tables["stampacchia"] = (
             ["k", "phi"],
             [[float(k), float(v)] for k, v in zip(ks, phis)],
@@ -519,16 +544,7 @@ def _run_experiment(config: RunConfig, mesh):
         summary["conclusion_ok"] = report.conclusion_ok
 
     else:  # theorem0
-        problem = RobinProblem(
-            mesh=mesh,
-            lam=config.lam,
-            beta=betas[0],
-            f=f,
-            quad_order=config.quad_order,
-            lumped=config.lumped,
-            tol=config.tol,
-        )
-        u = solve_robin(problem)
+        (u,) = _solve(config, mesh, betas[:1])
         ratio = theorem0_ratio(u, f, config.p, config.quad_order)
         f_norm = lp_norm(f, config.p, "domain", config.quad_order, mesh=mesh)
         tables["theorem0"] = (
@@ -540,27 +556,11 @@ def _run_experiment(config: RunConfig, mesh):
     return tables, plots, summary
 
 
-def _solve_pair(config, mesh, f, beta_a, beta_b):
-    out = []
-    for beta in (beta_a, beta_b):
-        problem = RobinProblem(
-            mesh=mesh,
-            lam=config.lam,
-            beta=beta,
-            f=f,
-            quad_order=config.quad_order,
-            lumped=config.lumped,
-            tol=config.tol,
-        )
-        out.append(solve_robin(problem))
-    return out
-
-
-def _phi_samples_for_output(u_diff, sup_bd):
-    if sup_bd == 0.0:
-        return [0.0], [0.0]
-    ks = np.linspace(0.0, 1.5 * sup_bd, 64)
-    return ks, [level_set_measure(u_diff, float(k), "boundary") for k in ks]
+def _solve(config: RunConfig, mesh, betas) -> list:
+    """Solutions for `betas` with the config's lambda, f and solver settings."""
+    return _solve_family(
+        mesh, config.lam, config.f, betas, config.quad_order, config.lumped, config.tol, None
+    )
 
 
 def _emit_error(field_name: str, message: str) -> None:

@@ -17,10 +17,6 @@ class DegenerateMeshError(RobinLabError):
     """A cell with zero measure was encountered during assembly."""
 
 
-class SingularSystemError(RobinLabError):
-    """The assembled operator is singular (no mass term and no boundary term)."""
-
-
 class NumericBreakdownError(RobinLabError):
     """A non-finite value appeared inside an iterative solve."""
 

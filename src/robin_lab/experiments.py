@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import DiscreteSolution, exponents, level_set_measure, sup_norm, lp_norm
-from .assembly import assemble_load, assemble_system
+from .assembly import assemble_load, assemble_operator, assemble_system
 from .errors import (
     InvalidArgumentError,
     NonConvergenceError,
@@ -63,8 +63,8 @@ class RobinProblem:
     max_iter: int = None
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise InvalidArgumentError(f"lambda must be > 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise InvalidArgumentError(f"lambda must be a finite number > 0, got {self.lam}")
 
 
 @dataclass
@@ -87,22 +87,11 @@ class ConvergenceRecord:
 
 def solve_robin(problem: RobinProblem) -> DiscreteSolution:
     """Galerkin solution of (K + lam M + B) U = F to the requested tolerance."""
-    matrix = assemble_system(
-        problem.mesh,
-        problem.lam,
-        problem.beta,
-        lumped=problem.lumped,
-        quad_order=problem.quad_order,
+    p = problem
+    (solution,) = _solve_family(
+        p.mesh, p.lam, p.f, [p.beta], p.quad_order, p.lumped, p.tol, p.max_iter
     )
-    load = assemble_load(problem.mesh, problem.f, problem.quad_order)
-    x, report = cg_solve(matrix, load, tol=problem.tol, max_iter=problem.max_iter)
-    if not report.converged:
-        raise NonConvergenceError(
-            f"conjugate gradient stopped at relative residual "
-            f"{report.final_relative_residual:.3e} after {report.iterations} "
-            f"iterations (tol {problem.tol:g})"
-        )
-    return DiscreteSolution(problem.mesh, x)
+    return solution
 
 
 def analytic_interval_solution(lam: float, beta: float, f_const: float):
@@ -123,22 +112,29 @@ def analytic_interval_solution(lam: float, beta: float, f_const: float):
 
 
 def _solve_family(mesh, lam, f, betas, quad_order, lumped, tol, max_iter):
+    """One solution per beta of a family sharing the mesh, lam and f.
+
+    K + lam M and the load are built once; each member adds only its B.
+    A member that fails raises its own exception, with a note naming its
+    coefficient index.
+    """
+    operator = assemble_operator(mesh, lam, lumped)
+    load = assemble_load(mesh, f, quad_order)
     solutions = []
     for i, beta in enumerate(betas):
-        problem = RobinProblem(
-            mesh=mesh,
-            lam=lam,
-            beta=beta,
-            f=f,
-            quad_order=quad_order,
-            lumped=lumped,
-            tol=tol,
-            max_iter=max_iter,
-        )
         try:
-            solutions.append(solve_robin(problem))
+            matrix = assemble_system(operator, mesh, beta, quad_order)
+            x, report = cg_solve(matrix, load, tol=tol, max_iter=max_iter)
+            if not report.converged:
+                raise NonConvergenceError(
+                    f"conjugate gradient stopped at relative residual "
+                    f"{report.final_relative_residual:.3e} after "
+                    f"{report.iterations} iterations (tol {tol:g})"
+                )
+            solutions.append(DiscreteSolution(mesh, x))
         except Exception as exc:
-            raise type(exc)(f"solve failed for coefficient index {i}: {exc}") from exc
+            exc.add_note(f"solve failed for coefficient index {i}")
+            raise
     return solutions
 
 
@@ -236,7 +232,11 @@ def level_set_pipeline(
     sup_bd = sup_norm(u_diff, "boundary")
     if sup_bd == 0.0:
         return DecayReport(
-            hypothesis_ok=True, predicted_gap=0.0, vanish_point=0.0, conclusion_ok=True
+            hypothesis_ok=True,
+            predicted_gap=0.0,
+            vanish_point=0.0,
+            conclusion_ok=True,
+            samples=PhiSamples([0.0], [0.0]),
         )
     ks = np.linspace(0.0, 1.5 * sup_bd, 64)
     values = np.array([level_set_measure(u_diff, k, "boundary") for k in ks])

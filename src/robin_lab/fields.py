@@ -176,7 +176,8 @@ def compile_expression(expr: str):
     coordinate i (a number, or an array of them); it evaluates element by
     element.  A constant subexpression that divides by zero is rejected
     here; using a variable the domain does not have (e.g. ``z`` on the
-    square) fails at evaluation.
+    square) fails at evaluation, or earlier through
+    `check_expression_dimension`.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -223,3 +224,16 @@ def compile_expression(expr: str):
             ) from exc
 
     return evaluate
+
+
+def check_expression_dimension(expr: str, dim: int) -> None:
+    """Reject an expression that names a coordinate a dim-dimensional domain
+    lacks (``y`` or ``z`` on the interval, ``z`` on the square)."""
+    tree = ast.parse(expr, mode="eval")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    missing = sorted(names - set(_COORD_NAMES[:dim]))
+    if missing:
+        raise InvalidArgumentError(
+            f"field expression {expr!r} references {', '.join(missing)}, which "
+            f"the {dim}-dimensional domain does not have"
+        )

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import SymmetricSparseMatrix
 from .errors import InvalidArgumentError, NumericBreakdownError
 
 
@@ -24,7 +24,7 @@ class SolveReport:
 
 
 def cg_solve(
-    A: SymmetricSparseMatrix,
+    A: sp.csr_array,
     b: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = None,
@@ -36,14 +36,14 @@ def cg_solve(
     non-finite intermediate values raise :class:`NumericBreakdownError`.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape != (A.dimension,):
+    if b.shape != (A.shape[0],):
         raise InvalidArgumentError(
-            f"right-hand side has shape {b.shape}, expected ({A.dimension},)"
+            f"right-hand side has shape {b.shape}, expected ({A.shape[0]},)"
         )
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN included
         raise InvalidArgumentError(f"tol must be > 0, got {tol}")
     if max_iter is None:
-        max_iter = 10 * A.dimension
+        max_iter = 10 * A.shape[0]
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -69,7 +69,7 @@ def cg_solve(
     iterations = 0
     while iterations < max_iter:
         iterations += 1
-        Ap = A.matvec(p)
+        Ap = A @ p
         pAp = float(p @ Ap)
         if not np.isfinite(pAp):
             raise NumericBreakdownError("non-finite value in conjugate gradient")
@@ -84,7 +84,7 @@ def cg_solve(
             raise NumericBreakdownError("non-finite residual in conjugate gradient")
         history.append(rel)
         if rel <= tol:
-            true_r = b - A.matvec(x)
+            true_r = b - A @ x
             if float(np.linalg.norm(true_r)) / b_norm <= tol:
                 break
             if restarts_left == 0:
@@ -101,7 +101,7 @@ def cg_solve(
         p = z + (rz_next / rz) * p
         rz = rz_next
 
-    final_rel = float(np.linalg.norm(b - A.matvec(x))) / b_norm
+    final_rel = float(np.linalg.norm(b - A @ x)) / b_norm
     report = SolveReport(
         iterations=iterations,
         final_relative_residual=final_rel,
@@ -111,14 +111,14 @@ def cg_solve(
     return x, report
 
 
-def quadratic_form(A: SymmetricSparseMatrix, v: np.ndarray) -> float:
+def quadratic_form(A: sp.csr_array, v: np.ndarray) -> float:
     """v' A v."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (A.dimension,):
+    if v.shape != (A.shape[0],):
         raise InvalidArgumentError(
-            f"vector has shape {v.shape}, expected ({A.dimension},)"
+            f"vector has shape {v.shape}, expected ({A.shape[0]},)"
         )
-    return float(v @ A.matvec(v))
+    return float(v @ (A @ v))
 
 
 def gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

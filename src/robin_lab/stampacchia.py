@@ -86,6 +86,7 @@ class DecayReport:
     predicted_gap: float
     vanish_point: float  # or None when phi never vanishes on the samples
     conclusion_ok: bool
+    samples: PhiSamples  # the curve the check ran on
 
 
 def stampacchia_gap(params: StampacchiaParams) -> float:
@@ -154,6 +155,7 @@ def verify_decay(samples: PhiSamples, params: StampacchiaParams) -> DecayReport:
         predicted_gap=gap,
         vanish_point=vanish_point,
         conclusion_ok=conclusion_ok,
+        samples=samples,
     )
 
 

@@ -97,16 +97,16 @@ def test_criterion_3_coercivity_and_cg():
     mesh = rl.build_unit_cube_mesh(4)
     lam = 1.0
     beta = rl.BoundaryField.constant(1.0)
-    A = rl.assemble_system(mesh, lam, beta)
+    A = rl.assemble_system(rl.assemble_operator(mesh, lam), mesh, beta)
     K = rl.assemble_stiffness(mesh)
     M = rl.assemble_mass(mesh)
     rng = np.random.default_rng(2024)
     coercive = True
     positive = True
     for _ in range(100):
-        v = rng.standard_normal(A.dimension)
-        qa = v @ A.matvec(v)
-        qkm = v @ K.matvec(v) + lam * (v @ M.matvec(v))
+        v = rng.standard_normal(A.shape[0])
+        qa = v @ (A @ v)
+        qkm = v @ (K @ v) + lam * (v @ (M @ v))
         coercive &= qa >= qkm - 1e-10
         positive &= qa > 0.0
     b = rl.assemble_load(mesh, ONE)

@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 
 from robin_lab.assembly import (
-    SymmetricSparseMatrix,
+    _scatter,
     assemble_boundary_mass,
     assemble_load,
     assemble_mass,
+    assemble_operator,
     assemble_stiffness,
     assemble_system,
 )
-from robin_lab.errors import (
-    DegenerateMeshError,
-    InvalidArgumentError,
-    SingularSystemError,
-)
+from robin_lab.errors import DegenerateMeshError, InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
 from robin_lab.mesh import (
     Mesh,
@@ -46,8 +43,8 @@ def test_interval_mass_matches_hand_assembly():
 @pytest.mark.parametrize("domain", ["interval", "square", "cube"])
 def test_stiffness_kernel_contains_constants(domain):
     K = assemble_stiffness(build_mesh(domain, 2))
-    ones = np.ones(K.dimension)
-    assert np.max(np.abs(K.matvec(ones))) < 1e-12
+    ones = np.ones(K.shape[0])
+    assert np.max(np.abs(K @ ones)) < 1e-12
 
 
 def test_square_stiffness_row_sums_vanish():
@@ -58,8 +55,8 @@ def test_square_stiffness_row_sums_vanish():
 @pytest.mark.parametrize("domain", ["interval", "square", "cube"])
 def test_mass_total_is_domain_volume(domain):
     M = assemble_mass(build_mesh(domain, 2))
-    ones = np.ones(M.dimension)
-    assert abs(ones @ M.matvec(ones) - 1.0) < 1e-12
+    ones = np.ones(M.shape[0])
+    assert abs(ones @ (M @ ones) - 1.0) < 1e-12
 
 
 def test_boundary_mass_interval_is_endpoint_diagonal():
@@ -71,14 +68,14 @@ def test_boundary_mass_interval_is_endpoint_diagonal():
 def test_boundary_mass_zero_coefficient():
     m = build_unit_square_mesh(2)
     B = assemble_boundary_mass(m, BoundaryField.constant(0.0))
-    assert B.max_abs() == 0.0
+    assert not B.toarray().any()
 
 
 def test_boundary_mass_total_is_perimeter():
     m = build_unit_square_mesh(3)
     B = assemble_boundary_mass(m, BoundaryField.constant(1.0))
-    ones = np.ones(B.dimension)
-    assert abs(ones @ B.matvec(ones) - 4.0) < 1e-12
+    ones = np.ones(B.shape[0])
+    assert abs(ones @ (B @ ones) - 4.0) < 1e-12
 
 
 def test_boundary_mass_rejects_negative_samples():
@@ -103,42 +100,37 @@ def test_constant_load_equals_mass_action(domain):
     c = 3.5
     F = assemble_load(m, SourceField.constant(c))
     M = assemble_mass(m)
-    assert np.max(np.abs(F - c * M.matvec(np.ones(m.num_vertices)))) < 1e-12
+    assert np.max(np.abs(F - c * (M @ np.ones(m.num_vertices)))) < 1e-12
 
 
 def test_system_is_sum_of_parts():
     m = build_interval_mesh(2)
-    A = assemble_system(m, 1.0, BoundaryField.constant(1.0), lumped=True)
+    operator = assemble_operator(m, 1.0, lumped=True)
+    A = assemble_system(operator, m, BoundaryField.constant(1.0))
     expected = K_INTERVAL_2 + M_LUMPED_2 + np.diag([1.0, 0.0, 1.0])
     assert np.allclose(A.toarray(), expected, atol=1e-14)
 
 
-def test_system_singular_without_mass_and_boundary():
-    m = build_interval_mesh(4)
-    with pytest.raises(SingularSystemError):
-        assemble_system(m, 0.0, BoundaryField.constant(0.0))
-    # a nonzero boundary term rescues lambda = 0
-    A = assemble_system(m, 0.0, BoundaryField.constant(1.0))
-    assert A.dimension == 5
-
-
 def test_system_rejects_negative_lambda():
-    with pytest.raises(InvalidArgumentError):
-        assemble_system(build_interval_mesh(2), -1.0, BoundaryField.constant(1.0))
+    # lambda must be finite and > 0: lambda = 0 is rejected even when beta
+    # would make the operator definite
+    for lam in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError):
+            assemble_operator(build_interval_mesh(2), lam)
 
 
 def test_random_vectors_see_positive_definiteness():
     m = build_unit_cube_mesh(2)
     beta = BoundaryField.constant(1.0)
     lam = 1.0
-    A = assemble_system(m, lam, beta)
+    A = assemble_system(assemble_operator(m, lam), m, beta)
     K = assemble_stiffness(m)
     M = assemble_mass(m)
     rng = np.random.default_rng(42)
     for _ in range(100):
-        v = rng.standard_normal(A.dimension)
-        quad_a = v @ A.matvec(v)
-        quad_km = v @ K.matvec(v) + lam * (v @ M.matvec(v))
+        v = rng.standard_normal(A.shape[0])
+        quad_a = v @ (A @ v)
+        quad_km = v @ (K @ v) + lam * (v @ (M @ v))
         assert quad_a >= quad_km - 1e-10 * (v @ v)
         assert quad_a > 0.0
 
@@ -180,16 +172,17 @@ def test_degenerate_cell_detected():
         assemble_stiffness(broken)
 
 
-def test_canonical_upper_triangle_storage():
+def test_system_is_exactly_symmetric():
     m = build_unit_square_mesh(2)
-    A = assemble_system(m, 1.0, BoundaryField.constant(1.0))
-    assert np.all(A.rows <= A.cols)
+    A = assemble_system(assemble_operator(m, 1.0), m, BoundaryField.constant(1.0))
     dense = A.toarray()
     assert np.max(np.abs(dense - dense.T)) == 0.0
 
 
-def test_from_triplets_sums_duplicates():
-    A = SymmetricSparseMatrix.from_triplets(
-        2, [0, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 0], [1.0, 2.0, 2.0, 1.0, 1.0, 3.0]
-    )
-    assert np.allclose(A.toarray(), [[4.0, 3.0], [3.0, 0.0]])
+def test_scatter_sums_duplicates():
+    # two 2x2 blocks on vertex pairs (0, 1) and (1, 0) land on the same entries
+    ids = np.array([[0, 1], [1, 0]])
+    local = np.array([[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 3.0]]])
+    A = _scatter(2, ids, local)
+    assert A.nnz == 4
+    assert np.array_equal(A.toarray(), [[4.0, 3.0], [3.0, 2.0]])

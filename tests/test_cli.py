@@ -121,6 +121,73 @@ def test_non_finite_field_exits_3_with_one_line(tmp_path, capsys, where):
     error = _single_error_line(capsys)
     assert error["field"] == "solve"
     assert "finite" in error["message"]
+    if where == "beta":
+        assert "coefficient index 1" in error["message"]
+
+
+def _expr(text):
+    return {"kind": "expr", "expr": text}
+
+
+def _constant(value):
+    return {"kind": "constant", "value": value}
+
+
+# (field named in the error, changes to the interval solve config)
+_INVALID_CONFIGS = {
+    "y-on-interval": ("f", {"f": _expr("1 + y")}),
+    "z-on-square": (
+        "beta_sequence[0]",
+        {"domain": "square", "n": 2, "beta_sequence": [_expr("1 + z")]},
+    ),
+    "limit-z-on-square": (
+        "beta_limit",
+        {"domain": "square", "n": 2, "beta_limit": _expr("z")},
+    ),
+    "lambda-nan": ("lambda", {"lambda": float("nan")}),
+    "lambda-bool": ("lambda", {"lambda": True}),
+    "tol-nan": ("tol", {"tol": float("nan")}),
+    "beta-negative": ("beta_sequence[0]", {"beta_sequence": [_constant(-1)]}),
+    "beta-infinite": ("beta_sequence[0]", {"beta_sequence": [_constant(float("inf"))]}),
+    "beta-bool": ("beta_sequence[0]", {"beta_sequence": [_constant(True)]}),
+    "per-facet-negative": (
+        "beta_sequence[0]",
+        {"beta_sequence": [{"kind": "per_facet", "values": [1.0, -1.0]}]},
+    ),
+    "generator-member-negative": (
+        "beta_sequence.base",
+        {"beta_sequence": {"kind": "one_over_k", "base": -1.0, "count": 3}},
+    ),
+    "generator-limit-negative": (
+        "beta_sequence.base",
+        {
+            "experiment": "convergence",
+            "beta_sequence": {"kind": "one_over_k", "base": -0.1, "count": 2},
+        },
+    ),
+    "n-bool": ("n", {"n": True}),
+    "p-infinite": (
+        "p",
+        {
+            "experiment": "theorem0",
+            "domain": "cube",
+            "n": 2,
+            "f": _constant(2.0),
+            "p": float("inf"),
+        },
+    ),
+    "c2-nan": ("c2", {"c2": float("nan")}),
+    "quad-order-bool": ("quad_order", {"quad_order": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_CONFIGS))
+def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, case):
+    where, changes = _INVALID_CONFIGS[case]
+    cfg = {**_solve_config(str(tmp_path / "o")), **changes}
+    path = _write(tmp_path, "c.json", cfg)
+    assert main([cfg["experiment"], "--config", path]) == EXIT_CONFIG
+    assert _single_error_line(capsys)["field"] == where
 
 
 def test_config_and_cli_experiment_must_agree(tmp_path, capsys):

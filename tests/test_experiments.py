@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robin_lab.analysis import sup_norm
+from robin_lab.analysis import level_set_measure, sup_norm
 from robin_lab.errors import (
     InvalidArgumentError,
     NoInformativePairsError,
@@ -39,6 +39,8 @@ def test_problem_requires_positive_lambda():
         _problem(m, lam=0.0)
     with pytest.raises(InvalidArgumentError):
         _problem(m, lam=-1.0)
+    with pytest.raises(InvalidArgumentError):
+        _problem(m, lam=float("nan"))
 
 
 @pytest.mark.parametrize("domain,n", [("interval", 8), ("square", 4), ("cube", 2)])
@@ -162,6 +164,42 @@ def test_stability_reports_failing_index():
         stability_sweep(m, 1.0, ONE, betas)
 
 
+def test_failing_member_keeps_its_exception():
+    # UnicodeDecodeError cannot be rebuilt from a message alone
+    def undecodable(p):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    m = build_interval_mesh(4)
+    betas = [BoundaryField.constant(1.0), BoundaryField.from_function(undecodable)]
+    with pytest.raises(UnicodeDecodeError, match="index 1") as info:
+        convergence_study(m, 1.0, ONE, betas, BoundaryField.constant(1.0))
+    assert info.value.reason == "invalid start byte"
+
+
+def test_family_members_equal_independent_solves():
+    # the shared K + lam M and load must give each member exactly what a
+    # problem of its own gives
+    m = build_unit_cube_mesh(3)
+    f = SourceField.from_expression("1 + x*y")
+    betas = [
+        BoundaryField.constant(0.5),
+        BoundaryField.per_facet(np.linspace(0.2, 2.0, m.num_facets)),
+        BoundaryField.from_expression("1 + x - y*z"),
+    ]
+    limit = BoundaryField.constant(1.0)
+    alone = [solve_robin(_problem(m, beta=b, f=f)) for b in betas + [limit]]
+
+    records = stability_sweep(m, 1.0, f, betas)
+    for r in records:
+        un, um = alone[r.n], alone[r.m]
+        assert r.diff_sup_closure == sup_norm(un - um, "closure")
+        assert r.un_sup_boundary == sup_norm(un, "boundary")
+
+    records = convergence_study(m, 1.0, f, betas, limit)
+    for r in records:
+        assert r.sup_err_closure == sup_norm(alone[r.n] - alone[-1], "closure")
+
+
 def test_estimate_constant():
     mk = lambda ratio: StabilityRecord(0, 1, 1.0, 1.0, 1.0, ratio)
     assert estimate_constant([mk(2.5)]) == 2.5
@@ -220,6 +258,8 @@ def test_level_set_pipeline_trivial_for_zero_difference():
     assert report.hypothesis_ok
     assert report.predicted_gap == 0.0
     assert report.conclusion_ok
+    assert report.samples.ks.tolist() == [0.0]
+    assert report.samples.values.tolist() == [0.0]
 
 
 def test_level_set_pipeline_on_solved_pair():
@@ -229,3 +269,9 @@ def test_level_set_pipeline_on_solved_pair():
     report = level_set_pipeline(ua - ub, 3)
     assert report.hypothesis_ok
     assert report.vanish_point is not None
+    # the report carries the sampled curve it checked
+    ks = report.samples.ks
+    assert ks.size == 64
+    assert report.samples.values.tolist() == [
+        level_set_measure(ua - ub, k, "boundary") for k in ks
+    ]
