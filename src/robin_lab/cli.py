@@ -29,11 +29,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__
 from .analysis import sup_norm, lp_norm
-from .errors import RobinLabError
+from .errors import InvalidArgumentError, RobinLabError
 from .experiments import (
     _solve_family,
     estimate_constant,
@@ -43,10 +45,24 @@ from .experiments import (
     theorem0_ratio,
 )
 from .fields import BoundaryField, SourceField, check_expression_dimension
-from .mesh import build_mesh
+from .mesh import Mesh, build_mesh
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
-_DIMENSIONS = {"interval": 1, "square": 2, "cube": 3}
+DOMAINS = ("interval", "square", "cube")
+
+# the one_over_k generator expands to at most this many coefficients
+MAX_GENERATED = 10_000
+
+# numeric key -> (default, None when required; integer; lower bound;
+# whether the bound itself is allowed)
+_NUMERIC_KEYS = {
+    "n": (None, True, 1, True),
+    "lambda": (None, False, 0.0, False),
+    "p": (4.0, False, 1.0, True),
+    "c2": (0.0, False, 0.0, True),
+    "quad_order": (2, True, 1, True),
+    "tol": (1e-10, False, 0.0, False),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,20 +85,20 @@ class ConfigError(RobinLabError):
 
 @dataclass
 class RunConfig:
-    domain: str
-    n: int
+    mesh: Mesh
+    mesh_seconds: float  # time taken to build the mesh, for the manifest
     lam: float
     f: SourceField
     betas: list  # BoundaryFields, generator already expanded
     experiment: str
     output_dir: str
-    p: float = 4.0
-    c2: float = 0.0
-    quad_order: int = 2
-    lumped: bool = False
-    tol: float = 1e-10
-    beta_limit: BoundaryField = None
-    raw: dict = field(default_factory=dict)  # echoed into the manifest
+    p: float
+    c2: float
+    quad_order: int
+    lumped: bool
+    tol: float
+    beta_limit: BoundaryField  # or None
+    raw: dict  # echoed into the manifest
 
 
 def expand_beta_sequence(raw) -> list:
@@ -94,8 +110,12 @@ def expand_beta_sequence(raw) -> list:
         count = raw.get("count")
         if not _is_number(base):
             raise ConfigError("beta_sequence.base", "generator base must be a finite number")
-        if not _is_integer(count) or count < 1:
-            raise ConfigError("beta_sequence.count", "generator count must be a positive integer")
+        if not _is_integer(count) or not 1 <= count <= MAX_GENERATED:
+            raise ConfigError(
+                "beta_sequence.count",
+                f"generator count must be an integer from 1 to {MAX_GENERATED}, "
+                f"got {count!r}",
+            )
         if base + 1.0 / count < 0.0:
             raise ConfigError(
                 "beta_sequence.base",
@@ -109,46 +129,66 @@ def expand_beta_sequence(raw) -> list:
     raise ConfigError("beta_sequence", "expected a nonempty list or a generator spec")
 
 
-def parse_config(data: dict, default_output: str = "out") -> RunConfig:
-    """Validate the raw JSON dict into a RunConfig (raises ConfigError)."""
+def parse_config(data, experiment: str = None, default_output: str = "out") -> RunConfig:
+    """Validate a raw JSON value into a runnable RunConfig, mesh included.
+
+    ``experiment`` is the experiment named on the command line: it fills a
+    missing "experiment" key and must agree with a present one.  Every
+    invalid input raises ConfigError naming the field; ``data`` is left
+    unchanged.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config", "top-level JSON value must be an object")
 
-    domain = data.get("domain")
-    if domain not in _DIMENSIONS:
-        raise ConfigError("domain", f"must be interval, square, or cube, got {domain!r}")
-    dim = _DIMENSIONS[domain]
-
-    n = data.get("n")
-    if not _is_integer(n) or n < 1:
-        raise ConfigError("n", f"must be a positive integer, got {n!r}")
-
-    lam = data.get("lambda")
-    if not _is_number(lam) or lam <= 0.0:
-        raise ConfigError("lambda", f"must be a finite positive number, got {lam!r}")
-
-    experiment = data.get("experiment")
-    if experiment not in EXPERIMENTS:
+    named = data.get("experiment", experiment)
+    if experiment is not None and named != experiment:
         raise ConfigError(
-            "experiment", f"must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
+            "experiment",
+            f"config says {named!r} but the command line says {experiment!r}",
+        )
+    experiment = _choice(named, "experiment", EXPERIMENTS)
+    domain = _choice(data.get("domain"), "domain", DOMAINS)
+    numbers = {key: _number(data, key) for key in _NUMERIC_KEYS}
+
+    lumped = data.get("lumped", False)
+    if not isinstance(lumped, bool):
+        raise ConfigError("lumped", f"must be a boolean, got {lumped!r}")
+
+    output_dir = data.get("output_dir", default_output)
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("output_dir", f"must be a nonempty string, got {output_dir!r}")
+
+    if experiment == "stampacchia" and domain != "cube":
+        raise ConfigError(
+            "experiment", "stampacchia runs need the cube domain (dimension >= 3)"
+        )
+    beta_specs = expand_beta_sequence(data.get("beta_sequence"))
+    if experiment in ("stability", "stampacchia") and len(beta_specs) < 2:
+        raise ConfigError(
+            "beta_sequence", f"{experiment} runs need at least two coefficients"
         )
 
-    f = _parse_field(data.get("f"), "f", SourceField, dim)
+    started = time.perf_counter()
+    try:
+        mesh = build_mesh(domain, numbers["n"])
+    except InvalidArgumentError as exc:  # above MAX_CELLS
+        raise ConfigError("n", str(exc)) from exc
+    mesh_seconds = time.perf_counter() - started
 
-    beta_specs = expand_beta_sequence(data.get("beta_sequence"))
+    f = _parse_field(data.get("f"), "f", SourceField, mesh)
     betas = [
-        _parse_field(spec, f"beta_sequence[{i}]", BoundaryField, dim)
+        _parse_field(spec, f"beta_sequence[{i}]", BoundaryField, mesh)
         for i, spec in enumerate(beta_specs)
     ]
 
     beta_limit = None
     if data.get("beta_limit") is not None:
-        beta_limit = _parse_field(data["beta_limit"], "beta_limit", BoundaryField, dim)
+        beta_limit = _parse_field(data["beta_limit"], "beta_limit", BoundaryField, mesh)
     elif experiment == "convergence":
         raw_seq = data.get("beta_sequence")
         if isinstance(raw_seq, dict):
             limit_spec = {"kind": "constant", "value": raw_seq["base"]}
-            beta_limit = _parse_field(limit_spec, "beta_sequence.base", BoundaryField, dim)
+            beta_limit = _parse_field(limit_spec, "beta_sequence.base", BoundaryField, mesh)
         else:
             raise ConfigError(
                 "beta_limit",
@@ -156,55 +196,40 @@ def parse_config(data: dict, default_output: str = "out") -> RunConfig:
                 "by the one_over_k generator)",
             )
 
-    p = data.get("p", 4.0)
-    if not _is_number(p) or p < 1.0:
-        raise ConfigError("p", f"must be a finite number >= 1, got {p!r}")
-
-    c2 = data.get("c2", 0.0)
-    if not _is_number(c2) or c2 < 0.0:
-        raise ConfigError("c2", f"must be a finite nonnegative number, got {c2!r}")
-
-    quad_order = data.get("quad_order", 2)
-    if not _is_integer(quad_order) or quad_order < 1:
-        raise ConfigError("quad_order", f"must be a positive integer, got {quad_order!r}")
-
-    lumped = data.get("lumped", False)
-    if not isinstance(lumped, bool):
-        raise ConfigError("lumped", f"must be a boolean, got {lumped!r}")
-
-    tol = data.get("tol", 1e-10)
-    if not _is_number(tol) or tol <= 0.0:
-        raise ConfigError("tol", f"must be a finite positive number, got {tol!r}")
-
-    if experiment == "stampacchia" and domain != "cube":
-        raise ConfigError(
-            "experiment", "stampacchia runs need the cube domain (dimension >= 3)"
-        )
-    if experiment in ("stability", "stampacchia") and len(beta_specs) < 2:
-        raise ConfigError(
-            "beta_sequence", f"{experiment} runs need at least two coefficients"
-        )
-
-    output_dir = data.get("output_dir", default_output)
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir", f"must be a nonempty string, got {output_dir!r}")
-
     return RunConfig(
-        domain=domain,
-        n=n,
-        lam=float(lam),
+        mesh=mesh,
+        mesh_seconds=mesh_seconds,
+        lam=numbers["lambda"],
         f=f,
         betas=betas,
         experiment=experiment,
         output_dir=output_dir,
-        p=float(p),
-        c2=float(c2),
-        quad_order=quad_order,
+        p=numbers["p"],
+        c2=numbers["c2"],
+        quad_order=numbers["quad_order"],
         lumped=lumped,
-        tol=float(tol),
+        tol=numbers["tol"],
         beta_limit=beta_limit,
-        raw=dict(data),
+        raw={**data, "experiment": experiment},
     )
+
+
+def _choice(value, key: str, choices: tuple) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(key, f"must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _number(data: dict, key: str):
+    """The value of a numeric key, checked against its _NUMERIC_KEYS row."""
+    default, integer, bound, inclusive = _NUMERIC_KEYS[key]
+    value = data.get(key, default)
+    valid = _is_integer(value) if integer else _is_number(value)
+    if not (valid and (value >= bound if inclusive else value > bound)):
+        kind = "an integer" if integer else "a finite number"
+        relation = ">=" if inclusive else ">"
+        raise ConfigError(key, f"must be {kind} {relation} {bound}, got {value!r}")
+    return value if integer else float(value)
 
 
 def _is_number(value) -> bool:
@@ -222,11 +247,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_field(spec, where: str, cls, dim: int):
+def _parse_field(spec, where: str, cls, mesh: Mesh):
     """Build a SourceField or BoundaryField (per_facet allowed) from its spec.
 
-    Boundary values must be finite and >= 0; an expression may name only
-    the coordinates of a dim-dimensional domain.
+    Boundary values must be finite and >= 0, a per_facet list holds one
+    value per boundary facet of the mesh, and an expression may name only
+    the coordinates the mesh has.
     """
     if not isinstance(spec, dict):
         raise ConfigError(where, "field spec must be an object")
@@ -243,8 +269,12 @@ def _parse_field(spec, where: str, cls, dim: int):
             return cls.constant(value)
         if kind == "per_facet" and cls is BoundaryField:
             values = spec.get("values")
-            if not isinstance(values, list) or not values:
-                raise ConfigError(where, "per_facet field needs a nonempty 'values' list")
+            if not isinstance(values, list) or len(values) != mesh.num_facets:
+                raise ConfigError(
+                    where,
+                    f"per_facet field needs a 'values' list with one value for "
+                    f"each of the mesh's {mesh.num_facets} boundary facets",
+                )
             if not all(_is_number(v) and v >= 0.0 for v in values):
                 raise ConfigError(where, "per_facet values must be finite numbers >= 0")
             return cls.per_facet(values)
@@ -253,7 +283,7 @@ def _parse_field(spec, where: str, cls, dim: int):
             if not isinstance(expr, str):
                 raise ConfigError(where, "expr field needs an 'expr' string")
             built = cls.from_expression(expr)  # reports syntax errors first
-            check_expression_dimension(expr, dim)
+            check_expression_dimension(expr, mesh.dim)
             return built
     except ValueError as exc:  # InvalidArgumentError from the expression
         raise ConfigError(where, str(exc)) from exc
@@ -365,10 +395,9 @@ def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") 
 def run(config: RunConfig, output_dir: str = None) -> int:
     """Execute one experiment; writes manifest, CSVs, and SVGs."""
     out = output_dir or config.output_dir
-    timings = {}
-    warnings = []
-    if config.domain != "cube":
-        warnings.append(_DIMENSION_CAVEAT)
+    mesh = config.mesh
+    timings = {"mesh_seconds": config.mesh_seconds}
+    warnings = [_DIMENSION_CAVEAT] if mesh.dim < 3 else []
 
     try:
         os.makedirs(out, exist_ok=True)
@@ -381,25 +410,10 @@ def run(config: RunConfig, output_dir: str = None) -> int:
         return EXIT_OUTPUT
 
     started = time.perf_counter()
-    mesh = build_mesh(config.domain, config.n)
-    timings["mesh_seconds"] = time.perf_counter() - started
-
-    named = [(f"beta_sequence[{i}]", beta) for i, beta in enumerate(config.betas)]
-    named.append(("beta_limit", config.beta_limit))
-    for where, beta in named:
-        if beta is None or beta.kind != "per_facet":
-            continue
-        if beta.facet_values.size != mesh.num_facets:
-            _emit_error(
-                where,
-                f"per_facet field has {beta.facet_values.size} values but the "
-                f"mesh has {mesh.num_facets} boundary facets",
-            )
-            return EXIT_CONFIG
-
-    started = time.perf_counter()
     try:
-        tables, plots, summary = _run_experiment(config, mesh)
+        # non-finite results raise where they appear; numpy need not warn too
+        with np.errstate(all="ignore"):
+            tables, plots, summary = _run_experiment(config)
     except RobinLabError as exc:
         # a family member's failure carries a note naming its index
         _emit_error("solve", ": ".join([*getattr(exc, "__notes__", ()), str(exc)]))
@@ -442,13 +456,13 @@ def run(config: RunConfig, output_dir: str = None) -> int:
     return EXIT_OK
 
 
-def _run_experiment(config: RunConfig, mesh):
+def _run_experiment(config: RunConfig):
     """Returns (tables, plots, summary) for the configured experiment."""
-    f, betas = config.f, config.betas
+    mesh, f, betas = config.mesh, config.f, config.betas
     tables, plots, summary = {}, {}, {}
 
     if config.experiment == "solve":
-        (u,) = _solve(config, mesh, betas[:1])
+        (u,) = _solve(config, betas[:1])
         coord_names = ["x", "y", "z"][: mesh.dim]
         header = ["vertex_index"] + coord_names + ["value"]
         rows = (
@@ -522,7 +536,7 @@ def _run_experiment(config: RunConfig, mesh):
         summary["final_sup_err"] = records[-1].sup_err_closure
 
     elif config.experiment == "stampacchia":
-        pair = _solve(config, mesh, betas[:2])
+        pair = _solve(config, betas[:2])
         report = level_set_pipeline(pair[0] - pair[1], mesh.dim, c2=config.c2)
         ks, phis = report.samples.ks, report.samples.values
         tables["stampacchia"] = (
@@ -544,7 +558,7 @@ def _run_experiment(config: RunConfig, mesh):
         summary["conclusion_ok"] = report.conclusion_ok
 
     else:  # theorem0
-        (u,) = _solve(config, mesh, betas[:1])
+        (u,) = _solve(config, betas[:1])
         ratio = theorem0_ratio(u, f, config.p, config.quad_order)
         f_norm = lp_norm(f, config.p, "domain", config.quad_order, mesh=mesh)
         tables["theorem0"] = (
@@ -556,10 +570,10 @@ def _run_experiment(config: RunConfig, mesh):
     return tables, plots, summary
 
 
-def _solve(config: RunConfig, mesh, betas) -> list:
-    """Solutions for `betas` with the config's lambda, f and solver settings."""
+def _solve(config: RunConfig, betas) -> list:
+    """Solutions for `betas` with the config's mesh, lambda, f and solver settings."""
     return _solve_family(
-        mesh, config.lam, config.f, betas, config.quad_order, config.lumped, config.tol, None
+        config.mesh, config.lam, config.f, betas, config.quad_order, config.lumped, config.tol
     )
 
 
@@ -582,21 +596,12 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         _emit_error("config", f"cannot read config {args.config!r}: {exc}")
         return EXIT_CONFIG
 
-    data.setdefault("experiment", args.experiment)
-    if data["experiment"] != args.experiment:
-        _emit_error(
-            "experiment",
-            f"config says {data['experiment']!r} but the command line says "
-            f"{args.experiment!r}",
-        )
-        return EXIT_CONFIG
-
     try:
-        config = parse_config(data)
+        config = parse_config(data, args.experiment)
     except ConfigError as exc:
         _emit_error(exc.field_name, str(exc))
         return EXIT_CONFIG

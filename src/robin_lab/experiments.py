@@ -60,7 +60,6 @@ class RobinProblem:
     quad_order: int = 2
     lumped: bool = False
     tol: float = 1e-10
-    max_iter: int = None
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
@@ -88,9 +87,7 @@ class ConvergenceRecord:
 def solve_robin(problem: RobinProblem) -> DiscreteSolution:
     """Galerkin solution of (K + lam M + B) U = F to the requested tolerance."""
     p = problem
-    (solution,) = _solve_family(
-        p.mesh, p.lam, p.f, [p.beta], p.quad_order, p.lumped, p.tol, p.max_iter
-    )
+    (solution,) = _solve_family(p.mesh, p.lam, p.f, [p.beta], p.quad_order, p.lumped, p.tol)
     return solution
 
 
@@ -111,7 +108,7 @@ def analytic_interval_solution(lam: float, beta: float, f_const: float):
     return evaluate
 
 
-def _solve_family(mesh, lam, f, betas, quad_order, lumped, tol, max_iter):
+def _solve_family(mesh, lam, f, betas, quad_order, lumped, tol):
     """One solution per beta of a family sharing the mesh, lam and f.
 
     K + lam M and the load are built once; each member adds only its B.
@@ -124,7 +121,7 @@ def _solve_family(mesh, lam, f, betas, quad_order, lumped, tol, max_iter):
     for i, beta in enumerate(betas):
         try:
             matrix = assemble_system(operator, mesh, beta, quad_order)
-            x, report = cg_solve(matrix, load, tol=tol, max_iter=max_iter)
+            x, report = cg_solve(matrix, load, tol=tol)
             if not report.converged:
                 raise NonConvergenceError(
                     f"conjugate gradient stopped at relative residual "
@@ -146,12 +143,11 @@ def stability_sweep(
     quad_order: int = 2,
     lumped: bool = False,
     tol: float = 1e-10,
-    max_iter: int = None,
 ):
     """One StabilityRecord per ordered pair of coefficients (n != m)."""
     if len(betas) < 2:
         raise InvalidArgumentError("stability sweep needs at least two coefficients")
-    solutions = _solve_family(mesh, lam, f, betas, quad_order, lumped, tol, max_iter)
+    solutions = _solve_family(mesh, lam, f, betas, quad_order, lumped, tol)
     sups = [boundary_sup(beta, mesh, quad_order) for beta in betas]
 
     records = []
@@ -196,11 +192,10 @@ def convergence_study(
     quad_order: int = 2,
     lumped: bool = False,
     tol: float = 1e-10,
-    max_iter: int = None,
 ):
     """Sup-norm gaps between each sequence solution and the limit solution."""
     solutions = _solve_family(
-        mesh, lam, f, list(betas) + [beta_limit], quad_order, lumped, tol, max_iter
+        mesh, lam, f, list(betas) + [beta_limit], quad_order, lumped, tol
     )
     limit = solutions.pop()
     return [
@@ -219,9 +214,7 @@ def theorem0_ratio(
     return sup_norm(u, "closure") / f_norm
 
 
-def level_set_pipeline(
-    u_diff: DiscreteSolution, d: int, c2: float = 0.0, variant: str = "classical"
-) -> DecayReport:
+def level_set_pipeline(u_diff: DiscreteSolution, d: int, c2: float = 0.0) -> DecayReport:
     """Sample the boundary level-set curve of u_diff and run the decay check.
 
     The multiplicative constant fed into the check is the larger of the
@@ -242,7 +235,5 @@ def level_set_pipeline(
     values = np.array([level_set_measure(u_diff, k, "boundary") for k in ks])
     samples = PhiSamples(ks, values)
     fitted = fit_minimal_c(samples, ex.s, ex.s - 1.0)
-    params = theorem_constants(
-        d, max(c2, fitted), phi0=float(values[0]), variant=variant
-    )
+    params = theorem_constants(d, max(c2, fitted), phi0=float(values[0]))
     return verify_decay(samples, params)

@@ -167,6 +167,9 @@ def boundary_sup_diff(
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 _COORD_NAMES = ("x", "y", "z")
+# a longer expression can nest deeper than Python's parser and evaluator
+# recurse: a chain of about 1000 unary minus signs already fails
+_MAX_EXPRESSION_CHARS = 500
 
 
 def compile_expression(expr: str):
@@ -179,6 +182,10 @@ def compile_expression(expr: str):
     square) fails at evaluation, or earlier through
     `check_expression_dimension`.
     """
+    if len(expr) > _MAX_EXPRESSION_CHARS:
+        raise InvalidArgumentError(
+            f"field expression is longer than {_MAX_EXPRESSION_CHARS} characters"
+        )
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:

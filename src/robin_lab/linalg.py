@@ -1,8 +1,7 @@
 """Conjugate gradient solver for the assembled SPD systems.
 
 Jacobi (diagonal) preconditioning is on by default; the default iteration
-budget is 10x the dimension.  A small dense Gaussian-elimination solver is
-provided purely as an independent verification channel for tests.
+budget is 10x the dimension.
 """
 
 from __future__ import annotations
@@ -119,28 +118,3 @@ def quadratic_form(A: sp.csr_array, v: np.ndarray) -> float:
             f"vector has shape {v.shape}, expected ({A.shape[0]},)"
         )
     return float(v @ (A @ v))
-
-
-def gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense Gaussian elimination with partial pivoting (test oracle only)."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise InvalidArgumentError("gauss_solve expects a square matrix and a vector")
-    if n > 2000:
-        raise InvalidArgumentError("gauss_solve is a desk-scale oracle (n <= 2000)")
-    for k in range(n):
-        pivot = k + int(np.argmax(np.abs(a[k:, k])))
-        if np.abs(a[pivot, k]) < 1e-300:
-            raise NumericBreakdownError("singular matrix in gauss_solve")
-        if pivot != k:
-            a[[k, pivot]] = a[[pivot, k]]
-            b[[k, pivot]] = b[[pivot, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
-        b[k + 1 :] -= factors * b[k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x

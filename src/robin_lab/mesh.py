@@ -113,18 +113,30 @@ def build_unit_cube_mesh(n: int) -> Mesh:
     return _finish_mesh(3, vertices, cells.reshape(-1, 4), n)
 
 
+# the mesh arrays take about 400 bytes per cell, so this caps a mesh near
+# 1.6 GB, 20x the cells of the cube at n = 32
+MAX_CELLS = 4_000_000
+
+
 def build_mesh(domain: str, n: int) -> Mesh:
-    """Dispatch on the domain name: interval, square, or cube."""
+    """Dispatch on the domain name: interval, square, or cube.  A mesh of
+    more than MAX_CELLS cells is rejected before anything is allocated."""
     builders = {
-        "interval": build_interval_mesh,
-        "square": build_unit_square_mesh,
-        "cube": build_unit_cube_mesh,
+        "interval": (1, build_interval_mesh),
+        "square": (2, build_unit_square_mesh),
+        "cube": (3, build_unit_cube_mesh),
     }
     if domain not in builders:
         raise InvalidArgumentError(
             f"unknown domain {domain!r}; expected interval, square, or cube"
         )
-    return builders[domain](n)
+    dim, builder = builders[domain]
+    cells = math.factorial(dim) * n**dim  # n, 2n^2, 6n^3
+    if cells > MAX_CELLS:
+        raise InvalidArgumentError(
+            f"the {domain} mesh with n = {n} has more than {MAX_CELLS} cells"
+        )
+    return builder(n)
 
 
 def boundary_vertex_indices(mesh: Mesh) -> list:

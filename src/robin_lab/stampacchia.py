@@ -159,9 +159,7 @@ def verify_decay(samples: PhiSamples, params: StampacchiaParams) -> DecayReport:
     )
 
 
-def theorem_constants(
-    d: int, c2: float, phi0: float = 0.0, variant: str = "classical"
-) -> StampacchiaParams:
+def theorem_constants(d: int, c2: float, phi0: float = 0.0) -> StampacchiaParams:
     """Decay parameters used for boundary level-set curves in dimension d.
 
     alpha equals the trace exponent s, delta = s - 1, and the iteration
@@ -170,6 +168,4 @@ def theorem_constants(
     if c2 < 0.0:
         raise InvalidArgumentError(f"composite constant must be >= 0, got {c2}")
     s = exponents(d).s
-    return StampacchiaParams(
-        c=c2, alpha=s, delta=s - 1.0, k0=0.0, phi0=phi0, variant=variant
-    )
+    return StampacchiaParams(c=c2, alpha=s, delta=s - 1.0, k0=0.0, phi0=phi0)

@@ -310,3 +310,50 @@ def test_criterion_9_cli_determinism(tmp_path):
         for name in ("stability.csv", "stability.svg")
     )
     _line(9, identical, "two identical runs produced byte-identical CSV and SVG")
+
+
+def _manufactured_source(dim):
+    """f = -Δu + u for u = prod_i phi(x_i), phi(t) = 1/2 + t - t^2.
+
+    phi' + 2 phi = 0 outward at t = 0 and t = 1, so u meets the Robin
+    condition with beta = 2; -phi'' = 2 gives the Laplacian term.
+    """
+    phis = [f"(0.5 + {c} - {c}*{c})" for c in "xyz"[:dim]]
+    laplacian = " + ".join(
+        "*".join(["2"] + [p for j, p in enumerate(phis) if j != i]) for i in range(dim)
+    )
+    return f"{laplacian} + {'*'.join(phis)}"
+
+
+@pytest.mark.parametrize(
+    "domain,dim,ns", [("square", 2, (8, 16, 32)), ("cube", 3, (4, 8, 16))]
+)
+def test_criterion_10_manufactured_solution_beyond_1d(tmp_path, domain, dim, ns):
+    errors = []
+    for n in ns:
+        config = {
+            "domain": domain,
+            "n": n,
+            "lambda": 1.0,
+            "f": {"kind": "expr", "expr": _manufactured_source(dim)},
+            "beta_sequence": [{"kind": "constant", "value": 2.0}],
+            "experiment": "solve",
+        }
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / str(n)
+        assert cli_main(["solve", "--config", str(path), "--output", str(out)]) == 0
+        table = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)
+        points, values = table[:, 1 : 1 + dim], table[:, -1]
+        exact = np.prod(0.5 + points - points**2, axis=1)
+        errors.append(float(np.max(np.abs(values - exact))))
+    factors = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    _line(
+        10,
+        min(factors) >= 2.4,
+        f"{domain} n={ns}: nodal sup errors "
+        + ", ".join(f"{e:.3e}" for e in errors)
+        + ", reduction per halving "
+        + ", ".join(f"{q:.2f}" for q in factors)
+        + " (>=2.4)",
+    )

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robin_lab.cli import (
     EXIT_CONFIG,
@@ -107,13 +112,16 @@ def test_bad_expression_exits_2_naming_the_field(tmp_path, capsys, expr, where):
     assert _single_error_line(capsys)["field"] == where
 
 
-@pytest.mark.parametrize("where", ["f", "beta"])
+@pytest.mark.parametrize("where", ["f", "beta", "overflow"])
 def test_non_finite_field_exits_3_with_one_line(tmp_path, capsys, where):
     spec = {"kind": "expr", "expr": "1/(x - x)"}
     beta = spec if where == "beta" else {"kind": "constant", "value": 2.0}
     cfg = _square_stability_config(str(tmp_path / "o"), beta)
     if where == "f":
         cfg["f"] = spec
+    elif where == "overflow":  # finite data whose solve overflows
+        huge = {"kind": "constant", "value": 1e300}
+        cfg.update({"lambda": 1e300, "f": huge, "beta_sequence": [huge, huge]})
     path = _write(tmp_path, "c.json", cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would reach stderr
@@ -178,6 +186,15 @@ _INVALID_CONFIGS = {
     ),
     "c2-nan": ("c2", {"c2": float("nan")}),
     "quad-order-bool": ("quad_order", {"quad_order": True}),
+    "expr-too-long": ("f", {"f": _expr("-" * 2000 + "x")}),
+    "domain-object": ("domain", {"domain": {}}),
+    "domain-list": ("domain", {"domain": [1]}),
+    "n-beyond-array-size": ("n", {"n": 10**22}),
+    "cube-above-max-cells": ("n", {"domain": "cube", "n": 2000}),
+    "generator-count-huge": (
+        "beta_sequence.count",
+        {"beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 10**22}},
+    ),
 }
 
 
@@ -190,9 +207,98 @@ def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, case):
     assert _single_error_line(capsys)["field"] == where
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[1, 2]", "null", "true", "5", "[" * 100_000, '{"n": ' + "1" * 5000 + "}", b"\xff"],
+    ids=["list", "null", "true", "number", "deeply-nested", "long-integer", "not-utf8"],
+)
+def test_non_object_or_unreadable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+    assert _single_error_line(capsys)["field"] == "config"
+
+
 def test_config_and_cli_experiment_must_agree(tmp_path, capsys):
     path = _write(tmp_path, "c.json", _solve_config(str(tmp_path / "o")))
     assert main(["stability", "--config", path]) == EXIT_CONFIG
+    assert _single_error_line(capsys)["field"] == "experiment"
+
+    data = _solve_config(str(tmp_path / "o"))
+    del data["experiment"]
+    assert parse_config(data, "solve").raw["experiment"] == "solve"
+    assert "experiment" not in data  # the caller's dict is left alone
+
+
+# JSON-like values for the fuzz test; integers stay small, or so large that
+# no mesh array of that size could be allocated even without a size guard
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.integers(10**20, 10**22)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["cube", "square", "stability", "stampacchia", "x + y", "z", "1/(x-x)"])
+)
+_FIELD_SPECS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["constant", "per_facet", "expr", "one_over_k", "disk"])},
+    optional={
+        "value": _JSON_SCALARS,
+        "values": st.lists(_JSON_SCALARS, max_size=9),
+        "expr": _JSON_SCALARS,
+        "base": _JSON_SCALARS,
+        "count": _JSON_SCALARS,
+    },
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _FIELD_SPECS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+_CONFIG_KEYS = [
+    "domain", "n", "lambda", "f", "beta_sequence", "experiment", "output_dir",
+    "p", "c2", "quad_order", "lumped", "tol", "beta_limit",
+]
+_MISSING = object()
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A small valid square stability config with up to two keys replaced
+    or removed, or a JSON value that is not an object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+    cfg = _square_stability_config("unused", {"kind": "constant", "value": 2.0})
+    for key in draw(st.lists(st.sampled_from(_CONFIG_KEYS), max_size=2, unique=True)):
+        value = draw(_JSON_VALUES | st.just(_MISSING))
+        if value is _MISSING:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=_mutated_configs())
+def test_cli_contract_holds_for_any_config(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["stability", "--config", path, "--output", os.path.join(tmp, "o")])
+    lines = stderr.getvalue().splitlines() + [str(w.message) for w in seen]
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVE, EXIT_OUTPUT)
+    if code == EXIT_OK:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])["error"]) == {"field", "message"}
 
 
 def test_missing_config_file_exits_2(tmp_path):

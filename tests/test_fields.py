@@ -149,10 +149,13 @@ def test_expression_language():
     assert fn(np.array([0.5, 0.25])) == pytest.approx(0.75)
     assert compile_expression("-x")(np.array([0.5])) == pytest.approx(-0.5)
     assert compile_expression("(1 + x) * 2")(np.array([0.5])) == pytest.approx(3.0)
+    # the longest accepted expression nests within the interpreter's limits
+    assert compile_expression("-" * 498 + "+x")(np.array([0.5])) == pytest.approx(0.5)
 
 
 def test_expression_rejects_unsupported_syntax():
-    for bad in ("x**2", "__import__('os')", "max(x, 1)", "x if y else 0", "w + 1"):
+    too_long = ("-" * 2000 + "x", "x" + "+x" * 1000)
+    for bad in ("x**2", "__import__('os')", "max(x, 1)", "x if y else 0", "w + 1", *too_long):
         with pytest.raises(InvalidArgumentError):
             compile_expression(bad)
     with pytest.raises(InvalidArgumentError):
