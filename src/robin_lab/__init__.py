@@ -42,7 +42,7 @@ from .fields import (
     boundary_sup_diff,
     eval_boundary,
 )
-from .linalg import SolveReport, cg_solve, quadratic_form
+from .linalg import SolveReport, cg_solve
 from .mesh import (
     Mesh,
     boundary_vertex_indices,

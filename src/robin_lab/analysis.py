@@ -87,24 +87,18 @@ def sup_norm(u: DiscreteSolution, region: str = "closure") -> float:
     return float(selected.max()) if selected.size else 0.0
 
 
-def _region_entities(mesh: Mesh, region: str, order: int):
+def _region_entities(mesh: Mesh, region: str):
     """(vertex index array, measures, barycentric rule points, weights)."""
     if region == "domain":
-        points, weights = cell_rule(mesh.dim, order)
+        points, weights = cell_rule(mesh.dim)
         return mesh.cells, mesh.cell_measures, points, weights
     if region == "boundary":
-        points, weights = facet_rule(mesh.dim, order)
+        points, weights = facet_rule(mesh.dim)
         return mesh.facet_vertices, mesh.facet_measures, points, weights
     raise InvalidArgumentError(f"region must be domain or boundary, got {region!r}")
 
 
-def lp_norm(
-    obj,
-    p: float,
-    region: str = "domain",
-    quad_order: int = 2,
-    mesh: Mesh = None,
-) -> float:
+def lp_norm(obj, p: float, region: str = "domain", mesh: Mesh = None) -> float:
     """(int |obj|^p)^(1/p) by quadrature over cells or facets.
 
     ``obj`` is a DiscreteSolution (either region) or a SourceField (domain
@@ -114,14 +108,14 @@ def lp_norm(
         raise InvalidArgumentError(f"p must be >= 1, got {p}")
     if isinstance(obj, DiscreteSolution):
         mesh = obj.mesh
-        ids, measures, points, weights = _region_entities(mesh, region, quad_order)
+        ids, measures, points, weights = _region_entities(mesh, region)
         values = obj.nodal_values[ids] @ points.T  # (nent, nq)
     elif isinstance(obj, SourceField):
         if region != "domain":
             raise InvalidArgumentError("source fields are defined on the domain only")
         if mesh is None:
             raise InvalidArgumentError("lp_norm of a source field needs a mesh")
-        ids, measures, points, weights = _region_entities(mesh, region, quad_order)
+        ids, measures, points, weights = _region_entities(mesh, region)
         physical = np.einsum("qk,ckd->cqd", points, mesh.vertices[ids])
         nent, nq, dim = physical.shape
         values = eval_source(obj, physical.reshape(-1, dim)).reshape(nent, nq)
@@ -147,23 +141,14 @@ def truncate(u: DiscreteSolution, k: float) -> DiscreteSolution:
     return DiscreteSolution(u.mesh, np.maximum(np.abs(v) - k, 0.0) * np.sign(v))
 
 
-def _indicator_points(points: np.ndarray, order: int) -> np.ndarray:
-    """Sample set for level sets: rule points plus the centroid."""
-    if order >= 2:
-        nverts = points.shape[1]
-        centroid = np.full((1, nverts), 1.0 / nverts)
-        return np.vstack([points, centroid])
-    return points
-
-
-def level_set_measure(
-    u: DiscreteSolution, k: float, region: str = "boundary", quad_order: int = 2
-) -> float:
+def level_set_measure(u: DiscreteSolution, k: float, region: str = "boundary") -> float:
     """Measure of {|u| > k} in the region, by indicator sample fractions."""
     if k < 0.0:
         raise InvalidArgumentError(f"level must be >= 0, got {k}")
-    ids, measures, points, _ = _region_entities(u.mesh, region, quad_order)
-    samples = _indicator_points(points, quad_order)
+    ids, measures, points, _ = _region_entities(u.mesh, region)
+    # indicator samples: the rule points plus the centroid
+    nverts = points.shape[1]
+    samples = np.vstack([points, np.full((1, nverts), 1.0 / nverts)])
     values = u.nodal_values[ids] @ samples.T  # (nent, nsamples)
     fractions = np.mean(np.abs(values) > k, axis=1)
     return float(measures @ fractions)

@@ -4,8 +4,8 @@ K is the stiffness matrix (gradients are constant per simplex, so entries
 are exact), M the consistent or row-sum-lumped mass matrix (closed-form
 simplex formulas), and B the boundary mass matrix weighted by the
 coefficient beta, integrated with facet quadrature (exact for per-facet
-beta at quad_order >= 2).  The load vector integrates the source against
-the P1 basis with cell quadrature.
+beta).  The load vector integrates the source against the P1 basis with
+cell quadrature.
 
 Matrices are plain ``scipy.sparse.csr_array``.  K + lambda*M and the load
 do not depend on beta, so a family of problems that differ only in beta
@@ -26,25 +26,15 @@ from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
 
-def _cell_geometry(mesh: Mesh):
-    """Measures, and P1 basis gradients per cell, shape (nc, dim+1, dim)."""
+def _basis_gradients(mesh: Mesh) -> np.ndarray:
+    """P1 basis gradients per cell, shape (nc, dim+1, dim)."""
+    if np.any(mesh.cell_measures <= 0.0):
+        raise DegenerateMeshError("zero-measure cell encountered")
     pts = mesh.vertices[mesh.cells]
     edges = pts[:, 1:, :] - pts[:, :1, :]
-    if mesh.dim == 1:
-        det = edges[:, 0, 0]
-        measures = np.abs(det)
-        if np.any(measures <= 0.0):
-            raise DegenerateMeshError("zero-length cell encountered")
-        inv = (1.0 / det).reshape(-1, 1, 1)
-    else:
-        det = np.linalg.det(edges)
-        measures = np.abs(det) / math.factorial(mesh.dim)
-        if np.any(measures <= 0.0):
-            raise DegenerateMeshError("zero-measure cell encountered")
-        inv = np.linalg.inv(edges)
+    inv = np.linalg.inv(edges)
     grads_tail = np.transpose(inv, (0, 2, 1))  # gradient of barycentric i >= 1
-    grads = np.concatenate([-grads_tail.sum(axis=1, keepdims=True), grads_tail], axis=1)
-    return measures, grads
+    return np.concatenate([-grads_tail.sum(axis=1, keepdims=True), grads_tail], axis=1)
 
 
 def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
@@ -61,8 +51,8 @@ def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_array:
     """Gradient-gradient matrix; constants lie in its kernel."""
-    measures, grads = _cell_geometry(mesh)
-    local = measures[:, None, None] * (grads @ np.transpose(grads, (0, 2, 1)))
+    grads = _basis_gradients(mesh)
+    local = mesh.cell_measures[:, None, None] * (grads @ np.transpose(grads, (0, 2, 1)))
     return _scatter(mesh.num_vertices, mesh.cells, local)
 
 
@@ -80,11 +70,9 @@ def assemble_mass(mesh: Mesh, lumped: bool = False) -> sp.csr_array:
     return _scatter(mesh.num_vertices, mesh.cells, local)
 
 
-def assemble_boundary_mass(
-    mesh: Mesh, beta: BoundaryField, quad_order: int = 2
-) -> sp.csr_array:
+def assemble_boundary_mass(mesh: Mesh, beta: BoundaryField) -> sp.csr_array:
     """Boundary matrix with entries sum_facets int_facet beta phi_i phi_j."""
-    rule_points, weights = facet_rule(mesh.dim, quad_order)
+    rule_points, weights = facet_rule(mesh.dim)
     beta_vals = eval_boundary(beta, mesh, rule_points)  # (nf, nq)
     # basis values at the quad nodes are the barycentric coordinates
     local = mesh.facet_measures[:, None, None] * np.einsum(
@@ -93,9 +81,9 @@ def assemble_boundary_mass(
     return _scatter(mesh.num_vertices, mesh.facet_vertices, local)
 
 
-def assemble_load(mesh: Mesh, f: SourceField, quad_order: int = 2) -> np.ndarray:
+def assemble_load(mesh: Mesh, f: SourceField) -> np.ndarray:
     """Load vector F_i = sum_cells int_cell f phi_i (exact for constant f)."""
-    rule_points, weights = cell_rule(mesh.dim, quad_order)
+    rule_points, weights = cell_rule(mesh.dim)
     measures = mesh.cell_measures
     pts = mesh.vertices[mesh.cells]  # (nc, nloc, dim)
     physical = np.einsum("qk,ckd->cqd", rule_points, pts)
@@ -118,8 +106,6 @@ def assemble_operator(mesh: Mesh, lam: float, lumped: bool = False) -> sp.csr_ar
     return assemble_stiffness(mesh) + assemble_mass(mesh, lumped) * float(lam)
 
 
-def assemble_system(
-    operator: sp.csr_array, mesh: Mesh, beta: BoundaryField, quad_order: int = 2
-) -> sp.csr_array:
+def assemble_system(operator: sp.csr_array, mesh: Mesh, beta: BoundaryField) -> sp.csr_array:
     """(K + lam*M) + B(beta), with the operator from `assemble_operator`."""
-    return operator + assemble_boundary_mass(mesh, beta, quad_order)
+    return operator + assemble_boundary_mass(mesh, beta)

@@ -17,8 +17,9 @@ timings, warnings), one CSV per result table, and one SVG per plot.  CSV
 and SVG bytes are deterministic for identical configs; floats carry 17
 significant digits so files round-trip exactly.
 
-Exit codes: 0 success, 2 invalid config, 3 solve failure, 4 unwritable
-output path.
+Exit codes: 0 success, 2 invalid config (an unknown key included) or
+command line, 3 solve failure, 4 unwritable output path.  Every failure
+writes one JSON error line naming the field to stderr.
 """
 
 from __future__ import annotations
@@ -60,8 +61,12 @@ _NUMERIC_KEYS = {
     "lambda": (None, False, 0.0, False),
     "p": (4.0, False, 1.0, True),
     "c2": (0.0, False, 0.0, True),
-    "quad_order": (2, True, 1, True),
     "tol": (1e-10, False, 0.0, False),
+}
+# every key a config may carry; any other exits 2
+_KEYS = {
+    *_NUMERIC_KEYS,
+    "experiment", "domain", "lumped", "output_dir", "f", "beta_sequence", "beta_limit",
 }
 
 EXIT_OK = 0
@@ -94,7 +99,6 @@ class RunConfig:
     output_dir: str
     p: float
     c2: float
-    quad_order: int
     lumped: bool
     tol: float
     beta_limit: BoundaryField  # or None
@@ -139,6 +143,9 @@ def parse_config(data, experiment: str = None, default_output: str = "out") -> R
     """
     if not isinstance(data, dict):
         raise ConfigError("config", "top-level JSON value must be an object")
+    unknown = sorted(data.keys() - _KEYS)
+    if unknown:
+        raise ConfigError(unknown[0], "unknown config key")
 
     named = data.get("experiment", experiment)
     if experiment is not None and named != experiment:
@@ -206,7 +213,6 @@ def parse_config(data, experiment: str = None, default_output: str = "out") -> R
         output_dir=output_dir,
         p=numbers["p"],
         c2=numbers["c2"],
-        quad_order=numbers["quad_order"],
         lumped=lumped,
         tol=numbers["tol"],
         beta_limit=beta_limit,
@@ -484,15 +490,7 @@ def _run_experiment(config: RunConfig):
         summary["sup_norm"] = sup_norm(u, "closure")
 
     elif config.experiment == "stability":
-        records = stability_sweep(
-            mesh,
-            config.lam,
-            f,
-            betas,
-            quad_order=config.quad_order,
-            lumped=config.lumped,
-            tol=config.tol,
-        )
+        records = stability_sweep(mesh, config.lam, f, betas, lumped=config.lumped, tol=config.tol)
         c_hat = estimate_constant(records)
         header = ["n", "m", "diff_sup", "un_bd_sup", "beta_diff", "ratio"]
         rows = [
@@ -514,14 +512,7 @@ def _run_experiment(config: RunConfig):
 
     elif config.experiment == "convergence":
         records = convergence_study(
-            mesh,
-            config.lam,
-            f,
-            betas,
-            config.beta_limit,
-            quad_order=config.quad_order,
-            lumped=config.lumped,
-            tol=config.tol,
+            mesh, config.lam, f, betas, config.beta_limit, lumped=config.lumped, tol=config.tol
         )
         header = ["n", "sup_err"]
         rows = [[r.n, r.sup_err_closure] for r in records]
@@ -559,8 +550,8 @@ def _run_experiment(config: RunConfig):
 
     else:  # theorem0
         (u,) = _solve(config, betas[:1])
-        ratio = theorem0_ratio(u, f, config.p, config.quad_order)
-        f_norm = lp_norm(f, config.p, "domain", config.quad_order, mesh=mesh)
+        ratio = theorem0_ratio(u, f, config.p)
+        f_norm = lp_norm(f, config.p, "domain", mesh=mesh)
         tables["theorem0"] = (
             ["p", "sup_u", "f_norm", "ratio"],
             [[config.p, sup_norm(u, "closure"), f_norm, ratio]],
@@ -572,9 +563,7 @@ def _run_experiment(config: RunConfig):
 
 def _solve(config: RunConfig, betas) -> list:
     """Solutions for `betas` with the config's mesh, lambda, f and solver settings."""
-    return _solve_family(
-        config.mesh, config.lam, config.f, betas, config.quad_order, config.lumped, config.tol
-    )
+    return _solve_family(config.mesh, config.lam, config.f, betas, config.lumped, config.tol)
 
 
 def _emit_error(field_name: str, message: str) -> None:
@@ -583,25 +572,32 @@ def _emit_error(field_name: str, message: str) -> None:
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError("arguments", message)
+
+
+def _read_config(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raise ConfigError("config", f"cannot read config {path!r}: {exc}") from exc
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="robin-lab",
         description="Robin boundary value problem laboratory (P1 finite elements)",
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--output", default=None, help="override the output directory")
-    args = parser.parse_args(argv)
-
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-        _emit_error("config", f"cannot read config {args.config!r}: {exc}")
-        return EXIT_CONFIG
-
-    try:
-        config = parse_config(data, args.experiment)
+        args = parser.parse_args(argv)
+        config = parse_config(_read_config(args.config), args.experiment)
     except ConfigError as exc:
         _emit_error(exc.field_name, str(exc))
         return EXIT_CONFIG

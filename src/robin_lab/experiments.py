@@ -57,7 +57,6 @@ class RobinProblem:
     lam: float
     beta: BoundaryField
     f: SourceField
-    quad_order: int = 2
     lumped: bool = False
     tol: float = 1e-10
 
@@ -87,7 +86,7 @@ class ConvergenceRecord:
 def solve_robin(problem: RobinProblem) -> DiscreteSolution:
     """Galerkin solution of (K + lam M + B) U = F to the requested tolerance."""
     p = problem
-    (solution,) = _solve_family(p.mesh, p.lam, p.f, [p.beta], p.quad_order, p.lumped, p.tol)
+    (solution,) = _solve_family(p.mesh, p.lam, p.f, [p.beta], p.lumped, p.tol)
     return solution
 
 
@@ -108,7 +107,7 @@ def analytic_interval_solution(lam: float, beta: float, f_const: float):
     return evaluate
 
 
-def _solve_family(mesh, lam, f, betas, quad_order, lumped, tol):
+def _solve_family(mesh, lam, f, betas, lumped, tol):
     """One solution per beta of a family sharing the mesh, lam and f.
 
     K + lam M and the load are built once; each member adds only its B.
@@ -116,11 +115,11 @@ def _solve_family(mesh, lam, f, betas, quad_order, lumped, tol):
     coefficient index.
     """
     operator = assemble_operator(mesh, lam, lumped)
-    load = assemble_load(mesh, f, quad_order)
+    load = assemble_load(mesh, f)
     solutions = []
     for i, beta in enumerate(betas):
         try:
-            matrix = assemble_system(operator, mesh, beta, quad_order)
+            matrix = assemble_system(operator, mesh, beta)
             x, report = cg_solve(matrix, load, tol=tol)
             if not report.converged:
                 raise NonConvergenceError(
@@ -140,15 +139,14 @@ def stability_sweep(
     lam: float,
     f: SourceField,
     betas,
-    quad_order: int = 2,
     lumped: bool = False,
     tol: float = 1e-10,
 ):
     """One StabilityRecord per ordered pair of coefficients (n != m)."""
     if len(betas) < 2:
         raise InvalidArgumentError("stability sweep needs at least two coefficients")
-    solutions = _solve_family(mesh, lam, f, betas, quad_order, lumped, tol)
-    sups = [boundary_sup(beta, mesh, quad_order) for beta in betas]
+    solutions = _solve_family(mesh, lam, f, betas, lumped, tol)
+    sups = [boundary_sup(beta, mesh) for beta in betas]
 
     records = []
     for n in range(len(betas)):
@@ -157,7 +155,7 @@ def stability_sweep(
             if m == n:
                 continue
             diff = sup_norm(solutions[n] - solutions[m], "closure")
-            beta_diff = boundary_sup_diff(betas[n], betas[m], mesh, quad_order)
+            beta_diff = boundary_sup_diff(betas[n], betas[m], mesh)
             informative = beta_diff > _RATIO_FLOOR * (1.0 + sups[n]) and un_bd > 0.0
             ratio = diff / (un_bd * beta_diff) if informative else None
             records.append(
@@ -189,14 +187,11 @@ def convergence_study(
     f: SourceField,
     betas,
     beta_limit: BoundaryField,
-    quad_order: int = 2,
     lumped: bool = False,
     tol: float = 1e-10,
 ):
     """Sup-norm gaps between each sequence solution and the limit solution."""
-    solutions = _solve_family(
-        mesh, lam, f, list(betas) + [beta_limit], quad_order, lumped, tol
-    )
+    solutions = _solve_family(mesh, lam, f, list(betas) + [beta_limit], lumped, tol)
     limit = solutions.pop()
     return [
         ConvergenceRecord(n=n, sup_err_closure=sup_norm(u - limit, "closure"))
@@ -204,11 +199,9 @@ def convergence_study(
     ]
 
 
-def theorem0_ratio(
-    u: DiscreteSolution, f: SourceField, p: float, quad_order: int = 2
-) -> float:
+def theorem0_ratio(u: DiscreteSolution, f: SourceField, p: float) -> float:
     """Sup of the solution over the p-norm of the source (a constant monitor)."""
-    f_norm = lp_norm(f, p, region="domain", quad_order=quad_order, mesh=u.mesh)
+    f_norm = lp_norm(f, p, region="domain", mesh=u.mesh)
     if f_norm == 0.0:
         raise InvalidArgumentError("the source has zero p-norm")
     return sup_norm(u, "closure") / f_norm

@@ -18,9 +18,9 @@ Negative and non-finite values are rejected at evaluation time, where the
 evidence is; closures cannot be validated eagerly.
 
 Sup and inf norms are approximated by maxima/minima over a per-facet
-sample set consisting of the facet vertices plus the quadrature nodes of
-the requested order, so piecewise-linear and per-facet data are resolved
-exactly and closures are sampled up to the corners.
+sample set consisting of the facet vertices plus the facet quadrature
+nodes, so piecewise-linear and per-facet data are resolved exactly and
+closures are sampled up to the corners.
 """
 
 from __future__ import annotations
@@ -139,27 +139,25 @@ def _eval_closure(fn, points: np.ndarray) -> np.ndarray:
     return np.broadcast_to(values, points.shape[:1])
 
 
-def _sample_points(mesh: Mesh, quad_order: int) -> np.ndarray:
+def _sample_points(mesh: Mesh) -> np.ndarray:
     """Barycentric sample set: the facet vertices, then the quad nodes."""
-    rule_points, _ = facet_rule(mesh.dim, quad_order)
+    rule_points, _ = facet_rule(mesh.dim)
     return np.vstack([np.eye(mesh.dim), rule_points])
 
 
-def boundary_sup(field: BoundaryField, mesh: Mesh, quad_order: int = 2) -> float:
+def boundary_sup(field: BoundaryField, mesh: Mesh) -> float:
     """Max of the field over the boundary sample set (exact for constants)."""
-    return float(eval_boundary(field, mesh, _sample_points(mesh, quad_order)).max())
+    return float(eval_boundary(field, mesh, _sample_points(mesh)).max())
 
 
-def boundary_inf(field: BoundaryField, mesh: Mesh, quad_order: int = 2) -> float:
+def boundary_inf(field: BoundaryField, mesh: Mesh) -> float:
     """Min of the field over the boundary sample set."""
-    return float(eval_boundary(field, mesh, _sample_points(mesh, quad_order)).min())
+    return float(eval_boundary(field, mesh, _sample_points(mesh)).min())
 
 
-def boundary_sup_diff(
-    a: BoundaryField, b: BoundaryField, mesh: Mesh, quad_order: int = 2
-) -> float:
+def boundary_sup_diff(a: BoundaryField, b: BoundaryField, mesh: Mesh) -> float:
     """Sup over the boundary sample set of |a - b| (exact for per-facet data)."""
-    points = _sample_points(mesh, quad_order)
+    points = _sample_points(mesh)
     diff = eval_boundary(a, mesh, points) - eval_boundary(b, mesh, points)
     return float(np.abs(diff).max())
 

@@ -1,6 +1,6 @@
 """Conjugate gradient solver for the assembled SPD systems.
 
-Jacobi (diagonal) preconditioning is on by default; the default iteration
+The iteration is Jacobi (diagonal) preconditioned; the default iteration
 budget is 10x the dimension.
 """
 
@@ -22,13 +22,7 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
 
-def cg_solve(
-    A: sp.csr_array,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = None,
-    precondition: bool = True,
-):
+def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int = None):
     """Solve A x = b to a relative residual of tol.
 
     Returns ``(x, SolveReport)``.  Non-convergence is reported, not raised;
@@ -48,18 +42,13 @@ def cg_solve(
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True, [0.0])
 
-    inv_diag = None
-    if precondition:
-        diag = A.diagonal().copy()
-        diag[diag <= 0.0] = 1.0
-        inv_diag = 1.0 / diag
-
-    def precond(vec):
-        return inv_diag * vec if precondition else vec
+    diag = A.diagonal().copy()
+    diag[diag <= 0.0] = 1.0
+    inv_diag = 1.0 / diag
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = precond(r)
+    z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
     history = [1.0]
@@ -91,11 +80,11 @@ def cg_solve(
             # recurrence drifted from the true residual; restart cleanly
             restarts_left -= 1
             r = true_r
-            z = precond(r)
+            z = inv_diag * r
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = precond(r)
+        z = inv_diag * r
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
@@ -108,13 +97,3 @@ def cg_solve(
         residual_history=history,
     )
     return x, report
-
-
-def quadratic_form(A: sp.csr_array, v: np.ndarray) -> float:
-    """v' A v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (A.shape[0],):
-        raise InvalidArgumentError(
-            f"vector has shape {v.shape}, expected ({A.shape[0]},)"
-        )
-    return float(v @ (A @ v))

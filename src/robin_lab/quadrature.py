@@ -1,27 +1,27 @@
-"""Symmetric quadrature rules on reference simplices, in barycentric form.
+"""Quadratic-exact quadrature rules on reference simplices, in barycentric form.
 
 A rule is a pair ``(points, weights)`` where ``points`` has shape
 ``(nq, nverts)`` and holds barycentric coordinates, and ``weights`` sums to
 one.  The integral of ``g`` over a simplex ``S`` is approximated by
 ``measure(S) * sum_q w_q g(x_q)`` with ``x_q = points[q] @ vertex_coords``.
 
-Order 1 is the centroid/midpoint rule (exact for affine integrands); order 2
-and above select rules exact for quadratic integrands, which reproduces every
-polynomial appearing in P1 assembly with piecewise-constant coefficients.
+There is one rule per simplex, exact for quadratic integrands, which
+reproduces every polynomial appearing in P1 assembly with
+piecewise-constant coefficients.
 """
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-
 _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
 
-# vertex of a point "simplex" (1D boundary facet)
-_POINT = (np.array([[1.0]]), np.array([1.0]))
+_TET_A = (5.0 + 3.0 * _SQRT5) / 20.0
+_TET_B = (5.0 - _SQRT5) / 20.0
 
-_SEGMENT = {
-    1: (np.array([[0.5, 0.5]]), np.array([1.0])),
+# vertex count -> rule
+_RULES = {
+    # the vertex of a point "simplex" (1D boundary facet)
+    1: (np.array([[1.0]]), np.array([1.0])),
     # 2-point Gauss, exact for cubics
     2: (
         np.array(
@@ -32,12 +32,8 @@ _SEGMENT = {
         ),
         np.array([0.5, 0.5]),
     ),
-}
-
-_TRIANGLE = {
-    1: (np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0])),
-    # edge-midpoint rule, exact for quadratics
-    2: (
+    # edge-midpoint rule
+    3: (
         np.array(
             [
                 [0.5, 0.5, 0.0],
@@ -47,15 +43,8 @@ _TRIANGLE = {
         ),
         np.array([1.0, 1.0, 1.0]) / 3.0,
     ),
-}
-
-_TET_A = (5.0 + 3.0 * _SQRT5) / 20.0
-_TET_B = (5.0 - _SQRT5) / 20.0
-
-_TETRAHEDRON = {
-    1: (np.array([[0.25, 0.25, 0.25, 0.25]]), np.array([1.0])),
-    # 4-point symmetric rule, exact for quadratics
-    2: (
+    # 4-point symmetric rule
+    4: (
         np.array(
             [
                 [_TET_A, _TET_B, _TET_B, _TET_B],
@@ -68,27 +57,12 @@ _TETRAHEDRON = {
     ),
 }
 
-_BY_VERTEX_COUNT = {2: _SEGMENT, 3: _TRIANGLE, 4: _TETRAHEDRON}
 
-
-def simplex_rule(nverts: int, order: int):
-    """Rule for a simplex with ``nverts`` vertices (1=point, 2=segment, ...)."""
-    if order < 1:
-        raise InvalidArgumentError(f"quad_order must be >= 1, got {order}")
-    if nverts == 1:
-        return _POINT
-    table = _BY_VERTEX_COUNT.get(nverts)
-    if table is None:
-        raise InvalidArgumentError(f"no quadrature rule for {nverts}-vertex simplices")
-    # orders beyond 2 saturate at the quadratic-exact rule
-    return table[min(order, 2)]
-
-
-def cell_rule(dim: int, order: int):
+def cell_rule(dim: int):
     """Rule on the mesh cells (segments, triangles, or tetrahedra)."""
-    return simplex_rule(dim + 1, order)
+    return _RULES[dim + 1]
 
 
-def facet_rule(dim: int, order: int):
+def facet_rule(dim: int):
     """Rule on the boundary facets (points, segments, or triangles)."""
-    return simplex_rule(dim, order)
+    return _RULES[dim]

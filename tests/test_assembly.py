@@ -135,25 +135,6 @@ def test_random_vectors_see_positive_definiteness():
         assert quad_a > 0.0
 
 
-@pytest.mark.parametrize("domain", ["square", "cube"])
-def test_higher_orders_saturate_for_boundary_mass(domain):
-    # orders >= 2 share the quadratic-exact rule, so B is bit-identical
-    m = build_mesh(domain, 2)
-    beta = BoundaryField.per_facet(np.linspace(0.5, 1.5, m.num_facets))
-    B2 = assemble_boundary_mass(m, beta, quad_order=2)
-    B4 = assemble_boundary_mass(m, beta, quad_order=4)
-    assert np.max(np.abs(B2.toarray() - B4.toarray())) < 1e-12
-
-
-@pytest.mark.parametrize("domain", ["interval", "square", "cube"])
-def test_constant_load_insensitive_to_order(domain):
-    m = build_mesh(domain, 2)
-    f = SourceField.constant(2.0)
-    F1 = assemble_load(m, f, quad_order=1)
-    F2 = assemble_load(m, f, quad_order=2)
-    assert np.max(np.abs(F1 - F2)) < 1e-12
-
-
 def test_degenerate_cell_detected():
     vertices = np.array([[0.0], [0.0], [1.0]])
     cells = np.array([[0, 1], [1, 2]])

@@ -186,6 +186,8 @@ _INVALID_CONFIGS = {
     ),
     "c2-nan": ("c2", {"c2": float("nan")}),
     "quad-order-bool": ("quad_order", {"quad_order": True}),
+    "removed-quad-order": ("quad_order", {"quad_order": 2}),
+    "misspelt-key": ("lumpd", {"lumpd": True}),
     "expr-too-long": ("f", {"f": _expr("-" * 2000 + "x")}),
     "domain-object": ("domain", {"domain": {}}),
     "domain-list": ("domain", {"domain": [1]}),
@@ -258,6 +260,7 @@ _JSON_VALUES = st.recursive(
     ),
     max_leaves=6,
 )
+# quad_order is a removed key, so setting it exercises the unknown-key check
 _CONFIG_KEYS = [
     "domain", "n", "lambda", "f", "beta_sequence", "experiment", "output_dir",
     "p", "c2", "quad_order", "lumped", "tol", "beta_limit",
@@ -303,6 +306,16 @@ def test_cli_contract_holds_for_any_config(data):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["bogus", "--config", "c.json"], ["solve", "--config"]],
+    ids=["no-config", "unknown-experiment", "config-without-value"],
+)
+def test_usage_error_exits_2_with_one_line(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    assert _single_error_line(capsys)["field"] == "arguments"
 
 
 def test_solve_failure_exits_3(tmp_path):

@@ -118,12 +118,11 @@ def test_boundary_sup_closure_reaches_corner():
     assert boundary_sup(field, m) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 2, 4])
-def test_constant_norms_independent_of_order(order):
+def test_constant_norms_are_exact():
     m = build_unit_square_mesh(2)
     field = BoundaryField.constant(0.75)
-    assert boundary_sup(field, m, order) == 0.75
-    assert boundary_inf(field, m, order) == 0.75
+    assert boundary_sup(field, m) == 0.75
+    assert boundary_inf(field, m) == 0.75
 
 
 def test_per_facet_shape_validation():

@@ -10,7 +10,7 @@ from robin_lab.assembly import (
 )
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
-from robin_lab.linalg import cg_solve, quadratic_form
+from robin_lab.linalg import cg_solve
 from robin_lab.mesh import build_interval_mesh
 
 
@@ -57,15 +57,6 @@ def test_report_invariant():
     assert report.converged == (report.final_relative_residual <= 1e-10)
 
 
-def test_preconditioned_and_plain_agree():
-    A, b = _interval_system(n=64)
-    tol = 1e-10
-    x_pc, rep_pc = cg_solve(A, b, tol=tol, precondition=True)
-    x_plain, rep_plain = cg_solve(A, b, tol=tol, precondition=False)
-    assert rep_pc.converged and rep_plain.converged
-    assert np.max(np.abs(x_pc - x_plain)) <= 10 * tol
-
-
 def test_residual_history_is_roughly_monotone():
     A, b = _interval_system(n=64)
     _, report = cg_solve(A, b, tol=1e-10)
@@ -99,14 +90,4 @@ def test_rhs_shape_checked():
         cg_solve(_identity(4), np.ones(4), tol=0.0)
     with pytest.raises(InvalidArgumentError):
         cg_solve(_identity(4), np.ones(4), tol=float("nan"))
-
-
-def test_quadratic_form_examples():
-    ident = _identity(2)
-    assert quadratic_form(ident, np.zeros(2)) == 0.0
-    assert quadratic_form(ident, np.array([3.0, 4.0])) == pytest.approx(25.0)
-    K = assemble_stiffness(build_interval_mesh(2))
-    assert quadratic_form(K, np.ones(3)) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(InvalidArgumentError):
-        quadratic_form(ident, np.ones(3))
 
