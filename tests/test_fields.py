@@ -118,8 +118,9 @@ def test_boundary_sup_closure_reaches_corner():
     assert boundary_sup(field, m) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_constant_norms_are_exact():
-    m = build_unit_square_mesh(2)
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_constant_norms_are_exact(n):
+    m = build_unit_square_mesh(n)
     field = BoundaryField.constant(0.75)
     assert boundary_sup(field, m) == 0.75
     assert boundary_inf(field, m) == 0.75
