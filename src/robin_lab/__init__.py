@@ -4,15 +4,10 @@ __version__ = "0.1.0"
 
 from .analysis import (
     DiscreteSolution,
-    Exponents,
-    exponents,
-    h1_norm,
     level_set_measure,
     lp_norm,
     sup_norm,
-    trace_constant_estimate,
-    trace_values,
-    truncate,
+    trace_exponent,
 )
 from .assembly import (
     assemble_boundary_mass,
@@ -37,7 +32,6 @@ from .experiments import (
 from .fields import (
     BoundaryField,
     SourceField,
-    boundary_inf,
     boundary_sup,
     boundary_sup_diff,
     eval_boundary,
@@ -50,7 +44,6 @@ from .mesh import (
     build_mesh,
     build_unit_cube_mesh,
     build_unit_square_mesh,
-    export_text,
 )
 from .stampacchia import (
     DecayReport,

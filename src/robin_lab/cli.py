@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import sup_norm, lp_norm
+from .analysis import sup_norm
 from .errors import InvalidArgumentError, RobinLabError
 from .experiments import (
     _solve_family,
@@ -43,7 +43,7 @@ from .experiments import (
     convergence_study,
     level_set_pipeline,
     stability_sweep,
-    theorem0_ratio,
+    theorem0_terms,
 )
 from .fields import BoundaryField, SourceField, check_expression_dimension
 from .mesh import Mesh, build_mesh
@@ -296,12 +296,6 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
     raise ConfigError(where, f"unsupported field kind {kind!r}")
 
 
-def format_float(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
-
-
 def emit_csv(header, rows, path) -> None:
     """Write a CSV table: '.' decimals, '\\n' endings, 17 significant digits.
 
@@ -321,7 +315,7 @@ def emit_csv(header, rows, path) -> None:
                 elif isinstance(cell, int):
                     cells.append(str(cell))
                 else:
-                    cells.append(format_float(cell))
+                    cells.append(f"{cell:.17g}")
             handle.write(",".join(cells) + "\n")
 
 
@@ -497,7 +491,7 @@ def _run_experiment(config: RunConfig):
             [r.n, r.m, r.diff_sup_closure, r.un_sup_boundary, r.beta_diff_sup, r.ratio]
             for r in records
         ]
-        rows.append(["C_hat", format_float(c_hat), "", "", "", ""])
+        rows.append(["C_hat", c_hat, "", "", "", ""])
         tables["stability"] = (header, rows)
         ratios = [r.ratio for r in records if r.ratio is not None]
         plots["stability"] = (
@@ -550,11 +544,11 @@ def _run_experiment(config: RunConfig):
 
     else:  # theorem0
         (u,) = _solve(config, betas[:1])
-        ratio = theorem0_ratio(u, f, config.p)
-        f_norm = lp_norm(f, config.p, "domain", mesh=mesh)
+        sup_u, f_norm = theorem0_terms(u, f, config.p)
+        ratio = sup_u / f_norm
         tables["theorem0"] = (
             ["p", "sup_u", "f_norm", "ratio"],
-            [[config.p, sup_norm(u, "closure"), f_norm, ratio]],
+            [[config.p, sup_u, f_norm, ratio]],
         )
         summary["ratio"] = ratio
 

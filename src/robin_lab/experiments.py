@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DiscreteSolution, exponents, level_set_measure, sup_norm, lp_norm
+from .analysis import DiscreteSolution, level_set_measure, lp_norm, sup_norm, trace_exponent
 from .assembly import assemble_load, assemble_operator, assemble_system
 from .errors import (
     InvalidArgumentError,
@@ -199,12 +199,18 @@ def convergence_study(
     ]
 
 
-def theorem0_ratio(u: DiscreteSolution, f: SourceField, p: float) -> float:
-    """Sup of the solution over the p-norm of the source (a constant monitor)."""
-    f_norm = lp_norm(f, p, region="domain", mesh=u.mesh)
+def theorem0_terms(u: DiscreteSolution, f: SourceField, p: float) -> tuple:
+    """(sup of the solution, p-norm of the source): the monitor's two sides."""
+    f_norm = lp_norm(f, p, u.mesh)
     if f_norm == 0.0:
         raise InvalidArgumentError("the source has zero p-norm")
-    return sup_norm(u, "closure") / f_norm
+    return sup_norm(u, "closure"), f_norm
+
+
+def theorem0_ratio(u: DiscreteSolution, f: SourceField, p: float) -> float:
+    """Sup of the solution over the p-norm of the source (a constant monitor)."""
+    sup_u, f_norm = theorem0_terms(u, f, p)
+    return sup_u / f_norm
 
 
 def level_set_pipeline(u_diff: DiscreteSolution, d: int, c2: float = 0.0) -> DecayReport:
@@ -214,7 +220,7 @@ def level_set_pipeline(u_diff: DiscreteSolution, d: int, c2: float = 0.0) -> Dec
     supplied composite c2 and the grid-fitted minimal constant, so the
     hypothesis holds on the samples whenever the data admits it.
     """
-    ex = exponents(d)
+    s = trace_exponent(d)
     sup_bd = sup_norm(u_diff, "boundary")
     if sup_bd == 0.0:
         return DecayReport(
@@ -227,6 +233,6 @@ def level_set_pipeline(u_diff: DiscreteSolution, d: int, c2: float = 0.0) -> Dec
     ks = np.linspace(0.0, 1.5 * sup_bd, 64)
     values = np.array([level_set_measure(u_diff, k, "boundary") for k in ks])
     samples = PhiSamples(ks, values)
-    fitted = fit_minimal_c(samples, ex.s, ex.s - 1.0)
+    fitted = fit_minimal_c(samples, s, s - 1.0)
     params = theorem_constants(d, max(c2, fitted), phi0=float(values[0]))
     return verify_decay(samples, params)

@@ -17,10 +17,10 @@ valid closure on every domain.
 Negative and non-finite values are rejected at evaluation time, where the
 evidence is; closures cannot be validated eagerly.
 
-Sup and inf norms are approximated by maxima/minima over a per-facet
-sample set consisting of the facet vertices plus the facet quadrature
-nodes, so piecewise-linear and per-facet data are resolved exactly and
-closures are sampled up to the corners.
+Sup norms are approximated by maxima over a per-facet sample set
+consisting of the facet vertices plus the facet quadrature nodes, so
+piecewise-linear and per-facet data are resolved exactly and closures are
+sampled up to the corners.
 """
 
 from __future__ import annotations
@@ -148,11 +148,6 @@ def _sample_points(mesh: Mesh) -> np.ndarray:
 def boundary_sup(field: BoundaryField, mesh: Mesh) -> float:
     """Max of the field over the boundary sample set (exact for constants)."""
     return float(eval_boundary(field, mesh, _sample_points(mesh)).max())
-
-
-def boundary_inf(field: BoundaryField, mesh: Mesh) -> float:
-    """Min of the field over the boundary sample set."""
-    return float(eval_boundary(field, mesh, _sample_points(mesh)).min())
 
 
 def boundary_sup_diff(a: BoundaryField, b: BoundaryField, mesh: Mesh) -> float:

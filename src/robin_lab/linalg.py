@@ -6,7 +6,7 @@ budget is 10x the dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +19,6 @@ class SolveReport:
     iterations: int
     final_relative_residual: float
     converged: bool
-    residual_history: list = field(default_factory=list)
 
 
 def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int = None):
@@ -40,7 +39,7 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int =
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros_like(b), SolveReport(0, 0.0, True, [0.0])
+        return np.zeros_like(b), SolveReport(0, 0.0, True)
 
     diag = A.diagonal().copy()
     diag[diag <= 0.0] = 1.0
@@ -51,7 +50,6 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int =
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    history = [1.0]
     restarts_left = 5
 
     iterations = 0
@@ -70,7 +68,6 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int =
         rel = float(np.linalg.norm(r)) / b_norm
         if not np.isfinite(rel):
             raise NumericBreakdownError("non-finite residual in conjugate gradient")
-        history.append(rel)
         if rel <= tol:
             true_r = b - A @ x
             if float(np.linalg.norm(true_r)) / b_norm <= tol:
@@ -94,6 +91,5 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int =
         iterations=iterations,
         final_relative_residual=final_rel,
         converged=final_rel <= tol,
-        residual_history=history,
     )
     return x, report

@@ -35,9 +35,8 @@ class Mesh:
     and, within a cell, in ``itertools.combinations`` order of its vertex
     columns; a per-facet field's i-th value belongs to row i.
     ``facet_vertices`` holds each facet's sorted vertex indices (a single
-    vertex in 1D), ``facet_measures`` the surface measure (1.0 for interval
-    endpoints), ``facet_normals`` the unit normal pointing away from the
-    owning cell, and ``facet_cells`` that cell's index.
+    vertex in 1D) and ``facet_measures`` the surface measure (1.0 for
+    interval endpoints).
     """
 
     dim: int
@@ -46,8 +45,6 @@ class Mesh:
     cell_measures: np.ndarray  # (num_cells,)
     facet_vertices: np.ndarray  # (num_facets, dim)
     facet_measures: np.ndarray  # (num_facets,)
-    facet_normals: np.ndarray  # (num_facets, dim)
-    facet_cells: np.ndarray  # (num_facets,)
     h: float
 
     @property
@@ -144,22 +141,6 @@ def boundary_vertex_indices(mesh: Mesh) -> list:
     return np.unique(mesh.facet_vertices).tolist()
 
 
-def export_text(mesh: Mesh) -> str:
-    """Plain-text dump: vertex, cell, and facet lines (debugging aid)."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v " + " ".join(f"{x:.17g}" for x in v))
-    for cell in mesh.cells:
-        lines.append("c " + " ".join(str(int(i)) for i in cell))
-    for ids, measure, normal in zip(
-        mesh.facet_vertices, mesh.facet_measures, mesh.facet_normals
-    ):
-        ids = " ".join(str(int(i)) for i in ids)
-        normal = " ".join(f"{x:.17g}" for x in normal)
-        lines.append(f"f {ids} | {measure:.17g} | {normal}")
-    return "\n".join(lines) + "\n"
-
-
 def _check_n(n: int) -> None:
     if n < 1:
         raise InvalidArgumentError(f"mesh parameter n must be >= 1, got {n}")
@@ -197,28 +178,12 @@ def _boundary_facets(vertices, cells, dim) -> dict:
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     on_boundary = counts[inverse] == 1
     facet_vertices = faces[on_boundary]
-    facet_cells = np.repeat(np.arange(cells.shape[0]), len(combos))[on_boundary]
-
     pts = vertices[facet_vertices]  # (nf, dim, dim)
-    nf = facet_vertices.shape[0]
     if dim == 1:
-        measures = np.ones(nf)  # counting measure on the two endpoints
-        normals = np.ones((nf, 1))
+        measures = np.ones(len(facet_vertices))  # counting measure on the endpoints
     elif dim == 2:
-        tangents = pts[:, 1] - pts[:, 0]
-        measures = np.linalg.norm(tangents, axis=1)
-        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / measures[:, None]
+        measures = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
     else:
         cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-        doubled = np.linalg.norm(cross, axis=1)
-        measures = doubled / 2.0
-        normals = cross / doubled[:, None]
-    away = pts.mean(axis=1) - vertices[cells[facet_cells]].mean(axis=1)
-    inward = np.einsum("fd,fd->f", normals, away) < 0.0
-    normals[inward] = -normals[inward]
-    return {
-        "facet_vertices": facet_vertices,
-        "facet_measures": measures,
-        "facet_normals": normals,
-        "facet_cells": facet_cells,
-    }
+        measures = np.linalg.norm(cross, axis=1) / 2.0
+    return {"facet_vertices": facet_vertices, "facet_measures": measures}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import exponents
+from .analysis import trace_exponent
 from .errors import InvalidArgumentError
 
 _HYPOTHESIS_SLACK = 1e-9  # relative slack absorbing float noise
@@ -167,5 +167,5 @@ def theorem_constants(d: int, c2: float, phi0: float = 0.0) -> StampacchiaParams
     """
     if c2 < 0.0:
         raise InvalidArgumentError(f"composite constant must be >= 0, got {c2}")
-    s = exponents(d).s
+    s = trace_exponent(d)
     return StampacchiaParams(c=c2, alpha=s, delta=s - 1.0, k0=0.0, phi0=phi0)

@@ -3,19 +3,14 @@ import pytest
 
 from robin_lab.analysis import (
     DiscreteSolution,
-    exponents,
-    h1_norm,
     level_set_measure,
     lp_norm,
     sup_norm,
-    trace_constant_estimate,
-    trace_values,
-    truncate,
+    trace_exponent,
 )
 from robin_lab.errors import InvalidArgumentError, UnsupportedDimensionError
 from robin_lab.fields import SourceField
 from robin_lab.mesh import (
-    boundary_vertex_indices,
     build_interval_mesh,
     build_unit_cube_mesh,
     build_unit_square_mesh,
@@ -24,16 +19,16 @@ from robin_lab.mesh import (
 
 @pytest.mark.parametrize("d,q,s", [(3, 6.0, 4.0), (4, 4.0, 3.0), (6, 3.0, 2.5)])
 def test_exponent_pairs(d, q, s):
-    ex = exponents(d)
-    assert ex.q == pytest.approx(q)
-    assert ex.s == pytest.approx(s)
-    assert ex.s - 1.0 > 1.0  # the decay iteration needs delta > 1
+    # s is the trace exponent of the Sobolev embedding exponent q = 2d/(d-2)
+    assert s == pytest.approx(q * (d - 1) / d)
+    assert trace_exponent(d) == pytest.approx(s)
+    assert trace_exponent(d) - 1.0 > 1.0  # the decay iteration needs delta > 1
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_exponents_reject_low_dimension(d):
     with pytest.raises(UnsupportedDimensionError):
-        exponents(d)
+        trace_exponent(d)
 
 
 def test_sup_norm_regions():
@@ -41,10 +36,9 @@ def test_sup_norm_regions():
     u = DiscreteSolution(m, np.array([-1.0, 0.3, 0.7]))
     assert sup_norm(u, "closure") == 1.0
     assert sup_norm(u, "boundary") == 1.0
-    assert sup_norm(u, "interior") == pytest.approx(0.3)
 
     const = DiscreteSolution(m, np.full(3, 0.5))
-    for region in ("closure", "boundary", "interior"):
+    for region in ("closure", "boundary"):
         assert sup_norm(const, region) == 0.5
     zero = DiscreteSolution(m, np.zeros(3))
     assert sup_norm(zero, "closure") == 0.0
@@ -56,61 +50,23 @@ def test_lp_norm_of_unit_source_on_cube():
     m = build_unit_cube_mesh(2)
     f = SourceField.constant(1.0)
     for p in (1.0, 2.0, 4.0, 7.5):
-        assert lp_norm(f, p, "domain", mesh=m) == pytest.approx(1.0, abs=1e-12)
+        assert lp_norm(f, p, m) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lp_norm_constant_on_square_boundary():
-    m = build_unit_square_mesh(2)
-    c = 0.8
-    u = DiscreteSolution(m, np.full(m.num_vertices, c))
-    # perimeter 4, so the 2-norm of a constant c is 2c
-    assert lp_norm(u, 2.0, "boundary") == pytest.approx(2.0 * c, abs=1e-10)
-    assert lp_norm(u, 3.0, "boundary") == pytest.approx(c * 4.0 ** (1.0 / 3.0), abs=1e-10)
+@pytest.mark.parametrize("builder", [build_unit_square_mesh, build_unit_cube_mesh])
+def test_lp_norm_of_linear_source(builder):
+    # the quadratic-exact cell rule integrates x^2 exactly: ||x||_2 = sqrt(1/3)
+    m = builder(3)
+    f = SourceField.from_expression("x")
+    assert abs(lp_norm(f, 2.0, m) - np.sqrt(1.0 / 3.0)) <= 1e-14
 
 
 def test_lp_norm_zero_and_guards():
     m = build_interval_mesh(4)
-    zero = DiscreteSolution(m, np.zeros(m.num_vertices))
-    assert lp_norm(zero, 2.0, "domain") == 0.0
+    zero = SourceField.constant(0.0)
+    assert lp_norm(zero, 2.0, m) == 0.0
     with pytest.raises(InvalidArgumentError):
-        lp_norm(zero, 0.5, "domain")
-    f = SourceField.constant(1.0)
-    with pytest.raises(InvalidArgumentError):
-        lp_norm(f, 2.0, "boundary", mesh=m)
-    with pytest.raises(InvalidArgumentError):
-        lp_norm(f, 2.0, "domain")  # mesh is required for source fields
-
-
-def test_h1_norm_examples():
-    m = build_interval_mesh(2)
-    const = DiscreteSolution(m, np.full(3, 2.5))
-    assert h1_norm(const) == pytest.approx(2.5, abs=1e-12)
-    zero = DiscreteSolution(m, np.zeros(3))
-    assert h1_norm(zero) == 0.0
-    # interpolant of x: gradient energy 1, squared mass 1/3 (both exact)
-    linear = DiscreteSolution(m, np.array([0.0, 0.5, 1.0]))
-    assert h1_norm(linear) == pytest.approx(np.sqrt(1.0 + 1.0 / 3.0), abs=1e-10)
-
-
-def test_truncate_examples():
-    m = build_interval_mesh(2)
-    u = DiscreteSolution(m, np.array([-0.5, 0.2, 0.8]))
-    v = truncate(u, 0.3)
-    assert np.allclose(v.nodal_values, [-0.2, 0.0, 0.5], atol=1e-15)
-    assert np.array_equal(truncate(u, 0.0).nodal_values, u.nodal_values)
-    assert np.all(truncate(u, sup_norm(u, "closure")).nodal_values == 0.0)
-    with pytest.raises(InvalidArgumentError):
-        truncate(u, -0.1)
-
-
-def test_truncate_sup_identity():
-    m = build_unit_square_mesh(3)
-    rng = np.random.default_rng(5)
-    u = DiscreteSolution(m, rng.standard_normal(m.num_vertices))
-    top = sup_norm(u, "closure")
-    for k in (0.0, 0.3 * top, 0.9 * top, top, 2.0 * top):
-        expected = max(top - k, 0.0)
-        assert sup_norm(truncate(u, k), "closure") == pytest.approx(expected, abs=1e-15)
+        lp_norm(zero, 0.5, m)
 
 
 def test_level_set_constant_cases():
@@ -130,50 +86,6 @@ def test_level_set_monotone_and_vanishing():
     phis = np.array([level_set_measure(u, float(k), "boundary") for k in ks])
     assert np.all(np.diff(phis) <= 0.0)
     assert np.all(phis[ks >= top] == 0.0)
-
-
-def test_trace_values():
-    m = build_interval_mesh(2)
-    u = DiscreteSolution(m, np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(trace_values(u), [1.0, 3.0])
-    const = DiscreteSolution(m, np.full(3, 4.0))
-    assert np.all(trace_values(const) == 4.0)
-    mc = build_unit_cube_mesh(2)
-    uc = DiscreteSolution(mc, np.arange(mc.num_vertices, dtype=float))
-    assert trace_values(uc).shape == (len(boundary_vertex_indices(mc)),)
-
-
-def test_trace_constant_for_unit_function_on_cube():
-    m = build_unit_cube_mesh(2)
-    u = DiscreteSolution(m, np.ones(m.num_vertices))
-    # boundary 4-norm of 1 is 6^(1/4); H1 norm of 1 is 1
-    assert trace_constant_estimate(u, 3) == pytest.approx(6.0**0.25, abs=1e-10)
-
-
-def test_trace_constant_scaling_invariance():
-    m = build_unit_cube_mesh(2)
-    rng = np.random.default_rng(13)
-    u = DiscreteSolution(m, rng.standard_normal(m.num_vertices))
-    r1 = trace_constant_estimate(u, 3)
-    r2 = trace_constant_estimate(DiscreteSolution(m, 2.0 * u.nodal_values), 3)
-    assert abs(r1 - r2) <= 1e-12 * max(1.0, r1)
-
-
-def test_trace_constant_batch_is_bounded():
-    rng = np.random.default_rng(17)
-    for n in (2, 3):
-        m = build_unit_cube_mesh(n)
-        worst = 0.0
-        for _ in range(20):
-            u = DiscreteSolution(m, rng.standard_normal(m.num_vertices))
-            worst = max(worst, trace_constant_estimate(u, 3))
-        assert 0.0 < worst < 10.0
-
-
-def test_trace_constant_rejects_zero_solution():
-    m = build_unit_cube_mesh(2)
-    with pytest.raises(InvalidArgumentError):
-        trace_constant_estimate(DiscreteSolution(m, np.zeros(m.num_vertices)), 3)
 
 
 def test_solution_arithmetic_needs_shared_mesh():

@@ -145,8 +145,6 @@ def test_degenerate_cell_detected():
         cell_measures=np.array([0.0, 1.0]),
         facet_vertices=np.array([[0], [2]]),
         facet_measures=np.ones(2),
-        facet_normals=np.array([[-1.0], [1.0]]),
-        facet_cells=np.array([0, 1]),
         h=1.0,
     )
     with pytest.raises(DegenerateMeshError):

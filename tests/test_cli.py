@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robin_lab import fields
 from robin_lab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -479,6 +480,39 @@ def test_theorem0_run(tmp_path):
     assert lines[0] == "p,sup_u,f_norm,ratio"
     p, sup_u, f_norm, ratio = (float(v) for v in lines[1].split(","))
     assert ratio == pytest.approx(sup_u / f_norm, rel=1e-12)
+
+
+def test_theorem0_evaluates_the_source_once_per_use(tmp_path, monkeypatch):
+    # one evaluation builds the load and one gives the p-norm; the CSV row
+    # reuses the norms the ratio was computed from
+    compile_expression = fields.compile_expression
+    calls = []
+
+    def counting(expr):
+        evaluate = compile_expression(expr)
+
+        def counted(point):
+            calls.append(expr)
+            return evaluate(point)
+
+        return counted
+
+    monkeypatch.setattr(fields, "compile_expression", counting)
+    cfg = {
+        "domain": "cube",
+        "n": 3,
+        "lambda": 1.0,
+        "f": {"kind": "expr", "expr": "1 + x"},
+        "beta_sequence": [{"kind": "constant", "value": 1.0}],
+        "experiment": "theorem0",
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["theorem0", "--config", path]) == EXIT_OK
+    assert len(calls) == 2
+    row = (tmp_path / "out" / "theorem0.csv").read_text().splitlines()[1]
+    _, sup_u, f_norm, ratio = (float(v) for v in row.split(","))
+    assert ratio == sup_u / f_norm
 
 
 def test_expand_beta_sequence_generator():

@@ -7,7 +7,6 @@ from robin_lab.errors import InvalidArgumentError, InvalidCoefficientError
 from robin_lab.fields import (
     BoundaryField,
     SourceField,
-    boundary_inf,
     boundary_sup,
     boundary_sup_diff,
     compile_expression,
@@ -108,7 +107,6 @@ def test_boundary_sup_examples():
     m = build_interval_mesh(2)
     assert boundary_sup(BoundaryField.constant(2.0), m) == 2.0
     assert boundary_sup(BoundaryField.per_facet([0.1, 7.0]), m) == 7.0
-    assert boundary_inf(BoundaryField.per_facet([0.1, 7.0]), m) == pytest.approx(0.1)
 
 
 def test_boundary_sup_closure_reaches_corner():
@@ -123,7 +121,6 @@ def test_constant_norms_are_exact(n):
     m = build_unit_square_mesh(n)
     field = BoundaryField.constant(0.75)
     assert boundary_sup(field, m) == 0.75
-    assert boundary_inf(field, m) == 0.75
 
 
 def test_per_facet_shape_validation():

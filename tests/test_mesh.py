@@ -13,7 +13,6 @@ from robin_lab.mesh import (
     build_mesh,
     build_unit_cube_mesh,
     build_unit_square_mesh,
-    export_text,
 )
 
 FAMILIES = [
@@ -46,8 +45,7 @@ def test_interval_endpoint_facets():
     # counting measure on the two endpoints
     assert m.facet_measures.tolist() == [1.0, 1.0]
     xs = m.vertices[m.facet_vertices[:, 0], 0]
-    normals = dict(zip(xs.tolist(), m.facet_normals[:, 0].tolist()))
-    assert normals == {0.0: -1.0, 1.0: 1.0}
+    assert xs.tolist() == [0.0, 1.0]
 
 
 def test_square_counts():
@@ -98,20 +96,6 @@ def test_measure_sums(domain, dim, surface):
 
 
 @pytest.mark.parametrize("domain", ["interval", "square", "cube"])
-def test_normals_unit_and_outward(domain):
-    m = build_mesh(domain, 2)
-    _assert_normals_unit_and_outward(m)
-
-
-def _assert_normals_unit_and_outward(m):
-    assert np.max(np.abs(np.linalg.norm(m.facet_normals, axis=1) - 1.0)) < 1e-12
-    facet_centroids = m.vertices[m.facet_vertices].mean(axis=1)
-    cell_centroids = m.vertices[m.cells[m.facet_cells]].mean(axis=1)
-    outward = np.sum(m.facet_normals * (facet_centroids - cell_centroids), axis=1)
-    assert np.all(outward > 0.0)
-
-
-@pytest.mark.parametrize("domain", ["interval", "square", "cube"])
 def test_facet_sharing(domain):
     # recount faces independently: boundary faces appear once, interior twice
     m = build_mesh(domain, 2)
@@ -147,37 +131,24 @@ def test_build_mesh_unknown_domain():
         build_mesh("disk", 4)
 
 
-def test_export_text_format():
-    m = build_unit_square_mesh(1)
-    text = export_text(m)
-    lines = text.strip().split("\n")
-    assert len(lines) == m.num_vertices + m.num_cells + m.num_facets
-    assert sum(1 for l in lines if l.startswith("v ")) == m.num_vertices
-    assert sum(1 for l in lines if l.startswith("c ")) == m.num_cells
-    facet_lines = [l for l in lines if l.startswith("f ")]
-    assert len(facet_lines) == m.num_facets
-    assert all(l.count("|") == 2 for l in facet_lines)
-
-
 def test_mesh_is_immutable():
     m = build_interval_mesh(4)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 9.9
-    for arr in (m.facet_vertices, m.facet_measures, m.facet_normals, m.facet_cells):
+    for arr in (m.facet_vertices, m.facet_measures):
         assert not arr.flags.writeable
 
 
 def _oracle_facets(m):
     """Each face of each cell, in cell order and then in combination order,
-    kept when it occurs in exactly one cell: (vertex lists, owning cells)."""
+    kept when it occurs in exactly one cell, as sorted vertex lists."""
     faces = [
-        (sorted(face), ci)
-        for ci, cell in enumerate(m.cells.tolist())
+        sorted(face)
+        for cell in m.cells.tolist()
         for face in itertools.combinations(cell, m.dim)
     ]
-    counts = Counter(tuple(face) for face, _ in faces)
-    kept = [(face, ci) for face, ci in faces if counts[tuple(face)] == 1]
-    return [face for face, _ in kept], [ci for _, ci in kept]
+    counts = Counter(tuple(face) for face in faces)
+    return [face for face in faces if counts[tuple(face)] == 1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -185,8 +156,5 @@ def _oracle_facets(m):
 def test_facet_arrays_match_brute_force_oracle(family, n):
     domain, _, surface = family
     m = build_mesh(domain, n)
-    vertices, cells = _oracle_facets(m)
-    assert m.facet_vertices.tolist() == vertices
-    assert m.facet_cells.tolist() == cells
-    _assert_normals_unit_and_outward(m)
+    assert m.facet_vertices.tolist() == _oracle_facets(m)
     assert abs(m.facet_measures.sum() - surface) < 1e-12
