@@ -19,7 +19,6 @@ from .assembly import (
 )
 from .experiments import (
     ConvergenceRecord,
-    RobinProblem,
     StabilityRecord,
     analytic_interval_solution,
     convergence_study,
@@ -27,7 +26,7 @@ from .experiments import (
     level_set_pipeline,
     solve_robin,
     stability_sweep,
-    theorem0_ratio,
+    theorem0_terms,
 )
 from .fields import (
     BoundaryField,

@@ -1,9 +1,9 @@
 """Solution sup norms, the L^p norm of a source, level sets, and the trace
 exponent.
 
-Sup-norms are nodal maxima, which are exact for P1 functions.  Level-set
-measures use indicator fractions over per-entity sample points (quadrature
-nodes plus the centroid), which is monotone in the threshold by
+Sup-norms are nodal maxima, which are exact for P1 functions.  Boundary
+level-set measures use indicator fractions over per-facet sample points
+(quadrature nodes plus the centroid), which is monotone in the threshold by
 construction.
 """
 
@@ -64,38 +64,25 @@ def sup_norm(u: DiscreteSolution, region: str = "closure") -> float:
     return float(selected.max()) if selected.size else 0.0
 
 
-def _region_entities(mesh: Mesh, region: str):
-    """(vertex index array, measures, barycentric rule points, weights)."""
-    if region == "domain":
-        points, weights = cell_rule(mesh.dim)
-        return mesh.cells, mesh.cell_measures, points, weights
-    if region == "boundary":
-        points, weights = facet_rule(mesh.dim)
-        return mesh.facet_vertices, mesh.facet_measures, points, weights
-    raise InvalidArgumentError(f"region must be domain or boundary, got {region!r}")
-
-
 def lp_norm(f: SourceField, p: float, mesh: Mesh) -> float:
     """(int_Omega |f|^p)^(1/p) by the cell quadrature rule."""
     if p < 1.0:
         raise InvalidArgumentError(f"p must be >= 1, got {p}")
-    points, weights = cell_rule(mesh.dim)
-    physical = np.einsum("qk,ckd->cqd", points, mesh.vertices[mesh.cells])
-    nc, nq, dim = physical.shape
-    values = eval_source(f, physical.reshape(-1, dim)).reshape(nc, nq)
+    _, weights = cell_rule(mesh.dim)
+    values = eval_source(f, mesh)
     integral = float(np.einsum("e,q,eq->", mesh.cell_measures, weights, np.abs(values) ** p))
     return integral ** (1.0 / p)
 
 
-def level_set_measure(u: DiscreteSolution, k: float, region: str = "boundary") -> float:
-    """Measure of {|u| > k} in the region, by indicator sample fractions."""
+def level_set_measure(u: DiscreteSolution, k: float) -> float:
+    """Boundary measure of {|u| > k}, by indicator sample fractions."""
     if k < 0.0:
         raise InvalidArgumentError(f"level must be >= 0, got {k}")
-    ids, measures, points, _ = _region_entities(u.mesh, region)
+    points, _ = facet_rule(u.mesh.dim)
     # indicator samples: the rule points plus the centroid
     nverts = points.shape[1]
     samples = np.vstack([points, np.full((1, nverts), 1.0 / nverts)])
-    values = u.nodal_values[ids] @ samples.T  # (nent, nsamples)
+    values = u.nodal_values[u.mesh.facet_vertices] @ samples.T  # (nf, nsamples)
     fractions = np.mean(np.abs(values) > k, axis=1)
-    return float(measures @ fractions)
+    return float(u.mesh.facet_measures @ fractions)
 

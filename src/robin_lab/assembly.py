@@ -84,12 +84,8 @@ def assemble_boundary_mass(mesh: Mesh, beta: BoundaryField) -> sp.csr_array:
 def assemble_load(mesh: Mesh, f: SourceField) -> np.ndarray:
     """Load vector F_i = sum_cells int_cell f phi_i (exact for constant f)."""
     rule_points, weights = cell_rule(mesh.dim)
-    measures = mesh.cell_measures
-    pts = mesh.vertices[mesh.cells]  # (nc, nloc, dim)
-    physical = np.einsum("qk,ckd->cqd", rule_points, pts)
-    nc, nq, dim = physical.shape
-    f_vals = eval_source(f, physical.reshape(-1, dim)).reshape(nc, nq)
-    local = measures[:, None] * np.einsum("q,cq,qi->ci", weights, f_vals, rule_points)
+    f_vals = eval_source(f, mesh)  # (nc, nq)
+    local = mesh.cell_measures[:, None] * np.einsum("q,cq,qi->ci", weights, f_vals, rule_points)
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.cells, local)
     return out

@@ -38,10 +38,10 @@ from . import __version__
 from .analysis import sup_norm
 from .errors import InvalidArgumentError, RobinLabError
 from .experiments import (
-    _solve_family,
-    estimate_constant,
     convergence_study,
+    estimate_constant,
     level_set_pipeline,
+    solve_robin,
     stability_sweep,
     theorem0_terms,
 )
@@ -75,8 +75,8 @@ EXIT_SOLVE = 3
 EXIT_OUTPUT = 4
 
 _DIMENSION_CAVEAT = (
-    "domain dimension is below 3; trace/embedding exponents do not apply and "
-    "results are illustrative only"
+    "domain dimension is below 3; the trace exponent s = 2(d-1)/(d-2) does not "
+    "apply and results are illustrative only"
 )
 
 
@@ -133,13 +133,14 @@ def expand_beta_sequence(raw) -> list:
     raise ConfigError("beta_sequence", "expected a nonempty list or a generator spec")
 
 
-def parse_config(data, experiment: str = None, default_output: str = "out") -> RunConfig:
+def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     """Validate a raw JSON value into a runnable RunConfig, mesh included.
 
     ``experiment`` is the experiment named on the command line: it fills a
-    missing "experiment" key and must agree with a present one.  Every
-    invalid input raises ConfigError naming the field; ``data`` is left
-    unchanged.
+    missing "experiment" key and must agree with a present one.  ``output``,
+    the command line's output directory, overrides a valid "output_dir".
+    Every invalid input raises ConfigError naming the field; ``data`` is
+    left unchanged.
     """
     if not isinstance(data, dict):
         raise ConfigError("config", "top-level JSON value must be an object")
@@ -161,7 +162,7 @@ def parse_config(data, experiment: str = None, default_output: str = "out") -> R
     if not isinstance(lumped, bool):
         raise ConfigError("lumped", f"must be a boolean, got {lumped!r}")
 
-    output_dir = data.get("output_dir", default_output)
+    output_dir = data.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir", f"must be a nonempty string, got {output_dir!r}")
 
@@ -210,7 +211,7 @@ def parse_config(data, experiment: str = None, default_output: str = "out") -> R
         f=f,
         betas=betas,
         experiment=experiment,
-        output_dir=output_dir,
+        output_dir=output or output_dir,
         p=numbers["p"],
         c2=numbers["c2"],
         lumped=lumped,
@@ -392,9 +393,9 @@ def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") 
         handle.write("\n".join(parts) + "\n")
 
 
-def run(config: RunConfig, output_dir: str = None) -> int:
+def run(config: RunConfig) -> int:
     """Execute one experiment; writes manifest, CSVs, and SVGs."""
-    out = output_dir or config.output_dir
+    out = config.output_dir
     mesh = config.mesh
     timings = {"mesh_seconds": config.mesh_seconds}
     warnings = [_DIMENSION_CAVEAT] if mesh.dim < 3 else []
@@ -459,10 +460,11 @@ def run(config: RunConfig, output_dir: str = None) -> int:
 def _run_experiment(config: RunConfig):
     """Returns (tables, plots, summary) for the configured experiment."""
     mesh, f, betas = config.mesh, config.f, config.betas
+    lam, lumped, tol = config.lam, config.lumped, config.tol
     tables, plots, summary = {}, {}, {}
 
     if config.experiment == "solve":
-        (u,) = _solve(config, betas[:1])
+        (u,) = solve_robin(mesh, lam, f, betas[:1], lumped, tol)
         coord_names = ["x", "y", "z"][: mesh.dim]
         header = ["vertex_index"] + coord_names + ["value"]
         rows = (
@@ -484,7 +486,7 @@ def _run_experiment(config: RunConfig):
         summary["sup_norm"] = sup_norm(u, "closure")
 
     elif config.experiment == "stability":
-        records = stability_sweep(mesh, config.lam, f, betas, lumped=config.lumped, tol=config.tol)
+        records = stability_sweep(mesh, lam, f, betas, lumped, tol)
         c_hat = estimate_constant(records)
         header = ["n", "m", "diff_sup", "un_bd_sup", "beta_diff", "ratio"]
         rows = [
@@ -505,9 +507,7 @@ def _run_experiment(config: RunConfig):
         summary["records"] = len(records)
 
     elif config.experiment == "convergence":
-        records = convergence_study(
-            mesh, config.lam, f, betas, config.beta_limit, lumped=config.lumped, tol=config.tol
-        )
+        records = convergence_study(mesh, lam, f, betas, config.beta_limit, lumped, tol)
         header = ["n", "sup_err"]
         rows = [[r.n, r.sup_err_closure] for r in records]
         tables["convergence"] = (header, rows)
@@ -521,7 +521,7 @@ def _run_experiment(config: RunConfig):
         summary["final_sup_err"] = records[-1].sup_err_closure
 
     elif config.experiment == "stampacchia":
-        pair = _solve(config, betas[:2])
+        pair = solve_robin(mesh, lam, f, betas[:2], lumped, tol)
         report = level_set_pipeline(pair[0] - pair[1], mesh.dim, c2=config.c2)
         ks, phis = report.samples.ks, report.samples.values
         tables["stampacchia"] = (
@@ -543,7 +543,7 @@ def _run_experiment(config: RunConfig):
         summary["conclusion_ok"] = report.conclusion_ok
 
     else:  # theorem0
-        (u,) = _solve(config, betas[:1])
+        (u,) = solve_robin(mesh, lam, f, betas[:1], lumped, tol)
         sup_u, f_norm = theorem0_terms(u, f, config.p)
         ratio = sup_u / f_norm
         tables["theorem0"] = (
@@ -553,11 +553,6 @@ def _run_experiment(config: RunConfig):
         summary["ratio"] = ratio
 
     return tables, plots, summary
-
-
-def _solve(config: RunConfig, betas) -> list:
-    """Solutions for `betas` with the config's mesh, lambda, f and solver settings."""
-    return _solve_family(config.mesh, config.lam, config.f, betas, config.lumped, config.tol)
 
 
 def _emit_error(field_name: str, message: str) -> None:
@@ -591,12 +586,12 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None, help="override the output directory")
     try:
         args = parser.parse_args(argv)
-        config = parse_config(_read_config(args.config), args.experiment)
+        config = parse_config(_read_config(args.config), args.experiment, args.output)
     except ConfigError as exc:
         _emit_error(exc.field_name, str(exc))
         return EXIT_CONFIG
 
-    return run(config, output_dir=args.output)
+    return run(config)
 
 
 if __name__ == "__main__":

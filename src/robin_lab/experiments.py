@@ -1,7 +1,9 @@
 """End-to-end experiments on the Robin solver.
 
-`stability_sweep` solves one problem per boundary coefficient in a family
-and tabulates, for every ordered pair (n, m), the sup-norm solution gap
+`solve_robin` solves a family of problems that share the mesh, lambda and
+f and differ only in the boundary coefficient; every experiment solves
+through it.  `stability_sweep` solves one problem per coefficient and
+tabulates, for every ordered pair (n, m), the sup-norm solution gap
 against the product of the boundary sup of u_n and the sup difference of
 the coefficients; `estimate_constant` extracts the smallest constant
 consistent with all informative pairs.  `convergence_study` compares a
@@ -50,22 +52,6 @@ _RATIO_FLOOR = 1e-14
 
 
 @dataclass
-class RobinProblem:
-    """One discretized Robin boundary value problem."""
-
-    mesh: Mesh
-    lam: float
-    beta: BoundaryField
-    f: SourceField
-    lumped: bool = False
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise InvalidArgumentError(f"lambda must be a finite number > 0, got {self.lam}")
-
-
-@dataclass
 class StabilityRecord:
     """One ordered pair (n, m) of the stability experiment."""
 
@@ -81,13 +67,6 @@ class StabilityRecord:
 class ConvergenceRecord:
     n: int
     sup_err_closure: float
-
-
-def solve_robin(problem: RobinProblem) -> DiscreteSolution:
-    """Galerkin solution of (K + lam M + B) U = F to the requested tolerance."""
-    p = problem
-    (solution,) = _solve_family(p.mesh, p.lam, p.f, [p.beta], p.lumped, p.tol)
-    return solution
 
 
 def analytic_interval_solution(lam: float, beta: float, f_const: float):
@@ -107,8 +86,15 @@ def analytic_interval_solution(lam: float, beta: float, f_const: float):
     return evaluate
 
 
-def _solve_family(mesh, lam, f, betas, lumped, tol):
-    """One solution per beta of a family sharing the mesh, lam and f.
+def solve_robin(
+    mesh: Mesh,
+    lam: float,
+    f: SourceField,
+    betas,
+    lumped: bool = False,
+    tol: float = 1e-10,
+) -> list[DiscreteSolution]:
+    """Galerkin solutions of (K + lam M + B(beta)) U = F, one per beta.
 
     K + lam M and the load are built once; each member adds only its B.
     A member that fails raises its own exception, with a note naming its
@@ -145,7 +131,7 @@ def stability_sweep(
     """One StabilityRecord per ordered pair of coefficients (n != m)."""
     if len(betas) < 2:
         raise InvalidArgumentError("stability sweep needs at least two coefficients")
-    solutions = _solve_family(mesh, lam, f, betas, lumped, tol)
+    solutions = solve_robin(mesh, lam, f, betas, lumped, tol)
     sups = [boundary_sup(beta, mesh) for beta in betas]
 
     records = []
@@ -191,7 +177,7 @@ def convergence_study(
     tol: float = 1e-10,
 ):
     """Sup-norm gaps between each sequence solution and the limit solution."""
-    solutions = _solve_family(mesh, lam, f, list(betas) + [beta_limit], lumped, tol)
+    solutions = solve_robin(mesh, lam, f, list(betas) + [beta_limit], lumped, tol)
     limit = solutions.pop()
     return [
         ConvergenceRecord(n=n, sup_err_closure=sup_norm(u - limit, "closure"))
@@ -205,12 +191,6 @@ def theorem0_terms(u: DiscreteSolution, f: SourceField, p: float) -> tuple:
     if f_norm == 0.0:
         raise InvalidArgumentError("the source has zero p-norm")
     return sup_norm(u, "closure"), f_norm
-
-
-def theorem0_ratio(u: DiscreteSolution, f: SourceField, p: float) -> float:
-    """Sup of the solution over the p-norm of the source (a constant monitor)."""
-    sup_u, f_norm = theorem0_terms(u, f, p)
-    return sup_u / f_norm
 
 
 def level_set_pipeline(u_diff: DiscreteSolution, d: int, c2: float = 0.0) -> DecayReport:
@@ -231,7 +211,7 @@ def level_set_pipeline(u_diff: DiscreteSolution, d: int, c2: float = 0.0) -> Dec
             samples=PhiSamples([0.0], [0.0]),
         )
     ks = np.linspace(0.0, 1.5 * sup_bd, 64)
-    values = np.array([level_set_measure(u_diff, k, "boundary") for k in ks])
+    values = np.array([level_set_measure(u_diff, k) for k in ks])
     samples = PhiSamples(ks, values)
     fitted = fit_minimal_c(samples, s, s - 1.0)
     params = theorem_constants(d, max(c2, fitted), phi0=float(values[0]))

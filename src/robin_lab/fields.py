@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidCoefficientError
 from .mesh import Mesh
-from .quadrature import facet_rule
+from .quadrature import cell_rule, facet_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,13 +120,16 @@ def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
     return values
 
 
-def eval_source(field: SourceField, points) -> np.ndarray:
-    """Source values at points of shape (k, dim)."""
-    points = np.asarray(points, dtype=float)
+def eval_source(field: SourceField, mesh: Mesh) -> np.ndarray:
+    """Values at the cell rule points of every cell, shape (nc, nq)."""
+    rule_points, _ = cell_rule(mesh.dim)
+    shape = (mesh.num_cells, rule_points.shape[0])
     if field.kind == "constant":
-        values = np.full(points.shape[0], field.constant_value)
+        values = np.full(shape, field.constant_value)
     else:
-        values = _eval_closure(field.closure, points)
+        physical = np.einsum("qk,ckd->cqd", rule_points, mesh.vertices[mesh.cells])
+        values = _eval_closure(field.closure, physical.reshape(-1, mesh.dim))
+        values = values.reshape(shape)
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("source field evaluated to a non-finite value")
     return values

@@ -2,10 +2,10 @@
 
 If a nonnegative nonincreasing function phi satisfies
 
-    phi(h) <= c * (h - k)^(-alpha) * phi(k)^delta      for all h > k >= k0
+    phi(h) <= c * (h - k)^(-alpha) * phi(k)^delta      for all h > k >= 0
 
-with delta > 1, then phi vanishes at k0 + d_gap, where the classical gap
-satisfies d_gap^alpha = c * phi(k0)^(delta-1) * 2^(alpha*delta/(delta-1)).
+with delta > 1, then phi vanishes at d_gap, where the classical gap
+satisfies d_gap^alpha = c * phi(0)^(delta-1) * 2^(alpha*delta/(delta-1)).
 An alternate variant with exponent 2^(delta*(delta-1)) is kept as well;
 the two coincide at (alpha, delta) = (4, 3), the combination produced by
 ``theorem_constants`` in dimension 3.  The classical form is the default
@@ -30,12 +30,11 @@ _VARIANTS = ("classical", "alternate")
 
 @dataclass(frozen=True)
 class StampacchiaParams:
-    """Constants (c, alpha, delta), start level k0, phi0 = phi(k0), variant."""
+    """Constants (c, alpha, delta), phi0 = phi(0), variant."""
 
     c: float
     alpha: float
     delta: float
-    k0: float = 0.0
     phi0: float = 0.0
     variant: str = "classical"
 
@@ -46,8 +45,6 @@ class StampacchiaParams:
             raise InvalidArgumentError(f"alpha must be > 0, got {self.alpha}")
         if self.delta <= 1.0:
             raise InvalidArgumentError(f"delta must be > 1, got {self.delta}")
-        if self.k0 < 0.0:
-            raise InvalidArgumentError(f"k0 must be >= 0, got {self.k0}")
         if self.phi0 < 0.0:
             raise InvalidArgumentError(f"phi0 must be >= 0, got {self.phi0}")
         if self.variant not in _VARIANTS:
@@ -58,7 +55,7 @@ class StampacchiaParams:
 
 @dataclass(frozen=True, eq=False)
 class PhiSamples:
-    """A sampled nonincreasing nonnegative curve k -> phi(k)."""
+    """A sampled nonincreasing nonnegative curve k -> phi(k), levels k >= 0."""
 
     ks: np.ndarray
     values: np.ndarray
@@ -70,6 +67,8 @@ class PhiSamples:
             raise InvalidArgumentError("ks and values must be 1-d and equally long")
         if ks.size == 0:
             raise InvalidArgumentError("samples must be nonempty")
+        if ks[0] < 0.0:
+            raise InvalidArgumentError(f"levels must be >= 0, got {ks[0]}")
         if np.any(np.diff(ks) <= 0.0):
             raise InvalidArgumentError("ks must be strictly increasing")
         if np.any(values < 0.0):
@@ -90,7 +89,7 @@ class DecayReport:
 
 
 def stampacchia_gap(params: StampacchiaParams) -> float:
-    """Gap beyond k0 at which phi is guaranteed to vanish."""
+    """Level at which phi is guaranteed to vanish."""
     if params.variant == "alternate":
         exponent = params.delta * (params.delta - 1.0)
     else:
@@ -121,34 +120,28 @@ def verify_decay(samples: PhiSamples, params: StampacchiaParams) -> DecayReport:
     """Check the decay hypothesis on all sampled pairs and its conclusion.
 
     The conclusion (phi vanishes within the predicted gap) is decided
-    positively as soon as a sampled zero at or below k0 + gap exists; it is
+    positively as soon as a sampled zero at or below the gap exists; it is
     decided negatively only when the samples cover the whole interval
-    [k0, k0 + gap] and stay positive.  Otherwise the data cannot decide and
-    an error is raised.
+    [0, gap] and stay positive.  Otherwise the data cannot decide and an
+    error is raised.
     """
     ks, phi = samples.ks, samples.values
-    in_range = ks >= params.k0
-    if not np.any(in_range):
-        raise InvalidArgumentError("no samples at or above k0")
-    ks_r, phi_r = ks[in_range], phi[in_range]
-
-    lo, hi = np.triu_indices(ks_r.size, k=1)
-    bounds = params.c * (ks_r[hi] - ks_r[lo]) ** (-params.alpha) * phi_r[lo] ** params.delta
-    hypothesis_ok = bool(np.all(phi_r[hi] <= bounds * (1.0 + _HYPOTHESIS_SLACK) + 0.0))
+    lo, hi = np.triu_indices(ks.size, k=1)
+    bounds = params.c * (ks[hi] - ks[lo]) ** (-params.alpha) * phi[lo] ** params.delta
+    hypothesis_ok = bool(np.all(phi[hi] <= bounds * (1.0 + _HYPOTHESIS_SLACK) + 0.0))
 
     gap = stampacchia_gap(params)
-    zeros = np.flatnonzero(phi_r == 0.0)
-    vanish_point = float(ks_r[zeros[0]]) if zeros.size else None
+    zeros = np.flatnonzero(phi == 0.0)
+    vanish_point = float(ks[zeros[0]]) if zeros.size else None
 
-    limit = params.k0 + gap
-    if vanish_point is not None and vanish_point <= limit * (1.0 + 1e-12) + 1e-300:
+    if vanish_point is not None and vanish_point <= gap * (1.0 + 1e-12) + 1e-300:
         conclusion_ok = True
-    elif ks_r[0] <= params.k0 + 1e-12 and ks_r[-1] >= limit - 1e-12:
+    elif ks[0] <= 1e-12 and ks[-1] >= gap - 1e-12:
         conclusion_ok = False
     else:
         raise InvalidArgumentError(
-            f"samples span [{ks_r[0]:g}, {ks_r[-1]:g}] but deciding the "
-            f"conclusion needs coverage of [{params.k0:g}, {limit:g}]"
+            f"samples span [{ks[0]:g}, {ks[-1]:g}] but deciding the "
+            f"conclusion needs coverage of [0, {gap:g}]"
         )
     return DecayReport(
         hypothesis_ok=hypothesis_ok,
@@ -163,9 +156,9 @@ def theorem_constants(d: int, c2: float, phi0: float = 0.0) -> StampacchiaParams
     """Decay parameters used for boundary level-set curves in dimension d.
 
     alpha equals the trace exponent s, delta = s - 1, and the iteration
-    starts at k0 = 0; c2 is the composite multiplicative constant.
+    starts at level 0; c2 is the composite multiplicative constant.
     """
     if c2 < 0.0:
         raise InvalidArgumentError(f"composite constant must be >= 0, got {c2}")
     s = trace_exponent(d)
-    return StampacchiaParams(c=c2, alpha=s, delta=s - 1.0, k0=0.0, phi0=phi0)
+    return StampacchiaParams(c=c2, alpha=s, delta=s - 1.0, phi0=phi0)

@@ -72,9 +72,8 @@ def test_lp_norm_zero_and_guards():
 def test_level_set_constant_cases():
     m = build_unit_square_mesh(2)
     u = DiscreteSolution(m, np.full(m.num_vertices, 0.5))
-    assert level_set_measure(u, 0.4, "boundary") == pytest.approx(4.0, abs=1e-12)
-    assert level_set_measure(u, 0.6, "boundary") == 0.0
-    assert level_set_measure(u, 0.4, "domain") == pytest.approx(1.0, abs=1e-12)
+    assert level_set_measure(u, 0.4) == pytest.approx(4.0, abs=1e-12)
+    assert level_set_measure(u, 0.6) == 0.0
 
 
 def test_level_set_monotone_and_vanishing():
@@ -83,7 +82,7 @@ def test_level_set_monotone_and_vanishing():
     u = DiscreteSolution(m, rng.standard_normal(m.num_vertices))
     top = sup_norm(u, "boundary")
     ks = np.linspace(0.0, 1.2 * top, 50)
-    phis = np.array([level_set_measure(u, float(k), "boundary") for k in ks])
+    phis = np.array([level_set_measure(u, float(k)) for k in ks])
     assert np.all(np.diff(phis) <= 0.0)
     assert np.all(phis[ks >= top] == 0.0)
 

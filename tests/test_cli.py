@@ -356,9 +356,8 @@ def test_manifest_round_trip_reproduces_outputs(tmp_path):
     path = _write(tmp_path, "c.json", _solve_config(out_a, n=16))
     assert main(["solve", "--config", path]) == EXIT_OK
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    echoed = parse_config(manifest["config"])
-    out_b = str(tmp_path / "b")
-    assert run(echoed, output_dir=out_b) == EXIT_OK
+    echoed = parse_config(manifest["config"], output=str(tmp_path / "b"))
+    assert run(echoed) == EXIT_OK
     assert (tmp_path / "a" / "solution.csv").read_bytes() == (
         tmp_path / "b" / "solution.csv"
     ).read_bytes()
@@ -372,6 +371,8 @@ def test_dimension_caveat_warnings(tmp_path):
         assert main(["solve", "--config", path]) == EXIT_OK
         manifest = json.loads((tmp_path / domain / "manifest.json").read_text())
         assert bool(manifest["warnings"]) == expect_warning
+        for warning in manifest["warnings"]:
+            assert "trace exponent" in warning and "embedding" not in warning
 
 
 def test_stability_table_has_summary_line(tmp_path):

@@ -131,12 +131,13 @@ def test_per_facet_shape_validation():
 
 
 def test_source_eval():
-    pts = np.array([[0.25, 0.5], [0.75, 0.5]])
-    assert np.allclose(eval_source(SourceField.constant(2.0), pts), [2.0, 2.0])
+    # two triangles; the cell rule's points are the edge midpoints
+    m = build_unit_square_mesh(1)
+    assert np.all(eval_source(SourceField.constant(2.0), m) == np.full((2, 3), 2.0))
     f = SourceField.from_function(lambda p: p[0] + p[1])
-    assert np.allclose(eval_source(f, pts), [0.75, 1.25])
+    assert eval_source(f, m).tolist() == [[0.5, 1.5, 1.0], [1.0, 1.5, 0.5]]
     with pytest.raises(InvalidArgumentError):
-        eval_source(SourceField.from_function(lambda p: float("nan")), pts)
+        eval_source(SourceField.from_function(lambda p: float("nan")), m)
     with pytest.raises(InvalidArgumentError):
         SourceField.constant(float("inf"))
 
@@ -166,7 +167,7 @@ def test_expression_evaluates_arrays_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgumentError):
-            eval_source(SourceField.from_function(fn), np.array([[0.5, 0.25]]))
+            eval_source(SourceField.from_function(fn), build_unit_square_mesh(1))
     assert np.allclose(
         compile_expression("x + 2*y")(np.array([[0.5, 1.0], [0.25, 0.0]])), [1.0, 1.0]
     )

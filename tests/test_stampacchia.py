@@ -13,7 +13,7 @@ from robin_lab.stampacchia import (
 
 
 def _params(**kw):
-    base = dict(c=1.0, alpha=4.0, delta=3.0, k0=0.0, phi0=1.0, variant="classical")
+    base = dict(c=1.0, alpha=4.0, delta=3.0, phi0=1.0, variant="classical")
     base.update(kw)
     return StampacchiaParams(**base)
 
@@ -76,6 +76,8 @@ def test_samples_validation():
         PhiSamples(np.array([0.0, 1.0]), np.array([1.0, -0.1]))  # negative
     with pytest.raises(InvalidArgumentError):
         PhiSamples(np.array([0.0, 1.0]), np.array([0.5, 1.0]))  # increasing phi
+    with pytest.raises(InvalidArgumentError, match="levels"):
+        PhiSamples(np.array([-0.5, 1.0]), np.array([1.0, 0.5]))  # negative level
     PhiSamples(np.array([0.0, 1.0]), np.array([1.0, 1.0 + 1e-13]))  # inside slack
 
 
@@ -168,10 +170,10 @@ def test_verify_insufficient_range():
 
 def test_theorem_constants_examples():
     p3 = theorem_constants(3, 2.0)
-    assert (p3.alpha, p3.delta, p3.k0) == (4.0, 3.0, 0.0)
+    assert (p3.alpha, p3.delta) == (4.0, 3.0)
     assert p3.c == 2.0
     p4 = theorem_constants(4, 1.0)
-    assert (p4.alpha, p4.delta, p4.k0) == (3.0, 2.0, 0.0)
+    assert (p4.alpha, p4.delta) == (3.0, 2.0)
     with pytest.raises(UnsupportedDimensionError):
         theorem_constants(2, 1.0)
     with pytest.raises(InvalidArgumentError):
