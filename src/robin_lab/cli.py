@@ -14,8 +14,9 @@ and per-experiment extras.  Field specs:
 
 Every run writes manifest.json (config echo, version, mesh statistics,
 timings, warnings), one CSV per result table, and one SVG per plot.  CSV
-and SVG bytes are deterministic for identical configs; floats carry 17
-significant digits so files round-trip exactly.
+and SVG bytes are deterministic for identical configs.  One rule writes
+every CSV cell: a string as it is and a number with "%.17g", so floats
+round-trip exactly and integers print their own digits.
 
 Exit codes: 0 success, 2 invalid config (an unknown key included) or
 command line, 3 solve failure, 4 unwritable output path.  Every failure
@@ -298,25 +299,15 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
 
 
 def emit_csv(header, rows, path) -> None:
-    """Write a CSV table: '.' decimals, '\\n' endings, 17 significant digits.
+    """Write a CSV table: '.' decimals, '\\n' endings, one rule per cell.
 
-    ``rows`` may be any iterable; each row is written as it is produced.
+    A string is written as it is and any number with "%.17g".  ``rows``
+    may be any iterable; each row is written as it is produced.
     """
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, str):
-                    cells.append(cell)
-                elif cell is None:
-                    cells.append("")
-                elif isinstance(cell, bool):
-                    cells.append("true" if cell else "false")
-                elif isinstance(cell, int):
-                    cells.append(str(cell))
-                else:
-                    cells.append(f"{cell:.17g}")
+            cells = [c if isinstance(c, str) else "%.17g" % c for c in row]
             handle.write(",".join(cells) + "\n")
 
 
@@ -326,11 +317,12 @@ _SVG_MARGIN = 60.0
 
 def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") -> None:
     """Single-polyline plot with axes, ticks, and labels; byte-deterministic."""
-    if len(xs) == 0 or len(xs) != len(ys):
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.size == 0 or xs.shape != ys.shape:
         raise RobinLabError("svg series must be nonempty and equally long")
-    x_min, x_max = float(min(xs)), float(max(xs))
-    y_min = min(0.0, float(min(ys)))
-    y_max = float(max(ys)) * 1.05 if max(ys) > 0 else float(max(ys))
+    x_min, x_max = float(xs.min()), float(xs.max())
+    y_min = min(0.0, float(ys.min()))
+    y_max = float(ys.max()) * 1.05 if ys.max() > 0 else float(ys.max())
     if x_max <= x_min:
         x_max = x_min + 1.0
     if y_max <= y_min:
@@ -384,7 +376,7 @@ def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") 
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {_SVG_H / 2:.2f})">{ylabel}</text>'
     )
-    points = " ".join(f"{px(float(x)):.3f},{py(float(y)):.3f}" for x, y in zip(xs, ys))
+    points = " ".join(map("%.3f,%.3f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
     parts.append(
         f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" points="{points}"/>'
     )
@@ -421,17 +413,6 @@ def run(config: RunConfig) -> int:
         return EXIT_SOLVE
     timings["experiment_seconds"] = time.perf_counter() - started
 
-    started = time.perf_counter()
-    try:
-        for name, (header, rows) in tables.items():
-            emit_csv(header, rows, os.path.join(out, f"{name}.csv"))
-        for name, (xs, ys, xlabel, ylabel, title) in plots.items():
-            emit_svg(xs, ys, os.path.join(out, f"{name}.svg"), xlabel, ylabel, title)
-    except OSError as exc:
-        _emit_error("output", f"cannot write results: {exc}")
-        return EXIT_OUTPUT
-    timings["emit_seconds"] = time.perf_counter() - started
-
     manifest = {
         "version": __version__,
         "experiment": config.experiment,
@@ -447,12 +428,18 @@ def run(config: RunConfig) -> int:
         "warnings": warnings,
         "summary": summary,
     }
+    started = time.perf_counter()
     try:
+        for name, (header, rows) in tables.items():
+            emit_csv(header, rows, os.path.join(out, f"{name}.csv"))
+        for name, (xs, ys, xlabel, ylabel, title) in plots.items():
+            emit_svg(xs, ys, os.path.join(out, f"{name}.svg"), xlabel, ylabel, title)
+        timings["emit_seconds"] = time.perf_counter() - started  # the manifest holds timings
         with open(os.path.join(out, "manifest.json"), "w", encoding="ascii") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
     except OSError as exc:
-        _emit_error("output", f"cannot write manifest: {exc}")
+        _emit_error("output", f"cannot write results: {exc}")
         return EXIT_OUTPUT
     return EXIT_OK
 
@@ -465,20 +452,13 @@ def _run_experiment(config: RunConfig):
 
     if config.experiment == "solve":
         (u,) = solve_robin(mesh, lam, f, betas[:1], lumped, tol)
-        coord_names = ["x", "y", "z"][: mesh.dim]
-        header = ["vertex_index"] + coord_names + ["value"]
-        rows = (
-            [i] + [float(c) for c in mesh.vertices[i]] + [float(v)]
-            for i, v in enumerate(u.nodal_values)
-        )
-        tables["solution"] = (header, rows)
-        if mesh.dim == 1:
-            xs = [float(c[0]) for c in mesh.vertices]
-        else:
-            xs = list(range(mesh.num_vertices))
+        index = range(mesh.num_vertices)
+        coords, values = mesh.vertices.T.tolist(), u.nodal_values.tolist()
+        header = ["vertex_index", *"xyz"[: mesh.dim], "value"]
+        tables["solution"] = (header, zip(index, *coords, values))
         plots["solution"] = (
-            xs,
-            [float(v) for v in u.nodal_values],
+            coords[0] if mesh.dim == 1 else index,
+            values,
             "x" if mesh.dim == 1 else "vertex index",
             "value",
             "nodal solution",
@@ -490,14 +470,15 @@ def _run_experiment(config: RunConfig):
         c_hat = estimate_constant(records)
         header = ["n", "m", "diff_sup", "un_bd_sup", "beta_diff", "ratio"]
         rows = [
-            [r.n, r.m, r.diff_sup_closure, r.un_sup_boundary, r.beta_diff_sup, r.ratio]
+            [r.n, r.m, r.diff_sup_closure, r.un_sup_boundary, r.beta_diff_sup,
+             "" if r.ratio is None else r.ratio]  # an uninformative pair has no ratio
             for r in records
         ]
         rows.append(["C_hat", c_hat, "", "", "", ""])
         tables["stability"] = (header, rows)
         ratios = [r.ratio for r in records if r.ratio is not None]
         plots["stability"] = (
-            list(range(len(ratios))),
+            range(len(ratios)),
             ratios,
             "pair index",
             "ratio",
@@ -508,33 +489,31 @@ def _run_experiment(config: RunConfig):
 
     elif config.experiment == "convergence":
         records = convergence_study(mesh, lam, f, betas, config.beta_limit, lumped, tol)
-        header = ["n", "sup_err"]
-        rows = [[r.n, r.sup_err_closure] for r in records]
-        tables["convergence"] = (header, rows)
+        ns, errs = [r.n for r in records], [r.sup_err_closure for r in records]
+        tables["convergence"] = (["n", "sup_err"], zip(ns, errs))
         plots["convergence"] = (
-            [r.n for r in records],
-            [r.sup_err_closure for r in records],
+            ns,
+            errs,
             "sequence index",
             "sup error",
             "convergence to the limit problem",
         )
-        summary["final_sup_err"] = records[-1].sup_err_closure
+        summary["final_sup_err"] = errs[-1]
 
     elif config.experiment == "stampacchia":
         pair = solve_robin(mesh, lam, f, betas[:2], lumped, tol)
         report = level_set_pipeline(pair[0] - pair[1], mesh.dim, c2=config.c2)
-        ks, phis = report.samples.ks, report.samples.values
-        tables["stampacchia"] = (
-            ["k", "phi"],
-            [[float(k), float(v)] for k, v in zip(ks, phis)],
-        )
+        ks, phis = report.samples.ks.tolist(), report.samples.values.tolist()
+        tables["stampacchia"] = (["k", "phi"], zip(ks, phis))
+        vanish = "" if report.vanish_point is None else report.vanish_point
         tables["stampacchia_report"] = (
             ["hypothesis_ok", "predicted_gap", "vanish_point", "conclusion_ok"],
-            [[report.hypothesis_ok, report.predicted_gap, report.vanish_point, report.conclusion_ok]],
+            [[str(report.hypothesis_ok).lower(), report.predicted_gap, vanish,
+              str(report.conclusion_ok).lower()]],
         )
         plots["stampacchia"] = (
-            [float(k) for k in ks],
-            [float(v) for v in phis],
+            ks,
+            phis,
             "level k",
             "boundary measure of {|u| > k}",
             "level-set decay",

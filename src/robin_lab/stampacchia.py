@@ -67,6 +67,10 @@ class PhiSamples:
             raise InvalidArgumentError("ks and values must be 1-d and equally long")
         if ks.size == 0:
             raise InvalidArgumentError("samples must be nonempty")
+        for name, array in (("levels", ks), ("phi values", values)):
+            bad = array[~np.isfinite(array)]
+            if bad.size:
+                raise InvalidArgumentError(f"{name} must be finite, got {bad[0]}")
         if ks[0] < 0.0:
             raise InvalidArgumentError(f"levels must be >= 0, got {ks[0]}")
         if np.any(np.diff(ks) <= 0.0):

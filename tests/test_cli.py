@@ -5,6 +5,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -538,6 +539,24 @@ def test_emit_csv_float_round_trip(tmp_path):
     emit_csv(["v"], [[value]], str(path))
     text = path.read_text().splitlines()[1]
     assert float(text) == value
+
+
+def test_emit_csv_one_cell_rule(tmp_path):
+    # a string passes through, a number of either type goes through "%.17g"
+    path = tmp_path / "t.csv"
+    emit_csv(["s", "empty", "int", "float"], [["C_hat", "", 66048, 0.1 + 0.2]], str(path))
+    cells = path.read_text().splitlines()[1].split(",")
+    assert cells[:3] == ["C_hat", "", "66048"]
+    assert float(cells[3]) == 0.1 + 0.2
+
+
+def test_emit_svg_same_bytes_for_array_and_list(tmp_path):
+    xs = np.linspace(0.0, 1.0, 7)
+    ys = np.sin(3.0 * xs)
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    emit_svg(xs, ys, str(a), "x", "y", "series")
+    emit_svg(xs.tolist(), ys.tolist(), str(b), "x", "y", "series")
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_emit_svg_deterministic_and_covering(tmp_path):

@@ -33,6 +33,35 @@ CASES = {
             "solution.svg": "d966a31f96983df670f0a9b9e926ca395fb00466e2718493b1074277869842c2",
         },
     ),
+    # 2-D and 3-D solves plot against the vertex index and write 4 and 5 columns
+    "solve-square": (
+        {
+            "experiment": "solve",
+            "domain": "square",
+            "n": 4,
+            "lambda": 1.0,
+            "f": {"kind": "expr", "expr": "1 + x*y"},
+            "beta_sequence": [ONE],
+        },
+        {
+            "solution.csv": "979f9e0503d287f23b63b1c68e6f1e618417e46c352530089a2cc5ca1bae04bc",
+            "solution.svg": "506f9f5dbf824e31c017de1e8de579f063a0a01887cf976f37fc0f0f0219bb91",
+        },
+    ),
+    "solve-cube": (
+        {
+            "experiment": "solve",
+            "domain": "cube",
+            "n": 2,
+            "lambda": 1.0,
+            "f": ONE,
+            "beta_sequence": [{"kind": "constant", "value": 2.0}],
+        },
+        {
+            "solution.csv": "c436d2dbba9398926b75ec224a7110ebaa825540d3aed7e24d12237de02087c6",
+            "solution.svg": "3c648e038f9427c462cca722943bdf0c50b080df515aa1b7a5a3c54ddcfce3cd",
+        },
+    ),
     # beta 0 and 1 coincide, so pairs (0, 1) and (1, 0) have an empty ratio cell
     "stability-square-repeated": (
         {

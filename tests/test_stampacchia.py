@@ -78,6 +78,10 @@ def test_samples_validation():
         PhiSamples(np.array([0.0, 1.0]), np.array([0.5, 1.0]))  # increasing phi
     with pytest.raises(InvalidArgumentError, match="levels"):
         PhiSamples(np.array([-0.5, 1.0]), np.array([1.0, 0.5]))  # negative level
+    with pytest.raises(InvalidArgumentError, match="levels must be finite"):
+        PhiSamples([0.0, np.nan], [1.0, 0.5])
+    with pytest.raises(InvalidArgumentError, match="phi values must be finite"):
+        PhiSamples([0.0, 1.0], [np.nan, 0.5])
     PhiSamples(np.array([0.0, 1.0]), np.array([1.0, 1.0 + 1e-13]))  # inside slack
 
 
