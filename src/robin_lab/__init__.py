@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .analysis import (
-    DiscreteSolution,
     level_set_measure,
     lp_norm,
     sup_norm,
@@ -18,7 +17,6 @@ from .assembly import (
     assemble_system,
 )
 from .experiments import (
-    ConvergenceRecord,
     StabilityRecord,
     analytic_interval_solution,
     convergence_study,

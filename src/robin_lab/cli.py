@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -46,7 +45,7 @@ from .experiments import (
     stability_sweep,
     theorem0_terms,
 )
-from .fields import BoundaryField, SourceField, check_expression_dimension
+from .fields import BoundaryField, SourceField, check_expression_dimension, is_finite_number
 from .mesh import Mesh, build_mesh
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
@@ -113,7 +112,7 @@ def expand_beta_sequence(raw) -> list:
             raise ConfigError("beta_sequence", f"unknown generator kind {raw.get('kind')!r}")
         base = raw.get("base")
         count = raw.get("count")
-        if not _is_number(base):
+        if not is_finite_number(base):
             raise ConfigError("beta_sequence.base", "generator base must be a finite number")
         if not _is_integer(count) or not 1 <= count <= MAX_GENERATED:
             raise ConfigError(
@@ -138,8 +137,8 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     """Validate a raw JSON value into a runnable RunConfig, mesh included.
 
     ``experiment`` is the experiment named on the command line: it fills a
-    missing "experiment" key and must agree with a present one.  ``output``,
-    the command line's output directory, overrides a valid "output_dir".
+    missing "experiment" key and must agree with a present one.  A nonempty
+    ``output`` (the command line's directory) overrides a valid "output_dir".
     Every invalid input raises ConfigError naming the field; ``data`` is
     left unchanged.
     """
@@ -166,6 +165,8 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     output_dir = data.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir", f"must be a nonempty string, got {output_dir!r}")
+    if output == "":
+        raise ConfigError("arguments", "--output must name a directory, got ''")
 
     if experiment == "stampacchia" and domain != "cube":
         raise ConfigError(
@@ -212,7 +213,7 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
         f=f,
         betas=betas,
         experiment=experiment,
-        output_dir=output or output_dir,
+        output_dir=output_dir if output is None else output,
         p=numbers["p"],
         c2=numbers["c2"],
         lumped=lumped,
@@ -232,22 +233,12 @@ def _number(data: dict, key: str):
     """The value of a numeric key, checked against its _NUMERIC_KEYS row."""
     default, integer, bound, inclusive = _NUMERIC_KEYS[key]
     value = data.get(key, default)
-    valid = _is_integer(value) if integer else _is_number(value)
+    valid = _is_integer(value) if integer else is_finite_number(value)
     if not (valid and (value >= bound if inclusive else value > bound)):
         kind = "an integer" if integer else "a finite number"
         relation = ">=" if inclusive else ">"
         raise ConfigError(key, f"must be {kind} {relation} {bound}, got {value!r}")
     return value if integer else float(value)
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _is_integer(value) -> bool:
@@ -268,7 +259,7 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
     try:
         if kind == "constant":
             value = spec.get("value")
-            if not _is_number(value) or (cls is BoundaryField and value < 0.0):
+            if not is_finite_number(value) or (cls is BoundaryField and value < 0.0):
                 raise ConfigError(
                     where,
                     f"constant field needs a finite 'value' (>= 0 on the boundary), "
@@ -283,7 +274,7 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
                     f"per_facet field needs a 'values' list with one value for "
                     f"each of the mesh's {mesh.num_facets} boundary facets",
                 )
-            if not all(_is_number(v) and v >= 0.0 for v in values):
+            if not all(is_finite_number(v) and v >= 0.0 for v in values):
                 raise ConfigError(where, "per_facet values must be finite numbers >= 0")
             return cls.per_facet(values)
         if kind == "expr":
@@ -453,7 +444,7 @@ def _run_experiment(config: RunConfig):
     if config.experiment == "solve":
         (u,) = solve_robin(mesh, lam, f, betas[:1], lumped, tol)
         index = range(mesh.num_vertices)
-        coords, values = mesh.vertices.T.tolist(), u.nodal_values.tolist()
+        coords, values = mesh.vertices.T.tolist(), u.tolist()
         header = ["vertex_index", *"xyz"[: mesh.dim], "value"]
         tables["solution"] = (header, zip(index, *coords, values))
         plots["solution"] = (
@@ -463,7 +454,7 @@ def _run_experiment(config: RunConfig):
             "value",
             "nodal solution",
         )
-        summary["sup_norm"] = sup_norm(u, "closure")
+        summary["sup_norm"] = sup_norm(u)
 
     elif config.experiment == "stability":
         records = stability_sweep(mesh, lam, f, betas, lumped, tol)
@@ -488,8 +479,8 @@ def _run_experiment(config: RunConfig):
         summary["records"] = len(records)
 
     elif config.experiment == "convergence":
-        records = convergence_study(mesh, lam, f, betas, config.beta_limit, lumped, tol)
-        ns, errs = [r.n for r in records], [r.sup_err_closure for r in records]
+        errs = convergence_study(mesh, lam, f, betas, config.beta_limit, lumped, tol)
+        ns = range(len(errs))
         tables["convergence"] = (["n", "sup_err"], zip(ns, errs))
         plots["convergence"] = (
             ns,
@@ -501,8 +492,8 @@ def _run_experiment(config: RunConfig):
         summary["final_sup_err"] = errs[-1]
 
     elif config.experiment == "stampacchia":
-        pair = solve_robin(mesh, lam, f, betas[:2], lumped, tol)
-        report = level_set_pipeline(pair[0] - pair[1], mesh.dim, c2=config.c2)
+        u_a, u_b = solve_robin(mesh, lam, f, betas[:2], lumped, tol)
+        report = level_set_pipeline(u_a - u_b, mesh, c2=config.c2)
         ks, phis = report.samples.ks.tolist(), report.samples.values.tolist()
         tables["stampacchia"] = (["k", "phi"], zip(ks, phis))
         vanish = "" if report.vanish_point is None else report.vanish_point
@@ -523,7 +514,7 @@ def _run_experiment(config: RunConfig):
 
     else:  # theorem0
         (u,) = solve_robin(mesh, lam, f, betas[:1], lumped, tol)
-        sup_u, f_norm = theorem0_terms(u, f, config.p)
+        sup_u, f_norm = theorem0_terms(u, mesh, f, config.p)
         ratio = sup_u / f_norm
         tables["theorem0"] = (
             ["p", "sup_u", "f_norm", "ratio"],

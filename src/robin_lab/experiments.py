@@ -1,14 +1,14 @@
 """End-to-end experiments on the Robin solver.
 
 `solve_robin` solves a family of problems that share the mesh, lambda and
-f and differ only in the boundary coefficient; every experiment solves
-through it.  `stability_sweep` solves one problem per coefficient and
-tabulates, for every ordered pair (n, m), the sup-norm solution gap
-against the product of the boundary sup of u_n and the sup difference of
-the coefficients; `estimate_constant` extracts the smallest constant
-consistent with all informative pairs.  `convergence_study` compares a
-coefficient sequence against its limit problem on the same mesh, which
-isolates coefficient dependence from discretization error.
+f and differ only in the boundary coefficient, into one (len(betas),
+num_vertices) array of nodal rows; every experiment reduces its rows.
+`stability_sweep` tabulates, for every ordered pair (n, m), the sup-norm
+solution gap against the product of the boundary sup of u_n and the sup
+difference of the coefficients; `estimate_constant` extracts the smallest
+constant consistent with all informative pairs.  `convergence_study`
+compares a coefficient sequence against its limit problem on the same
+mesh, which isolates coefficient dependence from discretization error.
 `level_set_pipeline` turns a solution difference into a sampled boundary
 level-set curve and runs the decay check on it; the resulting sup-norm
 bound is read as the predicted gap itself (thresholds arbitrarily close to
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DiscreteSolution, level_set_measure, lp_norm, sup_norm, trace_exponent
+from .analysis import check_nodal, level_set_measure, lp_norm, sup_norm, trace_exponent
 from .assembly import assemble_load, assemble_operator, assemble_system
 from .errors import (
     InvalidArgumentError,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fields import BoundaryField, SourceField, boundary_sup, boundary_sup_diff
 from .linalg import cg_solve
-from .mesh import Mesh
+from .mesh import Mesh, boundary_vertex_indices
 from .stampacchia import (
     DecayReport,
     PhiSamples,
@@ -61,12 +61,6 @@ class StabilityRecord:
     un_sup_boundary: float
     beta_diff_sup: float
     ratio: float  # or None when the denominator is degenerate
-
-
-@dataclass
-class ConvergenceRecord:
-    n: int
-    sup_err_closure: float
 
 
 def analytic_interval_solution(lam: float, beta: float, f_const: float):
@@ -93,8 +87,8 @@ def solve_robin(
     betas,
     lumped: bool = False,
     tol: float = 1e-10,
-) -> list[DiscreteSolution]:
-    """Galerkin solutions of (K + lam M + B(beta)) U = F, one per beta.
+) -> np.ndarray:
+    """Galerkin solutions of (K + lam M + B(beta)) U = F, row i for betas[i].
 
     K + lam M and the load are built once; each member adds only its B.
     A member that fails raises its own exception, with a note naming its
@@ -102,7 +96,7 @@ def solve_robin(
     """
     operator = assemble_operator(mesh, lam, lumped)
     load = assemble_load(mesh, f)
-    solutions = []
+    solutions = np.empty((len(betas), mesh.num_vertices))
     for i, beta in enumerate(betas):
         try:
             matrix = assemble_system(operator, mesh, beta)
@@ -113,7 +107,7 @@ def solve_robin(
                     f"{report.final_relative_residual:.3e} after "
                     f"{report.iterations} iterations (tol {tol:g})"
                 )
-            solutions.append(DiscreteSolution(mesh, x))
+            solutions[i] = x
         except Exception as exc:
             exc.add_note(f"solve failed for coefficient index {i}")
             raise
@@ -133,14 +127,15 @@ def stability_sweep(
         raise InvalidArgumentError("stability sweep needs at least two coefficients")
     solutions = solve_robin(mesh, lam, f, betas, lumped, tol)
     sups = [boundary_sup(beta, mesh) for beta in betas]
+    boundary = boundary_vertex_indices(mesh)
 
     records = []
     for n in range(len(betas)):
-        un_bd = sup_norm(solutions[n], "boundary")
+        un_bd = sup_norm(solutions[n, boundary])
         for m in range(len(betas)):
             if m == n:
                 continue
-            diff = sup_norm(solutions[n] - solutions[m], "closure")
+            diff = sup_norm(solutions[n] - solutions[m])
             beta_diff = boundary_sup_diff(betas[n], betas[m], mesh)
             informative = beta_diff > _RATIO_FLOOR * (1.0 + sups[n]) and un_bd > 0.0
             ratio = diff / (un_bd * beta_diff) if informative else None
@@ -176,32 +171,29 @@ def convergence_study(
     lumped: bool = False,
     tol: float = 1e-10,
 ):
-    """Sup-norm gaps between each sequence solution and the limit solution."""
-    solutions = solve_robin(mesh, lam, f, list(betas) + [beta_limit], lumped, tol)
-    limit = solutions.pop()
-    return [
-        ConvergenceRecord(n=n, sup_err_closure=sup_norm(u - limit, "closure"))
-        for n, u in enumerate(solutions)
-    ]
+    """Sup-norm gaps to the limit solution, in sequence order."""
+    *solutions, limit = solve_robin(mesh, lam, f, [*betas, beta_limit], lumped, tol)
+    return [sup_norm(u - limit) for u in solutions]
 
 
-def theorem0_terms(u: DiscreteSolution, f: SourceField, p: float) -> tuple:
+def theorem0_terms(u, mesh: Mesh, f: SourceField, p: float) -> tuple:
     """(sup of the solution, p-norm of the source): the monitor's two sides."""
-    f_norm = lp_norm(f, p, u.mesh)
+    f_norm = lp_norm(f, p, mesh)
     if f_norm == 0.0:
         raise InvalidArgumentError("the source has zero p-norm")
-    return sup_norm(u, "closure"), f_norm
+    return sup_norm(u), f_norm
 
 
-def level_set_pipeline(u_diff: DiscreteSolution, d: int, c2: float = 0.0) -> DecayReport:
+def level_set_pipeline(u_diff, mesh: Mesh, c2: float = 0.0) -> DecayReport:
     """Sample the boundary level-set curve of u_diff and run the decay check.
 
     The multiplicative constant fed into the check is the larger of the
     supplied composite c2 and the grid-fitted minimal constant, so the
     hypothesis holds on the samples whenever the data admits it.
     """
-    s = trace_exponent(d)
-    sup_bd = sup_norm(u_diff, "boundary")
+    s = trace_exponent(mesh.dim)
+    u_diff = check_nodal(u_diff, mesh)
+    sup_bd = sup_norm(u_diff[boundary_vertex_indices(mesh)])
     if sup_bd == 0.0:
         return DecayReport(
             hypothesis_ok=True,
@@ -211,8 +203,8 @@ def level_set_pipeline(u_diff: DiscreteSolution, d: int, c2: float = 0.0) -> Dec
             samples=PhiSamples([0.0], [0.0]),
         )
     ks = np.linspace(0.0, 1.5 * sup_bd, 64)
-    values = np.array([level_set_measure(u_diff, k) for k in ks])
+    values = np.array([level_set_measure(u_diff, mesh, k) for k in ks])
     samples = PhiSamples(ks, values)
     fitted = fit_minimal_c(samples, s, s - 1.0)
-    params = theorem_constants(d, max(c2, fitted), phi0=float(values[0]))
+    params = theorem_constants(mesh.dim, max(c2, fitted), phi0=float(values[0]))
     return verify_decay(samples, params)

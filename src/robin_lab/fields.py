@@ -26,6 +26,7 @@ sampled up to the corners.
 from __future__ import annotations
 
 import ast
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,22 +196,23 @@ def compile_expression(expr: str):
             continue
         if isinstance(node, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UAdd, ast.USub)):
             continue
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and is_finite_number(node.value):
             continue
         if isinstance(node, ast.Name) and node.id in _COORD_NAMES:
             continue
         raise InvalidArgumentError(
             f"field expression {expr!r} uses unsupported syntax "
-            f"({type(node).__name__}); allowed: x, y, z, + - * /, constants"
+            f"({type(node).__name__}); allowed: x, y, z, + - * /, finite numbers"
         )
     code = compile(tree, "<field-expression>", "eval")
 
     # numpy coordinates divide by zero to inf or nan; only arithmetic on
     # constants alone raises, whatever the point, so one probe finds it
+    # (float() catches an integer product beyond the float range)
     probe = dict.fromkeys(_COORD_NAMES, np.float64(0.0))
     try:
         with np.errstate(all="ignore"):
-            eval(code, {"__builtins__": {}}, probe)
+            float(eval(code, {"__builtins__": {}}, probe))
     except ArithmeticError as exc:
         raise InvalidArgumentError(
             f"field expression {expr!r} cannot be evaluated: {exc}"
@@ -227,6 +229,13 @@ def compile_expression(expr: str):
             ) from exc
 
     return evaluate
+
+
+def is_finite_number(value) -> bool:
+    """An int or float within the float range; booleans are not numbers here."""
+    # int-float comparison is exact, and NaN compares false
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return ok and abs(value) <= sys.float_info.max
 
 
 def check_expression_dimension(expr: str, dim: int) -> None:

@@ -1,7 +1,7 @@
 """Conjugate gradient solver for the assembled SPD systems.
 
-The iteration is Jacobi (diagonal) preconditioned; the default iteration
-budget is 10x the dimension.
+The iteration is Jacobi (diagonal) preconditioned; the iteration budget is
+10x the dimension.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class SolveReport:
     converged: bool
 
 
-def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int = None):
+def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10):
     """Solve A x = b to a relative residual of tol.
 
     Returns ``(x, SolveReport)``.  Non-convergence is reported, not raised;
@@ -34,8 +34,6 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int =
         )
     if not tol > 0.0:  # NaN included
         raise InvalidArgumentError(f"tol must be > 0, got {tol}")
-    if max_iter is None:
-        max_iter = 10 * A.shape[0]
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -53,7 +51,7 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, max_iter: int =
     restarts_left = 5
 
     iterations = 0
-    while iterations < max_iter:
+    while iterations < 10 * A.shape[0]:
         iterations += 1
         Ap = A @ p
         pAp = float(p @ Ap)

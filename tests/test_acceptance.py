@@ -62,7 +62,7 @@ def test_criterion_1_interval_oracle_accuracy():
         mesh = rl.build_interval_mesh(n)
         (u,) = rl.solve_robin(mesh, 1.0, ONE, [rl.BoundaryField.constant(1.0)])
         exact = np.array([oracle(float(x[0])) for x in mesh.vertices])
-        errors[n] = float(np.max(np.abs(u.nodal_values - exact)))
+        errors[n] = float(np.max(np.abs(u - exact)))
     elapsed = time.perf_counter() - started
     factor = errors[128] / errors[256]
     ok = errors[128] <= 5e-4 and factor >= 3.0 and elapsed < 1.0
@@ -81,7 +81,7 @@ def test_criterion_2_constant_solution_exactness():
         (u,) = rl.solve_robin(
             mesh, 4.0, rl.SourceField.constant(2.0), [rl.BoundaryField.constant(0.0)], tol=1e-12
         )
-        worst = max(worst, float(np.max(np.abs(u.nodal_values - 0.5))))
+        worst = max(worst, float(np.max(np.abs(u - 0.5))))
     _line(2, worst < 1e-9, f"max |u - 1/2| = {worst:.3e} (< 1e-9) on all domains")
 
 
@@ -142,8 +142,7 @@ def test_criterion_4_stability_sweep_mesh_stable(sweep8, sweep12):
 def test_criterion_5_corollary_convergence(cube8, sweep8):
     betas = [rl.BoundaryField.constant(1.0 + 1.0 / (k + 1)) for k in range(33)]
     limit = rl.BoundaryField.constant(1.0)
-    records = rl.convergence_study(cube8, 1.0, ONE, betas, limit, tol=1e-11)
-    errs = np.array([r.sup_err_closure for r in records])
+    errs = np.array(rl.convergence_study(cube8, 1.0, ONE, betas, limit, tol=1e-11))
     monotone = bool(np.all(np.diff(errs) <= 1e-12))
     shrink = errs[32] / errs[1]
 
@@ -151,15 +150,15 @@ def test_criterion_5_corollary_convergence(cube8, sweep8):
     # sequence-vs-limit pairs together (the sweep family alone stops at
     # beta = 1.1 and underestimates the near-limit ratios; see notes)
     solutions = rl.solve_robin(cube8, 1.0, ONE, betas, tol=1e-11)
+    boundary = rl.boundary_vertex_indices(cube8)
     pair_records = []
-    for k, rec in enumerate(records):
-        u = solutions[k]
+    for k, err in enumerate(errs):
         pair_records.append(
             rl.StabilityRecord(
                 n=k,
                 m=-1,
-                diff_sup_closure=rec.sup_err_closure,
-                un_sup_boundary=rl.sup_norm(u, "boundary"),
+                diff_sup_closure=err,
+                un_sup_boundary=rl.sup_norm(solutions[k, boundary]),
                 beta_diff_sup=rl.boundary_sup_diff(betas[k], limit, cube8),
                 ratio=None,
             )
@@ -194,14 +193,14 @@ def test_criterion_6_sup_over_source_norm_monitor(cube8, cube12):
     ratios = {}
     for mesh in (cube8, cube12):
         (u,) = rl.solve_robin(mesh, 1.0, f, [rl.BoundaryField.constant(1.0)], tol=1e-12)
-        sup_u, f_norm = rl.theorem0_terms(u, f, 4.0)
+        sup_u, f_norm = rl.theorem0_terms(u, mesh, f, 4.0)
         ratios[mesh] = sup_u / f_norm
     r8, r12 = ratios[cube8], ratios[cube12]
     rel_gap = abs(r8 - r12) / max(r8, r12)
 
     f2 = rl.SourceField.from_function(lambda p: 2.0 * (1.0 + p[0]))
     (u2,) = rl.solve_robin(cube8, 1.0, f2, [rl.BoundaryField.constant(1.0)], tol=1e-12)
-    sup_u2, f2_norm = rl.theorem0_terms(u2, f2, 4.0)
+    sup_u2, f2_norm = rl.theorem0_terms(u2, cube8, f2, 4.0)
     r_scaled = sup_u2 / f2_norm
     scale_drift = abs(r_scaled - r8) / r8
     ok = rel_gap <= 0.10 and scale_drift <= 1e-10
@@ -261,12 +260,12 @@ def test_criterion_8_level_set_diagnostics(cube8):
     beta_b = rl.BoundaryField.constant(1.5)
     u_a, u_b = rl.solve_robin(cube8, 1.0, ONE, [beta_a, beta_b], tol=1e-11)
     u_diff = u_a - u_b
-    top = rl.sup_norm(u_diff, "boundary")
+    top = rl.sup_norm(u_diff[rl.boundary_vertex_indices(cube8)])
     ks = np.linspace(0.0, 1.5 * top, 50)
-    phis = np.array([rl.level_set_measure(u_diff, float(k)) for k in ks])
+    phis = np.array([rl.level_set_measure(u_diff, cube8, float(k)) for k in ks])
     monotone = bool(np.all(np.diff(phis) <= 0.0))
     vanishes = bool(np.all(phis[ks >= top] == 0.0))
-    report = rl.level_set_pipeline(u_diff, 3)
+    report = rl.level_set_pipeline(u_diff, cube8)
     ok = monotone and vanishes and report.hypothesis_ok
     _line(
         8,

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from robin_lab.analysis import (
-    DiscreteSolution,
     level_set_measure,
     lp_norm,
     sup_norm,
     trace_exponent,
 )
 from robin_lab.errors import InvalidArgumentError, UnsupportedDimensionError
+from robin_lab.experiments import level_set_pipeline
 from robin_lab.fields import SourceField
 from robin_lab.mesh import (
+    boundary_vertex_indices,
     build_interval_mesh,
     build_unit_cube_mesh,
     build_unit_square_mesh,
@@ -33,17 +34,15 @@ def test_exponents_reject_low_dimension(d):
 
 def test_sup_norm_regions():
     m = build_interval_mesh(2)
-    u = DiscreteSolution(m, np.array([-1.0, 0.3, 0.7]))
-    assert sup_norm(u, "closure") == 1.0
-    assert sup_norm(u, "boundary") == 1.0
+    boundary = boundary_vertex_indices(m)
+    u = np.array([-1.0, 0.3, 0.7])
+    assert sup_norm(u) == 1.0
+    assert sup_norm(u[boundary]) == 1.0
+    assert sup_norm(u[1:2]) == 0.3  # the interior vertex alone
 
-    const = DiscreteSolution(m, np.full(3, 0.5))
-    for region in ("closure", "boundary"):
-        assert sup_norm(const, region) == 0.5
-    zero = DiscreteSolution(m, np.zeros(3))
-    assert sup_norm(zero, "closure") == 0.0
-    with pytest.raises(InvalidArgumentError):
-        sup_norm(u, "everywhere")
+    const = np.full(3, 0.5)
+    assert sup_norm(const) == sup_norm(const[boundary]) == 0.5
+    assert sup_norm(np.zeros(3)) == 0.0
 
 
 def test_lp_norm_of_unit_source_on_cube():
@@ -65,41 +64,40 @@ def test_lp_norm_zero_and_guards():
     m = build_interval_mesh(4)
     zero = SourceField.constant(0.0)
     assert lp_norm(zero, 2.0, m) == 0.0
-    with pytest.raises(InvalidArgumentError):
-        lp_norm(zero, 0.5, m)
+    for p in (0.5, float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            lp_norm(zero, p, m)
+    # |f|^p overflows (f = 2) or underflows to zero (f = 0.5) at p = 1100
+    for value in (2.0, 0.5):
+        with pytest.raises(InvalidArgumentError, match="p = 1100"):
+            lp_norm(SourceField.constant(value), 1100.0, m)
 
 
 def test_level_set_constant_cases():
     m = build_unit_square_mesh(2)
-    u = DiscreteSolution(m, np.full(m.num_vertices, 0.5))
-    assert level_set_measure(u, 0.4) == pytest.approx(4.0, abs=1e-12)
-    assert level_set_measure(u, 0.6) == 0.0
+    u = np.full(m.num_vertices, 0.5)
+    assert level_set_measure(u, m, 0.4) == pytest.approx(4.0, abs=1e-12)
+    assert level_set_measure(u, m, 0.6) == 0.0
 
 
 def test_level_set_monotone_and_vanishing():
     m = build_unit_cube_mesh(3)
     rng = np.random.default_rng(8)
-    u = DiscreteSolution(m, rng.standard_normal(m.num_vertices))
-    top = sup_norm(u, "boundary")
+    u = rng.standard_normal(m.num_vertices)
+    top = sup_norm(u[boundary_vertex_indices(m)])
     ks = np.linspace(0.0, 1.2 * top, 50)
-    phis = np.array([level_set_measure(u, float(k)) for k in ks])
+    phis = np.array([level_set_measure(u, m, float(k)) for k in ks])
     assert np.all(np.diff(phis) <= 0.0)
     assert np.all(phis[ks >= top] == 0.0)
-
-
-def test_solution_arithmetic_needs_shared_mesh():
-    ma, mb = build_interval_mesh(2), build_interval_mesh(2)
-    ua = DiscreteSolution(ma, np.ones(3))
-    ub = DiscreteSolution(mb, np.ones(3))
-    with pytest.raises(InvalidArgumentError):
-        _ = ua - ub
-    diff = ua - DiscreteSolution(ma, np.full(3, 0.25))
-    assert np.allclose(diff.nodal_values, 0.75)
 
 
 def test_solution_validation():
     m = build_interval_mesh(2)
     with pytest.raises(InvalidArgumentError):
-        DiscreteSolution(m, np.ones(4))
+        level_set_measure(np.ones(4), m, 0.5)
+    cube = build_unit_cube_mesh(1)
     with pytest.raises(InvalidArgumentError):
-        DiscreteSolution(m, np.array([1.0, np.nan, 0.0]))
+        level_set_pipeline(np.ones(cube.num_vertices - 1), cube)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            sup_norm(np.array([1.0, bad, 0.0]))

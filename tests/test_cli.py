@@ -98,7 +98,16 @@ def test_per_facet_length_mismatch_exits_2(tmp_path, capsys, count):
     assert "8 boundary facets" in error["message"]
 
 
-@pytest.mark.parametrize("expr", ["x +", "x + 1/0"])
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "x +",
+        "x + 1/0",
+        pytest.param("1e400", id="float-literal-beyond-range"),
+        pytest.param("1" + "0" * 400, id="int-literal-beyond-range"),
+        pytest.param("1" + "0" * 200 + "*1" + "0" * 200, id="int-product-beyond-range"),
+    ],
+)
 @pytest.mark.parametrize("where", ["f", "beta_sequence[1]", "beta_limit"])
 def test_bad_expression_exits_2_naming_the_field(tmp_path, capsys, expr, where):
     cfg = _square_stability_config(str(tmp_path / "o"), {"kind": "constant", "value": 2.0})
@@ -327,6 +336,18 @@ def test_solve_failure_exits_3(tmp_path):
     assert main(["solve", "--config", path]) == EXIT_SOLVE
 
 
+def test_empty_output_argument_exits_2(tmp_path, capsys):
+    cfg = _solve_config(str(tmp_path / "from-config"))
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["solve", "--config", path, "--output", ""]) == EXIT_CONFIG
+    assert _single_error_line(capsys)["field"] == "arguments"
+    assert not (tmp_path / "from-config").exists()
+    # a nonempty --output still overrides output_dir
+    assert main(["solve", "--config", path, "--output", str(tmp_path / "o")]) == EXIT_OK
+    assert (tmp_path / "o" / "solution.csv").exists()
+    assert not (tmp_path / "from-config").exists()
+
+
 def test_unwritable_output_exits_4(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("plain file")
@@ -482,6 +503,26 @@ def test_theorem0_run(tmp_path):
     assert lines[0] == "p,sup_u,f_norm,ratio"
     p, sup_u, f_norm, ratio = (float(v) for v in lines[1].split(","))
     assert ratio == pytest.approx(sup_u / f_norm, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [2.0, 0.5])
+def test_theorem0_source_norm_beyond_float_range_exits_3(tmp_path, capsys, value):
+    # |f|^1100 overflows for f = 2 and underflows to zero for f = 1/2
+    cfg = {
+        "domain": "cube",
+        "n": 2,
+        "lambda": 1.0,
+        "f": {"kind": "constant", "value": value},
+        "beta_sequence": [{"kind": "constant", "value": 1.0}],
+        "experiment": "theorem0",
+        "p": 1100,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["theorem0", "--config", path]) == EXIT_SOLVE
+    error = _single_error_line(capsys)
+    assert error["field"] == "solve"
+    assert "p = 1100" in error["message"]
 
 
 def test_theorem0_evaluates_the_source_once_per_use(tmp_path, monkeypatch):

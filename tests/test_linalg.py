@@ -63,14 +63,18 @@ def test_singular_system_reports_nonconvergence():
     K = assemble_stiffness(m)
     b = np.zeros(K.shape[0])
     b[0] = 1.0  # not orthogonal to the constant kernel
-    x, report = cg_solve(K, b, tol=1e-10, max_iter=200)
+    x, report = cg_solve(K, b, tol=1e-10)
     assert not report.converged
 
 
 def test_max_iter_budget_respected():
-    A, b = _interval_system(n=64)
-    _, report = cg_solve(A, b, tol=1e-14, max_iter=3)
-    assert report.iterations <= 3
+    # the singular system stops unconverged within the fixed budget of
+    # 10 x the dimension
+    K = assemble_stiffness(build_interval_mesh(16))
+    b = np.zeros(K.shape[0])
+    b[0] = 1.0
+    _, report = cg_solve(K, b, tol=1e-10)
+    assert 0 < report.iterations <= 10 * K.shape[0]
     assert not report.converged
 
 
