@@ -38,7 +38,7 @@ def _basis_gradients(mesh: Mesh) -> np.ndarray:
 
 
 def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
-    """Accumulate (ne, nloc, nloc) blocks on the (ne, nloc) vertex ids.
+    """Accumulate (ne, nloc, nloc) blocks, or (ne, nloc^2) rows, on the (ne, nloc) vertex ids.
 
     Duplicate (row, col) entries are summed by the COO -> CSR conversion.
     """
@@ -61,8 +61,8 @@ def assemble_mass(mesh: Mesh, lumped: bool = False) -> sp.csr_array:
     d = mesh.dim
     measures = mesh.cell_measures
     if lumped:
-        diag = np.zeros(mesh.num_vertices)
-        np.add.at(diag, mesh.cells, (measures / (d + 1))[:, None])
+        shares = np.repeat(measures / (d + 1), d + 1)
+        diag = np.bincount(mesh.cells.ravel(), shares, minlength=mesh.num_vertices)
         idx = np.arange(mesh.num_vertices)[:, None]
         return _scatter(mesh.num_vertices, idx, diag[:, None, None])
     pattern = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
@@ -74,10 +74,10 @@ def assemble_boundary_mass(mesh: Mesh, beta: BoundaryField) -> sp.csr_array:
     """Boundary matrix with entries sum_facets int_facet beta phi_i phi_j."""
     rule_points, weights = facet_rule(mesh.dim)
     beta_vals = eval_boundary(beta, mesh, rule_points)  # (nf, nq)
-    # basis values at the quad nodes are the barycentric coordinates
-    local = mesh.facet_measures[:, None, None] * np.einsum(
-        "q,fq,qi,qj->fij", weights, beta_vals, rule_points, rule_points
-    )
+    # basis values at the quad nodes are the barycentric coordinates, so
+    # row q of the table holds w_q phi_i phi_j over all (i, j)
+    table = weights[:, None, None] * rule_points[:, :, None] * rule_points[:, None, :]
+    local = mesh.facet_measures[:, None] * (beta_vals @ table.reshape(len(weights), -1))
     return _scatter(mesh.num_vertices, mesh.facet_vertices, local)
 
 
@@ -85,10 +85,8 @@ def assemble_load(mesh: Mesh, f: SourceField) -> np.ndarray:
     """Load vector F_i = sum_cells int_cell f phi_i (exact for constant f)."""
     rule_points, weights = cell_rule(mesh.dim)
     f_vals = eval_source(f, mesh)  # (nc, nq)
-    local = mesh.cell_measures[:, None] * np.einsum("q,cq,qi->ci", weights, f_vals, rule_points)
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.cells, local)
-    return out
+    local = mesh.cell_measures[:, None] * (f_vals @ (weights[:, None] * rule_points))
+    return np.bincount(mesh.cells.ravel(), local.ravel(), minlength=mesh.num_vertices)
 
 
 def assemble_operator(mesh: Mesh, lam: float, lumped: bool = False) -> sp.csr_array:

@@ -23,6 +23,7 @@ independent oracle:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .fields import BoundaryField, SourceField, boundary_sup, boundary_sup_diff
 from .linalg import cg_solve
-from .mesh import Mesh, boundary_vertex_indices
+from .mesh import Mesh, boundary_vertex_indices, prolongations
 from .stampacchia import (
     DecayReport,
     PhiSamples,
@@ -90,17 +91,18 @@ def solve_robin(
 ) -> np.ndarray:
     """Galerkin solutions of (K + lam M + B(beta)) U = F, row i for betas[i].
 
-    K + lam M and the load are built once; each member adds only its B.
-    A member that fails raises its own exception, with a note naming its
-    coefficient index.
+    K + lam M, the load and the multigrid transfers are built once; each
+    member adds only its B.  A member that fails raises its own exception,
+    with a note naming its coefficient index.
     """
     operator = assemble_operator(mesh, lam, lumped)
     load = assemble_load(mesh, f)
+    transfers = [(P, P.T.tocsr()) for P in prolongations(mesh)]
     solutions = np.empty((len(betas), mesh.num_vertices))
     for i, beta in enumerate(betas):
         try:
             matrix = assemble_system(operator, mesh, beta)
-            x, report = cg_solve(matrix, load, tol=tol)
+            x, report = cg_solve(matrix, load, tol, transfers)
             if not report.converged:
                 raise NonConvergenceError(
                     f"conjugate gradient stopped at relative residual "
@@ -128,27 +130,29 @@ def stability_sweep(
     solutions = solve_robin(mesh, lam, f, betas, lumped, tol)
     sups = [boundary_sup(beta, mesh) for beta in betas]
     boundary = boundary_vertex_indices(mesh)
-
+    un_bds = [sup_norm(u[boundary]) for u in solutions]
+    # |a - b| == |b - a| exactly, so each unordered pair is measured once
+    gaps = {}
+    for n, m in itertools.combinations(range(len(betas)), 2):
+        gaps[n, m] = gaps[m, n] = (
+            sup_norm(solutions[n] - solutions[m]),
+            boundary_sup_diff(betas[n], betas[m], mesh),
+        )
     records = []
-    for n in range(len(betas)):
-        un_bd = sup_norm(solutions[n, boundary])
-        for m in range(len(betas)):
-            if m == n:
-                continue
-            diff = sup_norm(solutions[n] - solutions[m])
-            beta_diff = boundary_sup_diff(betas[n], betas[m], mesh)
-            informative = beta_diff > _RATIO_FLOOR * (1.0 + sups[n]) and un_bd > 0.0
-            ratio = diff / (un_bd * beta_diff) if informative else None
-            records.append(
-                StabilityRecord(
-                    n=n,
-                    m=m,
-                    diff_sup_closure=diff,
-                    un_sup_boundary=un_bd,
-                    beta_diff_sup=beta_diff,
-                    ratio=ratio,
-                )
+    for n, m in itertools.permutations(range(len(betas)), 2):
+        diff, beta_diff = gaps[n, m]
+        informative = beta_diff > _RATIO_FLOOR * (1.0 + sups[n]) and un_bds[n] > 0.0
+        ratio = diff / (un_bds[n] * beta_diff) if informative else None
+        records.append(
+            StabilityRecord(
+                n=n,
+                m=m,
+                diff_sup_closure=diff,
+                un_sup_boundary=un_bds[n],
+                beta_diff_sup=beta_diff,
+                ratio=ratio,
             )
+        )
     return records
 
 
@@ -203,7 +207,7 @@ def level_set_pipeline(u_diff, mesh: Mesh, c2: float = 0.0) -> DecayReport:
             samples=PhiSamples([0.0], [0.0]),
         )
     ks = np.linspace(0.0, 1.5 * sup_bd, 64)
-    values = np.array([level_set_measure(u_diff, mesh, k) for k in ks])
+    values = level_set_measure(u_diff, mesh, ks)
     samples = PhiSamples(ks, values)
     fitted = fit_minimal_c(samples, s, s - 1.0)
     params = theorem_constants(mesh.dim, max(c2, fitted), phi0=float(values[0]))

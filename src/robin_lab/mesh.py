@@ -12,6 +12,9 @@ characteristic size is h = 1/n and every measure is exact:
   diagonal (Kuhn subdivision), giving 6n^3 cells of volume 1/(6n^3) and
   12n^2 boundary triangles.
 
+`prolongations` interpolates from the mesh at ceil(n/2) to the one at n
+(nested for even n) in closed form, for the solver's multigrid cycle.
+
 A mesh is immutable after construction (arrays are marked read-only) and
 safe to share across threads.
 """
@@ -23,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 
@@ -139,6 +143,45 @@ def build_mesh(domain: str, n: int) -> Mesh:
 def boundary_vertex_indices(mesh: Mesh) -> list:
     """Sorted indices of the vertices that lie on some boundary facet."""
     return np.unique(mesh.facet_vertices).tolist()
+
+
+# grid axes of the vertex numbering, slowest first: the square numbers its
+# vertices iy * side + ix, the cube (ix * side + iy) * side + iz
+_AXIS_ORDER = {1: [0], 2: [1, 0], 3: [0, 1, 2]}
+
+
+def prolongations(mesh: Mesh) -> list:
+    """P1 interpolation matrices of the coarsening chain n -> ceil(n/2) while
+    n > 3, finest first, so the coarsest mesh has at most 4^dim vertices.
+
+    Row i of a prolongation holds the weights of fine vertex i on the
+    corners of the coarse Kuhn simplex that contains it: with t its
+    coordinates in its coarse grid box, sorted so that t(1) >= ... >= t(d),
+    the weights are 1 - t(1), t(1) - t(2), ..., t(d) on the path from the
+    box's low corner that steps along the axes in that order.  For odd n
+    the meshes do not nest and the same formula interpolates.
+    """
+    dim, n = mesh.dim, round(1.0 / mesh.h)
+    order = _AXIS_ORDER[dim]
+    out = []
+    while n > 3:
+        m = -(-n // 2)
+        grid = np.empty(((n + 1) ** dim, dim), dtype=np.int64)
+        grid[:, order] = np.column_stack(np.unravel_index(np.arange(len(grid)), (n + 1,) * dim))
+        # in coarse grid units a fine vertex sits at grid * m / n = low + local / n
+        low = np.minimum(grid * m // n, m - 1)
+        local = grid * m - low * n  # n t, integers in [0, n]
+        axes = np.argsort(-local, axis=1, kind="stable")
+        weights = -np.diff(np.take_along_axis(local, axes, axis=1), prepend=n, append=0) / n
+        steps = np.cumsum(axes[:, :, None] == np.arange(dim), axis=1)
+        corners = np.concatenate([low[:, None], low[:, None] + steps], axis=1)
+        cols = np.ravel_multi_index(tuple(corners[..., a] for a in order), (m + 1,) * dim)
+        rows = np.repeat(np.arange(len(grid)), dim + 1)
+        P = sp.csr_array((weights.ravel(), (rows, cols.ravel())), shape=(len(grid), (m + 1) ** dim))
+        P.eliminate_zeros()
+        out.append(P)
+        n = m
+    return out
 
 
 def _check_n(n: int) -> None:

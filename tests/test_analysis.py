@@ -71,6 +71,9 @@ def test_lp_norm_zero_and_guards():
     for value in (2.0, 0.5):
         with pytest.raises(InvalidArgumentError, match="p = 1100"):
             lp_norm(SourceField.constant(value), 1100.0, m)
+    # at p = 1060 the integral of 0.5^p is subnormal and has lost digits
+    with pytest.raises(InvalidArgumentError, match="p = 1060"):
+        lp_norm(SourceField.constant(0.5), 1060.0, m)
 
 
 def test_level_set_constant_cases():

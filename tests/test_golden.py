@@ -29,7 +29,7 @@ CASES = {
             "beta_sequence": [{"kind": "constant", "value": 2.0}],
         },
         {
-            "solution.csv": "628ebb80f3e128bac72faff927fe28bf3c50796a6dcea84d6218e2b7b3c4a8c0",
+            "solution.csv": "da6b13c47f82cd0bf8e8a5ef818f4931a301262d77525880084570d62d263a1f",
             "solution.svg": "d966a31f96983df670f0a9b9e926ca395fb00466e2718493b1074277869842c2",
         },
     ),
@@ -44,7 +44,7 @@ CASES = {
             "beta_sequence": [ONE],
         },
         {
-            "solution.csv": "979f9e0503d287f23b63b1c68e6f1e618417e46c352530089a2cc5ca1bae04bc",
+            "solution.csv": "c5019c8ffc17ab26ca416f07a8dab94bda43486484610ff991488f9d01a9e47b",
             "solution.svg": "506f9f5dbf824e31c017de1e8de579f063a0a01887cf976f37fc0f0f0219bb91",
         },
     ),
@@ -58,7 +58,7 @@ CASES = {
             "beta_sequence": [{"kind": "constant", "value": 2.0}],
         },
         {
-            "solution.csv": "c436d2dbba9398926b75ec224a7110ebaa825540d3aed7e24d12237de02087c6",
+            "solution.csv": "eb38f60d389658b94a863e871e8b9ab917297a39fe323d84504ee49cffb5c019",
             "solution.svg": "3c648e038f9427c462cca722943bdf0c50b080df515aa1b7a5a3c54ddcfce3cd",
         },
     ),
@@ -73,7 +73,7 @@ CASES = {
             "beta_sequence": [ONE, ONE, {"kind": "expr", "expr": "1 + x*y"}],
         },
         {
-            "stability.csv": "b5436e123c9d6b163f3df9b0d59e6c8c419e0e1c4a6c9a482dd9ce46241c12e6",
+            "stability.csv": "d571fec07b1b6dd3595adf7fd992f0d3e6418c7615ee8b5deb22d74c4caaf4d5",
             "stability.svg": "387f5021ce90f6c23a4135d7fcc14c1718c7aad13f90367414b6710575c868af",
         },
     ),
@@ -87,7 +87,7 @@ CASES = {
             "beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 3},
         },
         {
-            "convergence.csv": "63049a65bd5e6507f65066835ac37ceb0458b73a7a66d94a3379de27182670d9",
+            "convergence.csv": "fced806e7d8926d11c96d037452422c6ccb17080e913f2bcd6e1659a13b9c284",
             "convergence.svg": "f07d763dbc1572bb4539f6bed60d91ec9aafaa41843ae2a1f4f6335440c3b98f",
         },
     ),
@@ -101,10 +101,10 @@ CASES = {
             "beta_sequence": [ONE, {"kind": "constant", "value": 1.5}],
         },
         {
-            "stampacchia.csv": "5cbccc30d41d6472e8eba16129672395b4663e3e0e4fde2a429c8a006d242903",
+            "stampacchia.csv": "f62db68e827a93794182869dd0f448acba8ae0a49399f3991e27e950968eec44",
             "stampacchia.svg": "1a10924abed4b78fd8577088401941901e9c3f8b694d5277060c0988869f6a10",
             "stampacchia_report.csv": (
-                "a56178644ff7b7c22234b13b7479cee06aec626e5d8605041772a5ddf3635940"
+                "d9c7ae405ddeca35013bd13db18db09b40d937815c2813417813b39b5fa774f1"
             ),
         },
     ),
@@ -118,7 +118,7 @@ CASES = {
             "beta_sequence": [ONE],
         },
         {
-            "theorem0.csv": "757bbec801ea7dfad89d0ecafbd02857170e56e1cdc75dc9348c04d512e56046",
+            "theorem0.csv": "2a0cd54f1efa8c453f851feaef899fadb6d2610a727338975728d3e0c9f27ad9",
         },
     ),
 }

@@ -13,6 +13,7 @@ from robin_lab.mesh import (
     build_mesh,
     build_unit_cube_mesh,
     build_unit_square_mesh,
+    prolongations,
 )
 
 FAMILIES = [
@@ -158,3 +159,20 @@ def test_facet_arrays_match_brute_force_oracle(family, n):
     m = build_mesh(domain, n)
     assert m.facet_vertices.tolist() == _oracle_facets(m)
     assert abs(m.facet_measures.sum() - surface) < 1e-12
+
+
+@pytest.mark.parametrize("domain,n", [(d, n) for d, _, _ in FAMILIES for n in (16, 17)])
+def test_prolongations_reproduce_linear_functions(domain, n):
+    # every level of the chain n -> ceil(n/2) down to n <= 3, at odd and even n
+    fine = build_mesh(domain, n)
+    chain = prolongations(fine)
+    assert len(chain) == 3  # 16 -> 8 -> 4 -> 2 and 17 -> 9 -> 5 -> 3
+    for P in chain:
+        coarse = build_mesh(domain, -(-round(1.0 / fine.h) // 2))
+        assert P.shape == (fine.num_vertices, coarse.num_vertices)
+        assert P.data.min() > 0.0
+        slope = np.array([0.7, -1.3, 2.9][: fine.dim])
+        exact = 0.25 + fine.vertices @ slope
+        assert np.max(np.abs(P @ (0.25 + coarse.vertices @ slope) - exact)) <= 1e-14
+        fine = coarse
+    assert fine.num_vertices <= 4**fine.dim
