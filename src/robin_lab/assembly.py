@@ -9,19 +9,21 @@ cell quadrature.
 
 Matrices are plain ``scipy.sparse.csr_array``.  K + lambda*M and the load
 do not depend on beta, so a family of problems that differ only in beta
-builds them once (`assemble_operator`, `assemble_load`) and each member
-adds its own B (`assemble_system`).
+builds them once (`assemble_operator`, `assemble_load`), and
+`assemble_system` gives each member its B, kept apart from K + lambda*M: a
+constant beta scales one B(1), so a constant family assembles B once.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateMeshError, InvalidArgumentError
-from .fields import BoundaryField, SourceField, eval_boundary, eval_source
+from .errors import DegenerateMeshError, InvalidArgumentError, noted_member
+from .fields import BoundaryField, SourceField, boundary_sup, eval_boundary, eval_source
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
@@ -100,6 +102,29 @@ def assemble_operator(mesh: Mesh, lam: float, lumped: bool = False) -> sp.csr_ar
     return assemble_stiffness(mesh) + assemble_mass(mesh, lumped) * float(lam)
 
 
-def assemble_system(operator: sp.csr_array, mesh: Mesh, beta: BoundaryField) -> sp.csr_array:
-    """(K + lam*M) + B(beta), with the operator from `assemble_operator`."""
-    return operator + assemble_boundary_mass(mesh, beta)
+class System(NamedTuple):
+    """A family's matrices (K + lam*M) + w_i B_i, one (B_i, w_i) per member:
+    (B(beta), 1), or for a constant beta (B(1), beta) with one shared B(1)."""
+
+    operator: sp.csr_array
+    boundary: list
+    # stored entries of one member's matrix: B's lie in the operator's pattern
+    nnz = property(lambda self: self.operator.nnz)
+
+
+def assemble_system(operator: sp.csr_array, mesh: Mesh, betas) -> System:
+    """The family's matrices, with the operator from `assemble_operator`; a
+    member whose coefficient fails raises with a note naming its index."""
+    constant = [beta.kind == "constant" for beta in betas]
+    unit = assemble_boundary_mass(mesh, BoundaryField.constant(1.0)) if any(constant) else None
+    boundary = []
+    for i, beta in enumerate(betas):
+        try:
+            if constant[i]:  # boundary_sup checks the value
+                boundary.append((unit, boundary_sup(beta, mesh)))
+            else:
+                boundary.append((assemble_boundary_mass(mesh, beta), 1.0))
+        except Exception as exc:
+            noted_member(exc, i)
+            raise
+    return System(operator, boundary)

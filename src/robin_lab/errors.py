@@ -1,6 +1,12 @@
 """Exception taxonomy shared by all robin_lab modules."""
 
 
+def noted_member(exc: Exception, index) -> Exception:
+    """exc, with a note naming the family member (coefficient) it came from."""
+    exc.add_note(f"solve failed for coefficient index {index}")
+    return exc
+
+
 class RobinLabError(Exception):
     """Base class for all robin_lab errors."""
 

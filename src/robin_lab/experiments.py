@@ -35,6 +35,7 @@ from .errors import (
     InvalidArgumentError,
     NonConvergenceError,
     NoInformativePairsError,
+    noted_member,
 )
 from .fields import BoundaryField, SourceField, boundary_sup, boundary_sup_diff
 from .linalg import cg_solve
@@ -91,28 +92,21 @@ def solve_robin(
 ) -> np.ndarray:
     """Galerkin solutions of (K + lam M + B(beta)) U = F, row i for betas[i].
 
-    K + lam M, the load and the multigrid transfers are built once; each
-    member adds only its B.  A member that fails raises its own exception,
-    with a note naming its coefficient index.
+    The family is one batched solve: K + lam M, the load, the multigrid
+    transfers and their Galerkin images are built once.  A member that
+    fails raises its own exception, with a note naming its coefficient
+    index.
     """
     operator = assemble_operator(mesh, lam, lumped)
     load = assemble_load(mesh, f)
+    system = assemble_system(operator, mesh, betas)
     transfers = [(P, P.T.tocsr()) for P in prolongations(mesh)]
-    solutions = np.empty((len(betas), mesh.num_vertices))
-    for i, beta in enumerate(betas):
-        try:
-            matrix = assemble_system(operator, mesh, beta)
-            x, report = cg_solve(matrix, load, tol, transfers)
-            if not report.converged:
-                raise NonConvergenceError(
-                    f"conjugate gradient stopped at relative residual "
-                    f"{report.final_relative_residual:.3e} after "
-                    f"{report.iterations} iterations (tol {tol:g})"
-                )
-            solutions[i] = x
-        except Exception as exc:
-            exc.add_note(f"solve failed for coefficient index {i}")
-            raise
+    solutions, report = cg_solve(system.operator, load, tol, transfers, system.boundary)
+    for i, (rel, count) in enumerate(zip(report.member_residuals, report.member_iterations)):
+        if not rel <= tol:
+            message = f"conjugate gradient stopped at relative residual {rel:.3e}"
+            message += f" after {count} iterations (tol {tol:g})"
+            raise noted_member(NonConvergenceError(message), i)
     return solutions
 
 
@@ -131,16 +125,14 @@ def stability_sweep(
     sups = [boundary_sup(beta, mesh) for beta in betas]
     boundary = boundary_vertex_indices(mesh)
     un_bds = [sup_norm(u[boundary]) for u in solutions]
+    beta_diffs = boundary_sup_diff(betas, mesh)
     # |a - b| == |b - a| exactly, so each unordered pair is measured once
-    gaps = {}
+    diffs = {}
     for n, m in itertools.combinations(range(len(betas)), 2):
-        gaps[n, m] = gaps[m, n] = (
-            sup_norm(solutions[n] - solutions[m]),
-            boundary_sup_diff(betas[n], betas[m], mesh),
-        )
+        diffs[n, m] = diffs[m, n] = sup_norm(solutions[n] - solutions[m])
     records = []
     for n, m in itertools.permutations(range(len(betas)), 2):
-        diff, beta_diff = gaps[n, m]
+        diff, beta_diff = diffs[n, m], float(beta_diffs[n, m])
         informative = beta_diff > _RATIO_FLOOR * (1.0 + sups[n]) and un_bds[n] > 0.0
         ratio = diff / (un_bds[n] * beta_diff) if informative else None
         records.append(

@@ -26,6 +26,7 @@ sampled up to the corners.
 from __future__ import annotations
 
 import ast
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -154,11 +155,17 @@ def boundary_sup(field: BoundaryField, mesh: Mesh) -> float:
     return float(eval_boundary(field, mesh, _sample_points(mesh)).max())
 
 
-def boundary_sup_diff(a: BoundaryField, b: BoundaryField, mesh: Mesh) -> float:
-    """Sup over the boundary sample set of |a - b| (exact for per-facet data)."""
+def boundary_sup_diff(betas, mesh: Mesh) -> np.ndarray:
+    """(N, N) table of the sup over the boundary sample set of |beta_n - beta_m|
+    (exact for per-facet data).  Each field is evaluated once; a constant or
+    per-facet one at one sample per facet, which holds all its values."""
     points = _sample_points(mesh)
-    diff = eval_boundary(a, mesh, points) - eval_boundary(b, mesh, points)
-    return float(np.abs(diff).max())
+    values = [eval_boundary(b, mesh, points if b.kind == "closure" else points[:1]) for b in betas]
+    table = np.zeros((len(betas), len(betas)))
+    for n, m in itertools.combinations(range(len(betas)), 2):
+        # |a - b| == |b - a| exactly, so each unordered pair is measured once
+        table[n, m] = table[m, n] = np.abs(values[n] - values[m]).max()
+    return table
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)

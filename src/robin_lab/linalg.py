@@ -1,13 +1,21 @@
-"""Conjugate gradient solver for the assembled SPD systems.
+"""Conjugate gradient for a family of SPD systems (A + w_i B_i) x_i = b.
 
-The preconditioner is one symmetric multigrid V-cycle on the mesh hierarchy
-of `mesh.prolongations`: Galerkin coarse operators P^T A P of the system's
-own matrix, one damped Jacobi sweep before and after each coarse
-correction, and a dense pseudo-inverse on the coarsest level, which is A
-itself when no hierarchy is given.  Level l damps by 1.6 / rho_l, where
-rho_l = max_i sum_j |a_ij| / a_ii bounds the largest eigenvalue of D^-1 A
-(Gershgorin), so the smoother contracts and the cycle is SPD for every
-lambda, beta and n.  The iteration budget is 10x the dimension.
+The members share A = K + lambda M, b and the mesh hierarchy.  A family is
+one batched solve, independent CG on the columns of an (n, N) block (not
+block CG: no step mixes members).  A column that meets its tolerance
+freezes while the others go on.  Column reductions sum each member's own
+contiguous row, never across rows and never through BLAS, so a member's
+bits depend neither on its place in the family nor on the thread count.
+
+The preconditioner is one symmetric V(1,1) multigrid cycle on the hierarchy
+of `mesh.prolongations`, built once per family: P^T A P per level, and
+P^T B P per distinct B (constant members share B(1)).  Member i is smoothed
+by Jacobi damped by 1.6 over the Gershgorin bound of D^-1 (A + w_i B_i),
+taken from the row sums of |A| + |w_i B_i|, so the cycle is SPD for every
+lambda, beta and n.  The coarsest level (A itself without a hierarchy) is
+inverted by one stacked Cholesky factorisation, with the pseudo-inverse
+for a member whose factorisation fails: CG then reports the singular
+operator as non-convergence.  The budget is 10 iterations per unknown.
 """
 
 from __future__ import annotations
@@ -17,118 +25,167 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError, NumericBreakdownError
+from .errors import InvalidArgumentError, NumericBreakdownError, noted_member
 
-# largest coarsest level solved densely: its pseudo-inverse takes 8 MB
+# largest coarsest level solved densely: its inverse takes 8 MB per member
 MAX_DENSE = 1000
 
 
 @dataclass
 class SolveReport:
-    iterations: int
-    final_relative_residual: float
-    converged: bool
+    iterations: int  # summed over the members
+    final_relative_residual: float  # the largest member's
+    converged: bool  # every member's
+    member_iterations: list
+    member_residuals: list  # each member's true final relative residual
 
 
-def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=()):
-    """Solve A x = b to a relative residual of tol.
+def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), boundary=None):
+    """Solve (A + w_i B_i) x_i = b to a relative residual of tol for each
+    (B_i, w_i) of ``boundary``; without it, the one member solves A x = b.
 
     ``transfers`` holds the ``(P, P.T)`` pairs of the mesh hierarchy,
-    finest first (see `mesh.prolongations`).  Returns
-    ``(x, SolveReport)``.  Non-convergence is reported, not raised;
-    non-finite intermediate values raise :class:`NumericBreakdownError`.
+    finest first (see `mesh.prolongations`).  Returns ``(X, SolveReport)``
+    with member i's solution in row i of X.  Non-convergence is reported,
+    not raised; a non-finite intermediate value raises
+    :class:`NumericBreakdownError` noted with the member's index.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape != (A.shape[0],):
-        raise InvalidArgumentError(
-            f"right-hand side has shape {b.shape}, expected ({A.shape[0]},)"
-        )
+    n = A.shape[0]
+    if b.shape != (n,):
+        raise InvalidArgumentError(f"right-hand side has shape {b.shape}, expected ({n},)")
     if not tol > 0.0:  # NaN included
         raise InvalidArgumentError(f"tol must be > 0, got {tol}")
+    boundary = [(sp.csr_array((n, n)), 0.0)] if boundary is None else boundary
+    size = len(boundary)
 
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros_like(b), SolveReport(0, 0.0, True)
-
-    precondition = _v_cycle(A, transfers)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
-    restarts_left = 5
-
-    iterations = 0
-    while iterations < 10 * A.shape[0]:
-        iterations += 1
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if not np.isfinite(pAp):
-            raise NumericBreakdownError("non-finite value in conjugate gradient")
-        if pAp <= 0.0:
-            # direction of nonpositive curvature: matrix is not PD, give up
-            break
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rel = float(np.linalg.norm(r)) / b_norm
-        if not np.isfinite(rel):
-            raise NumericBreakdownError("non-finite residual in conjugate gradient")
-        if rel <= tol:
-            true_r = b - A @ x
-            if float(np.linalg.norm(true_r)) / b_norm <= tol:
+    with np.errstate(all="ignore"):  # non-finite values are caught below
+        b_norm = float(np.sqrt(np.sum(b * b)))
+        if not np.isfinite(b_norm):
+            raise NumericBreakdownError("norm of the right-hand side is not finite")
+        if b_norm == 0.0:
+            return np.zeros((size, n)), SolveReport(0, 0.0, True, [0] * size, [0.0] * size)
+        apply, precondition = _multigrid(A, boundary, transfers)
+        x, r = np.zeros((n, size)), np.repeat(b[:, None], size, axis=1)
+        p = precondition(r)
+        rz = _dots(r, p)
+        iterations, restarts_left = np.zeros(size, dtype=int), np.full(size, 5)
+        active = np.ones(size, dtype=bool)
+        while True:
+            active &= iterations < 10 * n
+            if not active.any():
                 break
-            if restarts_left == 0:
-                break
-            # recurrence drifted from the true residual; restart cleanly
-            restarts_left -= 1
-            r = true_r
+            iterations += active
+            Ap = apply(p)
+            pAp = _dots(p, Ap)
+            _check_finite(pAp, active, "non-finite value in conjugate gradient")
+            active &= pAp > 0.0  # nonpositive curvature: not PD, give up
+            alpha = np.divide(rz, pAp, out=np.zeros(size), where=active)
+            x += alpha * p
+            r -= alpha * Ap
+            rel = np.sqrt(_dots(r, r)) / b_norm
+            _check_finite(rel, active, "non-finite residual in conjugate gradient")
+            restart = active & (rel <= tol)
+            if restart.any():
+                true_r = b[:, None] - apply(x)
+                true_ok = np.sqrt(_dots(true_r, true_r)) / b_norm <= tol
+                done = restart & (true_ok | (restarts_left == 0))
+                # the recurrence drifted from the true residual: restart cleanly
+                restart &= ~done
+                restarts_left -= restart
+                r[:, restart] = true_r[:, restart]
+                active &= ~done
             z = precondition(r)
-            p = z.copy()
-            rz = float(r @ z)
-            continue
-        z = precondition(r)
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
+            rz_next = _dots(r, z)
+            p = z + np.divide(rz_next, rz, out=np.zeros(size), where=active & ~restart) * p
+            rz = rz_next
+        true_r = b[:, None] - apply(x)
+        residuals = np.sqrt(_dots(true_r, true_r)) / b_norm
 
-    final_rel = float(np.linalg.norm(b - A @ x)) / b_norm
-    report = SolveReport(
-        iterations=iterations,
-        final_relative_residual=final_rel,
-        converged=final_rel <= tol,
-    )
-    return x, report
+    converged = bool(np.all(residuals <= tol))
+    totals = (int(iterations.sum()), float(residuals.max(initial=0.0)), converged)
+    return x.T.copy(), SolveReport(*totals, iterations.tolist(), residuals.tolist())
 
 
-def _v_cycle(A, transfers):
-    """The V(1,1) cycle on A's Galerkin hierarchy, as a map of residuals."""
-    ops = [A]
-    for P, Pt in transfers:
-        ops.append(Pt @ ops[-1] @ P)
+def _dots(a, b) -> np.ndarray:
+    """Column inner products of two (n, N) blocks, each summed along its
+    own contiguous row, so with the bits of a lone vector's sum."""
+    return np.sum(np.ascontiguousarray((a * b).T), axis=1)
+
+
+def _check_finite(values, active, message) -> None:
+    bad = np.flatnonzero(active & ~np.isfinite(values))
+    if bad.size:
+        raise noted_member(NumericBreakdownError(message), bad[0])
+
+
+def _multigrid(A, boundary, transfers):
+    """The map X -> (A + w_i B_i) X[:, i] on (n, N) blocks, and the cycle."""
+    def galerkin(M):
+        images = [M]
+        for P, Pt in transfers:
+            images.append(Pt @ images[-1] @ P)
+        return images
+
+    ops = galerkin(A)
     if ops[-1].shape[0] > MAX_DENSE:
         raise InvalidArgumentError(f"coarsest level above {MAX_DENSE} unknowns: pass the hierarchy")
-    scales = [_jacobi_scale(op) for op in ops[:-1]]
-    # a pseudo-inverse: a singular coarse operator must not raise, CG reports it
-    coarsest = np.linalg.pinv(ops[-1].toarray(), hermitian=True)
+    # a run of consecutive members that share a B is one group, a slice of
+    # the columns; each distinct B's Galerkin images are formed once
+    starts = [i for i, (B, _) in enumerate(boundary) if i == 0 or B is not boundary[i - 1][0]]
+    groups = [slice(a, b) for a, b in zip(starts, starts[1:] + [len(boundary)])]
+    weights = np.array([w for _, w in boundary], dtype=float)
+    chains = {id(B): B for B, _ in boundary}
+    chains = {key: galerkin(B) for key, B in chains.items()}
+    mats = [[chains[id(boundary[g.start][0])][level] for g in groups] for level in range(len(ops))]
+    # B touches few rows (the boundary's): apply it on its nonempty rows alone
+    rows = [[np.flatnonzero(np.diff(B.indptr)) for B in level] for level in mats]
+    parts = [[(B[r], r) for B, r in zip(*level)] for level in zip(mats, rows)]
+
+    def apply(x, level=0):
+        y = ops[level] @ x
+        for (B, r), cols in zip(parts[level], groups):
+            y[r, cols] += (B @ x[:, cols]) * weights[cols]
+        return y
+
+    scales = [_jacobi_scales(op, level, groups, weights) for op, level in zip(ops, mats[:-1])]
+    dense = np.repeat(ops[-1].toarray()[None], len(weights), axis=0)
+    for B, cols in zip(mats[-1], groups):
+        dense[cols] += B.toarray() * weights[cols, None, None]
+    coarsest = _inverses(dense)
 
     def cycle(r, level=0):
         if level == len(transfers):
-            return coarsest @ r
-        op, scale, (P, Pt) = ops[level], scales[level], transfers[level]
+            return np.einsum("nij,nj->in", coarsest, np.ascontiguousarray(r.T))
+        scale, (P, Pt) = scales[level], transfers[level]
         x = scale * r
-        x += P @ cycle(Pt @ (r - op @ x), level + 1)
-        x += scale * (r - op @ x)
+        x += P @ cycle(Pt @ (r - apply(x, level)), level + 1)
+        x += scale * (r - apply(x, level))
         return x
 
-    return cycle
+    return apply, cycle
 
 
-def _jacobi_scale(A) -> np.ndarray:
-    """omega / diag(A) with omega = 1.6 / (Gershgorin bound of D^-1 A)."""
-    diag = A.diagonal()
-    diag = np.where(diag > 0.0, diag, 1.0)  # A is not PD; CG reports it
+def _jacobi_scales(A, mats, groups, weights) -> np.ndarray:
+    """omega_i / diag(A + w_i B_i) as an (n, N) block, with omega_i = 1.6
+    over the Gershgorin bound of D^-1 (A + w_i B_i)."""
+    diag = np.repeat(A.diagonal()[:, None], len(weights), axis=1)
     # row sums of |A|: no row of an assembled or Galerkin operator is empty
-    row_sums = np.add.reduceat(np.abs(A.data), A.indptr[:-1])
-    rho = float(np.max(row_sums / diag))
-    return (1.6 / rho) / diag
+    rows = np.repeat(np.add.reduceat(np.abs(A.data), A.indptr[:-1])[:, None], len(weights), axis=1)
+    for B, cols in zip(mats, groups):
+        diag[:, cols] += B.diagonal()[:, None] * weights[cols]
+        rows[:, cols] += abs(B).sum(axis=1)[:, None] * np.abs(weights[cols])
+    diag = np.where(diag > 0.0, diag, 1.0)  # A is not PD; CG reports it
+    return (1.6 / np.max(rows / diag, axis=0)) / diag
+
+
+def _inverses(a) -> np.ndarray:
+    """Inverses of stacked SPD matrices by Cholesky; a member whose
+    factorisation fails gets its pseudo-inverse."""
+    try:
+        inv_l = np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.linalg.pinv(a, hermitian=True)
+        return np.concatenate([_inverses(one[None]) for one in a])
+    return np.matrix_transpose(inv_l) @ inv_l

@@ -89,7 +89,7 @@ def test_criterion_3_coercivity_and_cg():
     mesh = rl.build_unit_cube_mesh(4)
     lam = 1.0
     beta = rl.BoundaryField.constant(1.0)
-    A = rl.assemble_system(rl.assemble_operator(mesh, lam), mesh, beta)
+    A = rl.assemble_operator(mesh, lam) + rl.assemble_boundary_mass(mesh, beta)
     K = rl.assemble_stiffness(mesh)
     M = rl.assemble_mass(mesh)
     rng = np.random.default_rng(2024)
@@ -159,7 +159,7 @@ def test_criterion_5_corollary_convergence(cube8, sweep8):
                 m=-1,
                 diff_sup_closure=err,
                 un_sup_boundary=rl.sup_norm(solutions[k, boundary]),
-                beta_diff_sup=rl.boundary_sup_diff(betas[k], limit, cube8),
+                beta_diff_sup=rl.boundary_sup_diff([betas[k], limit], cube8)[0, 1],
                 ratio=None,
             )
         )

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robin_lab.analysis import level_set_measure, sup_norm
+from robin_lab.assembly import assemble_load, assemble_operator, assemble_system
 from robin_lab.errors import (
     InvalidArgumentError,
     NoInformativePairsError,
+    NonConvergenceError,
 )
 from robin_lab.experiments import (
     analytic_interval_solution,
@@ -17,11 +21,13 @@ from robin_lab.experiments import (
     StabilityRecord,
 )
 from robin_lab.fields import BoundaryField, SourceField
+from robin_lab.linalg import cg_solve
 from robin_lab.mesh import (
     boundary_vertex_indices,
     build_interval_mesh,
     build_mesh,
     build_unit_cube_mesh,
+    prolongations,
 )
 
 ONE = SourceField.constant(1.0)
@@ -200,6 +206,61 @@ def test_family_members_equal_independent_solves():
 
     errs = convergence_study(m, 1.0, f, betas, limit)
     assert errs == [sup_norm(u - alone[-1]) for u in alone[:-1]]
+
+
+def test_family_members_equal_independent_solves_on_a_hierarchy():
+    # cube n=8 has two coarse levels, so the shared Galerkin images, the
+    # members' Jacobi scales and coarsest inverses are all in play; the
+    # repeated members share one B, and the member with beta = 1e3 takes
+    # one more iteration, so the others freeze while it goes on
+    m = build_unit_cube_mesh(8)
+    f = SourceField.from_expression("1 + x*y")
+    facet = BoundaryField.per_facet(np.linspace(0.2, 2.0, m.num_facets))
+    betas = [
+        BoundaryField.constant(0.5),
+        facet,
+        BoundaryField.from_expression("1 + x - y*z"),
+        BoundaryField.constant(1e3),
+        facet,
+        BoundaryField.constant(0.0),
+        BoundaryField.constant(0.5),
+    ]
+    operator = assemble_operator(m, 1.0)
+    system = assemble_system(operator, m, betas)
+    transfers = [(P, P.T.tocsr()) for P in prolongations(m)]
+    _, report = cg_solve(operator, assemble_load(m, f), 1e-10, transfers, system.boundary)
+    assert len(transfers) == 2
+    assert len(set(report.member_iterations)) > 1
+
+    family = solve_robin(m, 1.0, f, betas)
+    for i, beta in enumerate(betas):
+        assert np.array_equal(family[i], _solve(m, beta=beta, f=f))
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5).flatmap(
+        lambda values: st.tuples(st.just(values), st.permutations(range(len(values))))
+    )
+)
+def test_permuted_family_permutes_rows(family):
+    values, order = family
+    m = build_mesh("square", 8)
+    betas = [BoundaryField.constant(v) for v in values]
+    rows = solve_robin(m, 1.0, ONE, betas)
+    permuted = solve_robin(m, 1.0, ONE, [betas[i] for i in order])
+    assert np.array_equal(permuted, rows[list(order)])
+
+
+def test_failing_member_is_named():
+    # with lambda = 1e-300 the beta = 0 member is singular in practice and
+    # stops unconverged, while its neighbour solves
+    m = build_mesh("square", 8)
+    good, bad = BoundaryField.constant(1.0), BoundaryField.constant(0.0)
+    _solve(m, lam=1e-300, beta=good)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_robin(m, 1e-300, ONE, [good, bad])
+    assert info.value.__notes__ == ["solve failed for coefficient index 1"]
 
 
 def test_estimate_constant():

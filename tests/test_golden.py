@@ -29,7 +29,7 @@ CASES = {
             "beta_sequence": [{"kind": "constant", "value": 2.0}],
         },
         {
-            "solution.csv": "da6b13c47f82cd0bf8e8a5ef818f4931a301262d77525880084570d62d263a1f",
+            "solution.csv": "19f9defa02e8fba2e4dd7222ad17680223adf99c02f6f43497e25050446969d0",
             "solution.svg": "d966a31f96983df670f0a9b9e926ca395fb00466e2718493b1074277869842c2",
         },
     ),
@@ -44,7 +44,7 @@ CASES = {
             "beta_sequence": [ONE],
         },
         {
-            "solution.csv": "c5019c8ffc17ab26ca416f07a8dab94bda43486484610ff991488f9d01a9e47b",
+            "solution.csv": "f6e7475afc3dbd6d30fbf2cdc56b4743490196cc942a7051add5f70a61be413b",
             "solution.svg": "506f9f5dbf824e31c017de1e8de579f063a0a01887cf976f37fc0f0f0219bb91",
         },
     ),
@@ -58,7 +58,7 @@ CASES = {
             "beta_sequence": [{"kind": "constant", "value": 2.0}],
         },
         {
-            "solution.csv": "eb38f60d389658b94a863e871e8b9ab917297a39fe323d84504ee49cffb5c019",
+            "solution.csv": "fdffd3f3633b09d6eb052e445a8f3d6b20ded5686e1857362d9eaef049398769",
             "solution.svg": "3c648e038f9427c462cca722943bdf0c50b080df515aa1b7a5a3c54ddcfce3cd",
         },
     ),
@@ -73,7 +73,7 @@ CASES = {
             "beta_sequence": [ONE, ONE, {"kind": "expr", "expr": "1 + x*y"}],
         },
         {
-            "stability.csv": "d571fec07b1b6dd3595adf7fd992f0d3e6418c7615ee8b5deb22d74c4caaf4d5",
+            "stability.csv": "986b0f2c7d6788fba3cc339a2ba2c473e23b29a57a5c4d103adfd6fd84adfa2a",
             "stability.svg": "387f5021ce90f6c23a4135d7fcc14c1718c7aad13f90367414b6710575c868af",
         },
     ),
@@ -87,7 +87,7 @@ CASES = {
             "beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 3},
         },
         {
-            "convergence.csv": "fced806e7d8926d11c96d037452422c6ccb17080e913f2bcd6e1659a13b9c284",
+            "convergence.csv": "42b67520089e4bc3c788c069ebb03a4d8ccbb6967680f21fc1fe57499338d513",
             "convergence.svg": "f07d763dbc1572bb4539f6bed60d91ec9aafaa41843ae2a1f4f6335440c3b98f",
         },
     ),
@@ -101,10 +101,10 @@ CASES = {
             "beta_sequence": [ONE, {"kind": "constant", "value": 1.5}],
         },
         {
-            "stampacchia.csv": "f62db68e827a93794182869dd0f448acba8ae0a49399f3991e27e950968eec44",
+            "stampacchia.csv": "2894294d9602c481acdefe9ad750f88c6e8971b19651feeab293a61242b3d848",
             "stampacchia.svg": "1a10924abed4b78fd8577088401941901e9c3f8b694d5277060c0988869f6a10",
             "stampacchia_report.csv": (
-                "d9c7ae405ddeca35013bd13db18db09b40d937815c2813417813b39b5fa774f1"
+                "26df9dbd93216893ae50bd532b8b98f5f84acca7015dd953c1e792ebd07a9f41"
             ),
         },
     ),
@@ -118,7 +118,7 @@ CASES = {
             "beta_sequence": [ONE],
         },
         {
-            "theorem0.csv": "2a0cd54f1efa8c453f851feaef899fadb6d2610a727338975728d3e0c9f27ad9",
+            "theorem0.csv": "cf47f7df5b609eb57dfe3542e254a9733b8a001e352b05733ab61c780cb3c4b1",
         },
     ),
 }

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import robin_lab
 from robin_lab.assembly import (
+    assemble_boundary_mass,
     assemble_load,
     assemble_operator,
     assemble_stiffness,
-    assemble_system,
 )
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
@@ -37,7 +43,7 @@ def test_zero_rhs_is_immediate():
 
 def _interval_system(n=128, lam=1.0, beta=1.0, f=1.0):
     m = build_interval_mesh(n)
-    A = assemble_system(assemble_operator(m, lam), m, BoundaryField.constant(beta))
+    A = assemble_operator(m, lam) + assemble_boundary_mass(m, BoundaryField.constant(beta))
     b = assemble_load(m, SourceField.constant(f))
     return A, b
 
@@ -89,7 +95,7 @@ def test_rhs_shape_checked():
 
 def _multigrid_solve(domain, n, lam=1.0):
     m = build_mesh(domain, n)
-    A = assemble_system(assemble_operator(m, lam), m, BoundaryField.constant(1.0))
+    A = assemble_operator(m, lam) + assemble_boundary_mass(m, BoundaryField.constant(1.0))
     b = assemble_load(m, SourceField.constant(1.0))
     transfers = [(P, P.T.tocsr()) for P in prolongations(m)]
     return cg_solve(A, b, 1e-10, transfers)
@@ -119,3 +125,28 @@ def test_large_system_without_hierarchy_rejected():
     # without the mesh hierarchy the coarsest, dense level is A itself
     with pytest.raises(InvalidArgumentError, match="hierarchy"):
         cg_solve(_identity(1001), np.ones(1001))
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    # square n=190 (36 481 dofs) is past the length at which OpenBLAS
+    # splits a dot product across threads, which would reorder its sum
+    script = (
+        "import hashlib, robin_lab as rl\n"
+        "mesh = rl.build_mesh('square', 190)\n"
+        "f = rl.SourceField.from_expression('1 + x*y')\n"
+        "(u,) = rl.solve_robin(mesh, 1.0, f, [rl.BoundaryField.constant(2.0)])\n"
+        "print(hashlib.sha256(u.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(robin_lab.__file__).resolve().parents[1])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    ]
+    digests = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert digests[0] == digests[1]
