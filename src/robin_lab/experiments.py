@@ -95,13 +95,18 @@ def solve_robin(
     The family is one batched solve: K + lam M, the load, the multigrid
     transfers and their Galerkin images are built once.  A member that
     fails raises its own exception, with a note naming its coefficient
-    index.
+    index (0 for a failure of the whole family).
     """
     operator = assemble_operator(mesh, lam, lumped)
     load = assemble_load(mesh, f)
     system = assemble_system(operator, mesh, betas)
     transfers = [(P, P.T.tocsr()) for P in prolongations(mesh)]
-    solutions, report = cg_solve(system.operator, load, tol, transfers, system.boundary)
+    try:
+        solutions, report = cg_solve(system.operator, load, tol, transfers, system.boundary)
+    except Exception as exc:  # a failure of the whole family shows first at member 0
+        if not getattr(exc, "__notes__", None):
+            noted_member(exc, 0)
+        raise
     for i, (rel, count) in enumerate(zip(report.member_residuals, report.member_iterations)):
         if not rel <= tol:
             message = f"conjugate gradient stopped at relative residual {rel:.3e}"

@@ -59,13 +59,15 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
     boundary = [(sp.csr_array((n, n)), 0.0)] if boundary is None else boundary
     size = len(boundary)
 
-    with np.errstate(all="ignore"):  # non-finite values are caught below
+    with np.errstate(over="ignore"):  # an overflow gives inf, raised below
         b_norm = float(np.sqrt(np.sum(b * b)))
-        if not np.isfinite(b_norm):
-            raise NumericBreakdownError("norm of the right-hand side is not finite")
-        if b_norm == 0.0:
-            return np.zeros((size, n)), SolveReport(0, 0.0, True, [0] * size, [0.0] * size)
-        apply, precondition = _multigrid(A, boundary, transfers)
+    if not np.isfinite(b_norm):
+        raise NumericBreakdownError("norm of the right-hand side is not finite")
+    if b_norm == 0.0:
+        return np.zeros((size, n)), SolveReport(0, 0.0, True, [0] * size, [0.0] * size)
+    apply, precondition = _multigrid(A, boundary, transfers)
+
+    with np.errstate(all="ignore"):  # non-finite values are caught below
         x, r = np.zeros((n, size)), np.repeat(b[:, None], size, axis=1)
         p = precondition(r)
         rz = _dots(r, p)
@@ -138,14 +140,11 @@ def _multigrid(A, boundary, transfers):
     chains = {id(B): B for B, _ in boundary}
     chains = {key: galerkin(B) for key, B in chains.items()}
     mats = [[chains[id(boundary[g.start][0])][level] for g in groups] for level in range(len(ops))]
-    # B touches few rows (the boundary's): apply it on its nonempty rows alone
-    rows = [[np.flatnonzero(np.diff(B.indptr)) for B in level] for level in mats]
-    parts = [[(B[r], r) for B, r in zip(*level)] for level in zip(mats, rows)]
 
     def apply(x, level=0):
         y = ops[level] @ x
-        for (B, r), cols in zip(parts[level], groups):
-            y[r, cols] += (B @ x[:, cols]) * weights[cols]
+        for B, cols in zip(mats[level], groups):
+            y[:, cols] += (B @ x[:, cols]) * weights[cols]
         return y
 
     scales = [_jacobi_scales(op, level, groups, weights) for op, level in zip(ops, mats[:-1])]
@@ -174,18 +173,18 @@ def _jacobi_scales(A, mats, groups, weights) -> np.ndarray:
     rows = np.repeat(np.add.reduceat(np.abs(A.data), A.indptr[:-1])[:, None], len(weights), axis=1)
     for B, cols in zip(mats, groups):
         diag[:, cols] += B.diagonal()[:, None] * weights[cols]
-        rows[:, cols] += abs(B).sum(axis=1)[:, None] * np.abs(weights[cols])
+        rows[:, cols] += (abs(B) @ np.ones(B.shape[1]))[:, None] * np.abs(weights[cols])
     diag = np.where(diag > 0.0, diag, 1.0)  # A is not PD; CG reports it
     return (1.6 / np.max(rows / diag, axis=0)) / diag
 
 
 def _inverses(a) -> np.ndarray:
     """Inverses of stacked SPD matrices by Cholesky; a member whose
-    factorisation fails gets its pseudo-inverse."""
+    factorisation fails gets its pseudo-inverse, the others keep theirs."""
     try:
         inv_l = np.linalg.inv(np.linalg.cholesky(a))
     except np.linalg.LinAlgError:
         if len(a) == 1:
             return np.linalg.pinv(a, hermitian=True)
         return np.concatenate([_inverses(one[None]) for one in a])
-    return np.matrix_transpose(inv_l) @ inv_l
+    return np.swapaxes(inv_l, -1, -2) @ inv_l

@@ -9,6 +9,7 @@ from robin_lab.errors import (
     InvalidArgumentError,
     NoInformativePairsError,
     NonConvergenceError,
+    NumericBreakdownError,
 )
 from robin_lab.experiments import (
     analytic_interval_solution,
@@ -261,6 +262,11 @@ def test_failing_member_is_named():
     with pytest.raises(NonConvergenceError) as info:
         solve_robin(m, 1e-300, ONE, [good, bad])
     assert info.value.__notes__ == ["solve failed for coefficient index 1"]
+    # a failure of the whole family (here the load's norm overflows) is
+    # named at member 0, the first to meet it
+    with pytest.raises(NumericBreakdownError) as info:
+        solve_robin(m, 1.0, SourceField.constant(1e300), [good, bad])
+    assert info.value.__notes__ == ["solve failed for coefficient index 0"]
 
 
 def test_estimate_constant():

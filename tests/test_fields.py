@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from robin_lab.errors import InvalidArgumentError, InvalidCoefficientError
 from robin_lab.fields import (
     BoundaryField,
     SourceField,
+    _sample_points,
     boundary_sup,
     boundary_sup_diff,
     compile_expression,
@@ -94,13 +96,19 @@ def test_sup_diff_symmetry_and_triangle_inequality():
     m = build_unit_square_mesh(2)
     rng = np.random.default_rng(7)
     nf = m.num_facets
-    a = BoundaryField.per_facet(rng.uniform(0.0, 2.0, nf))
-    b = BoundaryField.per_facet(rng.uniform(0.0, 2.0, nf))
-    c = BoundaryField.per_facet(rng.uniform(0.0, 2.0, nf))
-    table = boundary_sup_diff([a, b, c], m)
-    dab, dba = table[0, 1], table[1, 0]
-    assert dab == dba
-    assert dab <= table[0, 2] + table[2, 1] + 1e-14
+    betas = [
+        BoundaryField.per_facet(rng.uniform(0.0, 2.0, nf)),
+        BoundaryField.per_facet(rng.uniform(0.0, 2.0, nf)),
+        BoundaryField.from_expression("1 + x * y"),
+        BoundaryField.constant(0.5),
+    ]
+    table = boundary_sup_diff(betas, m)
+    points = _sample_points(m)
+    for n, k in itertools.product(range(len(betas)), repeat=2):
+        # |beta_k - beta_n| on the full sample set, each field evaluated apart
+        values = [eval_boundary(betas[i], m, points) for i in (k, n)]
+        assert table[n, k] == np.abs(values[0] - values[1]).max()
+    assert table[0, 1] <= table[0, 2] + table[2, 1] + 1e-14
 
 
 def test_boundary_sup_examples():

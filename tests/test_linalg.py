@@ -121,6 +121,21 @@ def test_multigrid_stiff_mass_converges():
     assert report.converged
 
 
+def test_failed_coarse_factorisation_leaves_other_members_bits():
+    # member 0's K - B is indefinite (the constants), so its coarsest
+    # Cholesky factorisation fails; member 1 keeps its own factorisation
+    m = build_mesh("cube", 8)
+    K = assemble_stiffness(m)
+    B = assemble_boundary_mass(m, BoundaryField.constant(1.0))
+    b = assemble_load(m, SourceField.constant(1.0))
+    transfers = [(P, P.T.tocsr()) for P in prolongations(m)]
+    family, report = cg_solve(K, b, 1e-10, transfers, [(B, -1.0), (B, 1.0)])
+    alone, _ = cg_solve(K, b, 1e-10, transfers, [(B, 1.0)])
+    assert not report.member_residuals[0] <= 1e-10
+    assert report.member_residuals[1] <= 1e-10
+    assert family[1].tobytes() == alone[0].tobytes()
+
+
 def test_large_system_without_hierarchy_rejected():
     # without the mesh hierarchy the coarsest, dense level is A itself
     with pytest.raises(InvalidArgumentError, match="hierarchy"):
