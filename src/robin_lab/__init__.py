@@ -18,7 +18,6 @@ from .assembly import (
 )
 from .experiments import (
     StabilityRecord,
-    analytic_interval_solution,
     convergence_study,
     estimate_constant,
     level_set_pipeline,

@@ -1,17 +1,19 @@
 """P1 Galerkin assembly of the Robin operator K + lambda*M + B.
 
-K is the stiffness matrix (gradients are constant per simplex, so entries
-are exact), M the consistent or row-sum-lumped mass matrix (closed-form
-simplex formulas), and B the boundary mass matrix weighted by the
-coefficient beta, integrated with facet quadrature (exact for per-facet
-beta).  The load vector integrates the source against the P1 basis with
-cell quadrature.
+K and M (consistent or row-sum-lumped) share one element rule: cell T
+contributes |T| (G G^T + lambda P), with G its basis gradients in closed
+form (`mesh.simplex_geometry`; they are constant per simplex, so entries
+are exact) and P the mass pattern (1 + delta_ij)/((d+1)(d+2)), or I/(d+1)
+lumped.  B is the boundary mass matrix weighted by the coefficient beta,
+integrated with facet quadrature (exact for per-facet beta).  The load
+integrates the source against the P1 basis with cell quadrature.
 
-Matrices are plain ``scipy.sparse.csr_array``.  K + lambda*M and the load
-do not depend on beta, so a family of problems that differ only in beta
-builds them once (`assemble_operator`, `assemble_load`), and
-`assemble_system` gives each member its B, kept apart from K + lambda*M: a
-constant beta scales one B(1), so a constant family assembles B once.
+Each matrix is one scatter into a ``scipy.sparse.csr_array`` with int32
+indices and no stored zeros.  K + lambda*M and the load do not depend on
+beta, so a family that differs only in beta builds them once
+(`assemble_operator`, `assemble_load`), and `assemble_system` gives each
+member its B, kept apart from K + lambda*M: a constant beta scales one
+B(1), so a constant family assembles B once.
 """
 
 from __future__ import annotations
@@ -24,52 +26,61 @@ import scipy.sparse as sp
 
 from .errors import DegenerateMeshError, InvalidArgumentError, noted_member
 from .fields import BoundaryField, SourceField, boundary_sup, eval_boundary, eval_source
-from .mesh import Mesh
+from .mesh import Mesh, simplex_geometry
 from .quadrature import cell_rule, facet_rule
 
 
 def _basis_gradients(mesh: Mesh) -> np.ndarray:
-    """P1 basis gradients per cell, shape (nc, dim+1, dim)."""
-    if np.any(mesh.cell_measures <= 0.0):
+    """P1 basis gradients, shape (dim+1, dim, nc) with the cell last: rows
+    1..dim are the cofactor rows over the determinant, row 0 minus their sum."""
+    det, cof = simplex_geometry(mesh.vertices, mesh.cells)
+    if not np.all(det != 0.0):  # decided before any division
         raise DegenerateMeshError("zero-measure cell encountered")
-    pts = mesh.vertices[mesh.cells]
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    inv = np.linalg.inv(edges)
-    grads_tail = np.transpose(inv, (0, 2, 1))  # gradient of barycentric i >= 1
-    return np.concatenate([-grads_tail.sum(axis=1, keepdims=True), grads_tail], axis=1)
+    return np.tensordot(np.vstack([-np.ones(mesh.dim), np.eye(mesh.dim)]), cof, axes=1) / det
 
 
 def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
     """Accumulate (ne, nloc, nloc) blocks, or (ne, nloc^2) rows, on the (ne, nloc) vertex ids.
 
-    Duplicate (row, col) entries are summed by the COO -> CSR conversion.
+    Duplicate (row, col) entries are summed by the COO -> CSR conversion and
+    entries that sum to zero are dropped; indices are int32.
     """
+    ids = np.asarray(ids, dtype=np.int32)
     nloc = ids.shape[1]
     rows = np.repeat(ids, nloc, axis=1).ravel()
     cols = np.tile(ids, (1, nloc)).ravel()
-    shape = (num_vertices, num_vertices)
-    return sp.coo_array((local.ravel(), (rows, cols)), shape=shape).tocsr()
+    out = sp.coo_array((local.ravel(), (rows, cols)), shape=(num_vertices,) * 2).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def _cells(mesh: Mesh, stiffness: bool, lam: float, lumped: bool) -> sp.csr_array:
+    """The element rule, scattered once: cell blocks |T| (G G^T + lam P), or
+    |T| lam P without ``stiffness``; G holds the basis gradients and P is the
+    mass pattern (1 + delta_ij)/((d+1)(d+2)), or I/(d+1) lumped."""
+    d = mesh.dim
+    pattern = np.eye(d + 1) / (d + 1) if lumped else (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2))
+    if stiffness:
+        grads = _basis_gradients(mesh)
+        blocks = np.einsum("akc,bkc->abc", grads, grads)
+        del grads  # not held through the scatter
+        blocks += lam * pattern[:, :, None]
+    else:
+        blocks = np.repeat(lam * pattern[:, :, None], mesh.num_cells, axis=2)
+    blocks *= mesh.cell_measures
+    # entries in cell order convert to CSR about a third faster: a cell's rows lie close
+    blocks = np.ascontiguousarray(np.moveaxis(blocks, -1, 0))
+    return _scatter(mesh.num_vertices, mesh.cells, blocks)
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_array:
     """Gradient-gradient matrix; constants lie in its kernel."""
-    grads = _basis_gradients(mesh)
-    local = mesh.cell_measures[:, None, None] * (grads @ np.transpose(grads, (0, 2, 1)))
-    return _scatter(mesh.num_vertices, mesh.cells, local)
+    return _cells(mesh, True, 0.0, False)
 
 
 def assemble_mass(mesh: Mesh, lumped: bool = False) -> sp.csr_array:
     """Consistent P1 mass matrix, or its row-sum-lumped diagonal."""
-    d = mesh.dim
-    measures = mesh.cell_measures
-    if lumped:
-        shares = np.repeat(measures / (d + 1), d + 1)
-        diag = np.bincount(mesh.cells.ravel(), shares, minlength=mesh.num_vertices)
-        idx = np.arange(mesh.num_vertices)[:, None]
-        return _scatter(mesh.num_vertices, idx, diag[:, None, None])
-    pattern = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    local = measures[:, None, None] * pattern[None, :, :]
-    return _scatter(mesh.num_vertices, mesh.cells, local)
+    return _cells(mesh, False, 1.0, lumped)
 
 
 def assemble_boundary_mass(mesh: Mesh, beta: BoundaryField) -> sp.csr_array:
@@ -99,7 +110,7 @@ def assemble_operator(mesh: Mesh, lam: float, lumped: bool = False) -> sp.csr_ar
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise InvalidArgumentError(f"lambda must be a finite number > 0, got {lam}")
-    return assemble_stiffness(mesh) + assemble_mass(mesh, lumped) * float(lam)
+    return _cells(mesh, True, float(lam), lumped)
 
 
 class System(NamedTuple):

@@ -13,18 +13,11 @@ mesh, which isolates coefficient dependence from discretization error.
 level-set curve and runs the decay check on it; the resulting sup-norm
 bound is read as the predicted gap itself (thresholds arbitrarily close to
 it from above carry empty level sets).
-
-The 1D problem with constant data has the closed form used as an
-independent oracle:
-
-    u(x) = f/lam + A cosh(sqrt(lam) (x - 1/2)),
-    A = -(beta f / lam) / (sqrt(lam) sinh(sqrt(lam)/2) + beta cosh(sqrt(lam)/2))
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,23 +56,6 @@ class StabilityRecord:
     un_sup_boundary: float
     beta_diff_sup: float
     ratio: float  # or None when the denominator is degenerate
-
-
-def analytic_interval_solution(lam: float, beta: float, f_const: float):
-    """Closed-form 1D solution for constant data, same beta at both ends."""
-    if lam <= 0.0:
-        raise InvalidArgumentError(f"lambda must be > 0, got {lam}")
-    if beta < 0.0:
-        raise InvalidArgumentError(f"beta must be >= 0, got {beta}")
-    root = math.sqrt(lam)
-    amp = -(beta * f_const / lam) / (
-        root * math.sinh(root / 2.0) + beta * math.cosh(root / 2.0)
-    )
-
-    def evaluate(x: float) -> float:
-        return f_const / lam + amp * math.cosh(root * (x - 0.5))
-
-    return evaluate
 
 
 def solve_robin(

@@ -194,7 +194,7 @@ def _finish_mesh(dim, vertices, cells, n) -> Mesh:
     arrays = {
         "vertices": vertices,
         "cells": cells,
-        "cell_measures": _simplex_measures(vertices, cells, dim),
+        "cell_measures": np.abs(simplex_geometry(vertices, cells)[0]) / math.factorial(dim),
         **_boundary_facets(vertices, cells, dim),
     }
     for arr in arrays.values():
@@ -202,12 +202,25 @@ def _finish_mesh(dim, vertices, cells, n) -> Mesh:
     return Mesh(dim=dim, h=1.0 / n, **arrays)
 
 
-def _simplex_measures(vertices, cells, dim) -> np.ndarray:
-    pts = vertices[cells]  # (nc, dim + 1, dim)
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    if dim == 1:
-        return np.abs(edges[:, 0, 0])
-    return np.abs(np.linalg.det(edges)) / math.factorial(dim)
+def simplex_geometry(vertices, cells):
+    """``(det, cof)`` of each simplex's edge matrix E (row i is vertex i+1
+    minus vertex 0), in closed form: its signed determinant (num_cells,) and
+    cofactor matrix, shape (dim, dim, num_cells) with the cell last so every
+    entry is one contiguous array.  E^-1 = cof^T / det, so row i of cof / det
+    is the gradient of barycentric coordinate i+1; the measure is |det| / dim!."""
+    corners = cells.T  # (vertex, cell)
+    e = np.take(vertices.T, corners[1:], axis=1) - np.take(vertices.T, corners[:1], axis=1)
+    e = e.swapaxes(0, 1)  # (edge, coordinate, cell)
+    if len(e) == 1:
+        cof = np.ones(e.shape)
+    elif len(e) == 2:
+        cof = e[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    else:  # row r is the cross product of edges r+1 and r+2, cyclically
+        cof = np.empty(e.shape)
+        for r, k in itertools.product(range(3), repeat=2):
+            s, t, u, v = (r + 1) % 3, (r + 2) % 3, (k + 1) % 3, (k + 2) % 3
+            cof[r, k] = e[s, u] * e[t, v] - e[s, v] * e[t, u]
+    return np.einsum("kc,kc->c", e[0], cof[0]), cof
 
 
 def _boundary_facets(vertices, cells, dim) -> dict:

@@ -16,6 +16,8 @@ from robin_lab.cli import main as cli_main
 from robin_lab.stampacchia import PhiSamples, StampacchiaParams, fit_minimal_c
 from robin_lab.stampacchia import stampacchia_gap, verify_decay
 
+from oracles import analytic_interval_solution
+
 ONE = rl.SourceField.constant(1.0)
 
 
@@ -56,7 +58,7 @@ def sweep12(cube12, sweep_betas):
 
 def test_criterion_1_interval_oracle_accuracy():
     started = time.perf_counter()
-    oracle = rl.analytic_interval_solution(1.0, 1.0, 1.0)
+    oracle = analytic_interval_solution(1.0, 1.0, 1.0)
     errors = {}
     for n in (128, 256):
         mesh = rl.build_interval_mesh(n)

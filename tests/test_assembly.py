@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robin_lab.assembly import (
+    _basis_gradients,
     _scatter,
     assemble_boundary_mass,
     assemble_load,
@@ -14,6 +19,7 @@ from robin_lab.errors import DegenerateMeshError, InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
 from robin_lab.mesh import (
     Mesh,
+    _finish_mesh,
     build_interval_mesh,
     build_mesh,
     build_unit_cube_mesh,
@@ -155,6 +161,102 @@ def test_degenerate_cell_detected():
     )
     with pytest.raises(DegenerateMeshError):
         assemble_stiffness(broken)
+
+
+@pytest.mark.parametrize(
+    "vertices,cells",
+    [
+        # coincident vertices, with a positive stored measure
+        pytest.param([[0.0], [0.0], [1.0]], [[0, 1], [1, 2]], id="interval-coincident"),
+        pytest.param([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[0, 1, 2]], id="collinear-triangle"),
+    ],
+)
+def test_degenerate_cell_detected_from_vertices(vertices, cells):
+    # degeneracy is read off the vertices, whatever the stored measures say,
+    # and is raised before anything divides by the zero determinant
+    dim = len(vertices[0])
+    broken = Mesh(
+        dim=dim,
+        vertices=np.array(vertices),
+        cells=np.array(cells),
+        cell_measures=np.ones(len(cells)),
+        facet_vertices=np.zeros((0, dim), dtype=np.int64),
+        facet_measures=np.zeros(0),
+        h=1.0,
+    )
+    with pytest.raises(DegenerateMeshError):
+        assemble_stiffness(broken)
+    with pytest.raises(DegenerateMeshError):
+        assemble_operator(broken, 1.0)
+
+
+@st.composite
+def simplices(draw):
+    """Vertices of a random simplex in 1, 2 or 3 dimensions: its edge matrix
+    is a strictly diagonally dominant matrix (so invertible, with a bounded
+    condition number) with rows and columns permuted, scaled, and shifted by
+    a random offset."""
+    d = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    diag = [draw(st.floats(1.0, 10.0)) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(d)]
+    edges = np.diag(diag)
+    for i, j in zip(*np.nonzero(~np.eye(d, dtype=bool))):
+        edges[i, j] = 0.9 * abs(diag[i]) / d * draw(unit)
+    edges = edges[draw(st.permutations(range(d)))][:, draw(st.permutations(range(d)))]
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    offset = np.array([draw(st.floats(-10.0, 10.0)) for _ in range(d)])
+    return offset + scale * np.vstack([np.zeros(d), edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(vertices=simplices())
+def test_closed_form_geometry_of_random_simplices(vertices):
+    d = vertices.shape[1]
+    # swapping the first two vertices reverses the orientation
+    for corners in (vertices, vertices[[1, 0, *range(2, d + 1)]]):
+        mesh = _finish_mesh(d, corners, [list(range(d + 1))], 1)
+        grads = _basis_gradients(mesh)[..., 0]
+        edges = corners[1:] - corners[0]  # the same bits the mesh sees
+        # barycentric coordinate i grows by one along edge i and is blind to the others
+        assert np.max(np.abs(grads[1:] @ edges.T - np.eye(d))) <= 1e-12
+        assert np.max(np.abs(grads.sum(axis=0))) <= 1e-12 * np.max(np.abs(grads))
+        volume = abs(np.linalg.det(edges)) / math.factorial(d)
+        assert mesh.cell_measures[0] == pytest.approx(volume, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    domain=st.sampled_from(["interval", "square", "cube"]),
+    n=st.integers(1, 5),
+    lam=st.sampled_from([1e-6, 1.0, 1e6]),
+    lumped=st.booleans(),
+)
+def test_operator_is_stiffness_plus_scaled_mass(domain, n, lam, lumped):
+    m = build_mesh(domain, n)
+    A = assemble_operator(m, lam, lumped)
+    parts = assemble_stiffness(m) + lam * assemble_mass(m, lumped)
+    assert np.array_equal(A.indptr, parts.indptr)
+    assert np.array_equal(A.indices, parts.indices)
+    assert np.max(np.abs(A.data - parts.data) / np.abs(parts.data)) <= 1e-14
+
+
+@pytest.mark.parametrize("domain,n", [("square", 8), ("cube", 4)])
+def test_assembled_matrices_are_canonical_int32(domain, n):
+    m = build_mesh(domain, n)
+    betas = [
+        BoundaryField.constant(2.0),
+        BoundaryField.per_facet(np.linspace(0.0, 1.0, m.num_facets)),
+        BoundaryField.from_function(lambda p: 1.0 + p[0]),
+    ]
+    for lumped in (False, True):
+        operator = assemble_operator(m, 1.0, lumped)
+        system = assemble_system(operator, m, betas)
+        for A in [operator] + [B for B, _ in system.boundary]:
+            assert A.has_canonical_format
+            assert A.indices.dtype == A.indptr.dtype == np.int32
+    # the lumped operator stores no entry beyond the sum of its parts
+    parts = assemble_stiffness(m) + assemble_mass(m, lumped=True)
+    assert operator.nnz == parts.nnz
 
 
 def test_system_is_exactly_symmetric():

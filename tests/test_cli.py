@@ -24,7 +24,8 @@ from robin_lab.cli import (
     parse_config,
     run,
 )
-from robin_lab.experiments import analytic_interval_solution
+
+from oracles import analytic_interval_solution
 
 
 def _solve_config(output_dir, n=64):

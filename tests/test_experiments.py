@@ -12,7 +12,6 @@ from robin_lab.errors import (
     NumericBreakdownError,
 )
 from robin_lab.experiments import (
-    analytic_interval_solution,
     convergence_study,
     estimate_constant,
     level_set_pipeline,
@@ -30,6 +29,8 @@ from robin_lab.mesh import (
     build_unit_cube_mesh,
     prolongations,
 )
+
+from oracles import analytic_interval_solution
 
 ONE = SourceField.constant(1.0)
 

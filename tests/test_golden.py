@@ -58,7 +58,7 @@ CASES = {
             "beta_sequence": [{"kind": "constant", "value": 2.0}],
         },
         {
-            "solution.csv": "fdffd3f3633b09d6eb052e445a8f3d6b20ded5686e1857362d9eaef049398769",
+            "solution.csv": "87b704e1f875d36f6fda676cff1f411aefecbeef67e460090ed82b9c2644d967",
             "solution.svg": "3c648e038f9427c462cca722943bdf0c50b080df515aa1b7a5a3c54ddcfce3cd",
         },
     ),
@@ -73,7 +73,7 @@ CASES = {
             "beta_sequence": [ONE, ONE, {"kind": "expr", "expr": "1 + x*y"}],
         },
         {
-            "stability.csv": "986b0f2c7d6788fba3cc339a2ba2c473e23b29a57a5c4d103adfd6fd84adfa2a",
+            "stability.csv": "fa0dd564695e755fb4f20b628ac0587769be935858849ff2be23a22cba2d8f11",
             "stability.svg": "387f5021ce90f6c23a4135d7fcc14c1718c7aad13f90367414b6710575c868af",
         },
     ),
@@ -87,7 +87,7 @@ CASES = {
             "beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 3},
         },
         {
-            "convergence.csv": "42b67520089e4bc3c788c069ebb03a4d8ccbb6967680f21fc1fe57499338d513",
+            "convergence.csv": "ab13ab7d3238bdbca368d26661dbd34c40b035025594844aa935b15f7920798c",
             "convergence.svg": "f07d763dbc1572bb4539f6bed60d91ec9aafaa41843ae2a1f4f6335440c3b98f",
         },
     ),
@@ -101,10 +101,10 @@ CASES = {
             "beta_sequence": [ONE, {"kind": "constant", "value": 1.5}],
         },
         {
-            "stampacchia.csv": "2894294d9602c481acdefe9ad750f88c6e8971b19651feeab293a61242b3d848",
+            "stampacchia.csv": "dd42f8ac6a573aed2ee5d7c1bf6bcbc339b5f0d2746a3a4a13de4627b6dac3e0",
             "stampacchia.svg": "1a10924abed4b78fd8577088401941901e9c3f8b694d5277060c0988869f6a10",
             "stampacchia_report.csv": (
-                "26df9dbd93216893ae50bd532b8b98f5f84acca7015dd953c1e792ebd07a9f41"
+                "5f90a548473961d6b48de2612861598e99f71ab6b75e1de39f4d2cf2cb2bab7e"
             ),
         },
     ),
