@@ -15,8 +15,8 @@ characteristic size is h = 1/n and every measure is exact:
 `prolongations` interpolates from the mesh at ceil(n/2) to the one at n
 (nested for even n) in closed form, for the solver's multigrid cycle.
 
-A mesh is immutable after construction (arrays are marked read-only) and
-safe to share across threads.
+A boundary facet is a face whose vertices all lie on one face of the box.
+A mesh is immutable (its arrays are read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from .errors import InvalidArgumentError
 class Mesh:
     """Simplicial mesh of one of the unit boxes, with boundary data.
 
-    Boundary facets are rows of the ``facet_*`` arrays, in cell-major order
-    and, within a cell, in ``itertools.combinations`` order of its vertex
-    columns; a per-facet field's i-th value belongs to row i.
-    ``facet_vertices`` holds each facet's sorted vertex indices (a single
-    vertex in 1D) and ``facet_measures`` the surface measure (1.0 for
-    interval endpoints).
+    A boundary facet is a face (d of a cell's d + 1 vertices) whose vertices
+    all lie on one face of the box.  The facets are rows of the ``facet_*``
+    arrays, in cell-major order and, within a cell, in
+    ``itertools.combinations`` order of its vertex columns, with each row's
+    vertices sorted; a per-facet field's i-th value belongs to row i.
+    ``facet_vertices`` holds those vertex indices (a single vertex in 1D)
+    and ``facet_measures`` the surface measure (1.0 for interval endpoints).
     """
 
     dim: int
@@ -224,16 +225,15 @@ def simplex_geometry(vertices, cells):
 
 
 def _boundary_facets(vertices, cells, dim) -> dict:
-    # a face is on the boundary iff it belongs to exactly one cell; the
-    # faces keep their flat (cell, combination) positions, which fixes the
-    # facet order.  Each sorted face is keyed by one integer, because
-    # np.unique over rows (axis=0) is about 20x slower on the cube.
-    combos = list(itertools.combinations(range(dim + 1), dim))
-    faces = np.sort(cells[:, combos], axis=2).reshape(-1, dim)
-    keys = np.ravel_multi_index(faces.T, (vertices.shape[0],) * dim)
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    on_boundary = counts[inverse] == 1
-    facet_vertices = faces[on_boundary]
+    # the mesh is conforming and fills the convex box, so a face is on the
+    # boundary iff its vertices all lie on one box face: bit 2a (2a+1) of a
+    # vertex is set when its coordinate a is 0 (1), and the AND is nonzero
+    on_side = np.stack([vertices == 0.0, vertices == 1.0], axis=2).reshape(len(vertices), -1)
+    bits = np.packbits(on_side, axis=1, bitorder="little")[:, 0]  # uint8, 2 * dim <= 6 bits
+    combos = np.array(list(itertools.combinations(range(dim + 1), dim)))
+    shared = np.bitwise_and.reduce(bits[cells][:, combos], axis=2)  # (num_cells, dim + 1)
+    cell, combo = np.divmod(np.flatnonzero(shared), len(combos))
+    facet_vertices = np.sort(cells[cell[:, None], combos[combo]], axis=1)
     pts = vertices[facet_vertices]  # (nf, dim, dim)
     if dim == 1:
         measures = np.ones(len(facet_vertices))  # counting measure on the endpoints

@@ -16,6 +16,13 @@ from robin_lab.cli import EXIT_OK, main
 
 ONE = {"kind": "constant", "value": 1.0}
 
+
+def facet_ramp(num_facets):
+    """A per_facet beta that differs on every facet, so the hashes pin the
+    facet order as well as the values."""
+    return {"kind": "per_facet", "values": [0.5 + i / num_facets for i in range(num_facets)]}
+
+
 # case -> (config, {output file: SHA-256 of its bytes})
 CASES = {
     "solve-interval-lumped-expr": (
@@ -60,6 +67,34 @@ CASES = {
         {
             "solution.csv": "87b704e1f875d36f6fda676cff1f411aefecbeef67e460090ed82b9c2644d967",
             "solution.svg": "3c648e038f9427c462cca722943bdf0c50b080df515aa1b7a5a3c54ddcfce3cd",
+        },
+    ),
+    "solve-square-per-facet": (
+        {
+            "experiment": "solve",
+            "domain": "square",
+            "n": 3,
+            "lambda": 1.0,
+            "f": {"kind": "expr", "expr": "1 + x*y"},
+            "beta_sequence": [facet_ramp(12)],
+        },
+        {
+            "solution.csv": "a1eac43930297f0132865b87c5960ec17df33c32f331adc79ca5a04d3b020637",
+            "solution.svg": "95a59c843185e138033396a6a8b5db1273b72ad6cebc3993e7bc56696d6aa96c",
+        },
+    ),
+    "solve-cube-per-facet": (
+        {
+            "experiment": "solve",
+            "domain": "cube",
+            "n": 2,
+            "lambda": 1.0,
+            "f": {"kind": "expr", "expr": "1 + x*y*z"},
+            "beta_sequence": [facet_ramp(48)],
+        },
+        {
+            "solution.csv": "ed50db5bfe4026a43ed87faf267d68beedc9cf364c9d183a9604d41326cea52c",
+            "solution.svg": "4b06ab892a58c50d6ff4a09e24cdf437a76c6ae6bd6e6343523f5eaabeba9c25",
         },
     ),
     # beta 0 and 1 coincide, so pairs (0, 1) and (1, 0) have an empty ratio cell

@@ -16,6 +16,8 @@ from robin_lab.mesh import (
     prolongations,
 )
 
+from oracles import boundary_facets_by_count
+
 FAMILIES = [
     ("interval", 1, 2.0),
     ("square", 2, 4.0),
@@ -159,6 +161,17 @@ def test_facet_arrays_match_brute_force_oracle(family, n):
     m = build_mesh(domain, n)
     assert m.facet_vertices.tolist() == _oracle_facets(m)
     assert abs(m.facet_measures.sum() - surface) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "domain,n",
+    [("interval", 7), ("square", 64), ("square", 255), ("cube", 12), ("cube", 16), ("cube", 17)],
+)
+def test_facet_arrays_match_face_count_oracle_at_benchmark_sizes(domain, n):
+    m = build_mesh(domain, n)
+    facet_vertices, facet_measures = boundary_facets_by_count(m)
+    assert np.array_equal(m.facet_vertices, facet_vertices)
+    assert np.array_equal(m.facet_measures, facet_measures)
 
 
 @pytest.mark.parametrize("domain,n", [(d, n) for d, _, _ in FAMILIES for n in (16, 17)])
