@@ -1,12 +1,13 @@
 """P1 Galerkin assembly of the Robin operator K + lambda*M + B.
 
 K and M (consistent or row-sum-lumped) share one element rule: cell T
-contributes |T| (G G^T + lambda P), with G its basis gradients in closed
-form (`mesh.simplex_geometry`; they are constant per simplex, so entries
-are exact) and P the mass pattern (1 + delta_ij)/((d+1)(d+2)), or I/(d+1)
-lumped.  B is the boundary mass matrix weighted by the coefficient beta,
-integrated with facet quadrature (exact for per-facet beta).  The load
-integrates the source against the P1 basis with cell quadrature.
+contributes |T| (G G^T + lambda P), with |T| the mesh's cell measure, G
+its basis gradients (constant per simplex, in closed form from the
+cofactors of its edge matrix: the package's one simplex geometry) and P
+the mass pattern (1 + delta_ij)/((d+1)(d+2)), or I/(d+1) lumped.  B is
+the boundary mass matrix weighted by the coefficient beta, integrated with
+facet quadrature (exact for per-facet beta).  The load integrates the
+source against the P1 basis with cell quadrature.
 
 Each matrix is one scatter into a ``scipy.sparse.csr_array`` with int32
 indices and no stored zeros.  K + lambda*M and the load do not depend on
@@ -18,6 +19,7 @@ B(1), so a constant family assembles B once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -26,14 +28,28 @@ import scipy.sparse as sp
 
 from .errors import DegenerateMeshError, InvalidArgumentError, noted_member
 from .fields import BoundaryField, SourceField, boundary_sup, eval_boundary, eval_source
-from .mesh import Mesh, simplex_geometry
+from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
 
 def _basis_gradients(mesh: Mesh) -> np.ndarray:
-    """P1 basis gradients, shape (dim+1, dim, nc) with the cell last: rows
-    1..dim are the cofactor rows over the determinant, row 0 minus their sum."""
-    det, cof = simplex_geometry(mesh.vertices, mesh.cells)
+    """P1 basis gradients, shape (dim+1, dim, nc) with the cell last, in
+    closed form.  With E a cell's edge matrix (row i is vertex i+1 minus
+    vertex 0), E^-1 = cof^T / det, so rows 1..dim are the cofactor rows over
+    the determinant and row 0 is minus their sum."""
+    coords, corners = mesh.vertices.T, mesh.cells.T  # (coordinate, vertex), (vertex, cell)
+    e = np.take(coords, corners[1:], axis=1) - np.take(coords, corners[:1], axis=1)
+    e = e.swapaxes(0, 1)  # (edge, coordinate, cell): each entry one contiguous array
+    if len(e) == 1:
+        cof = np.ones(e.shape)
+    elif len(e) == 2:
+        cof = e[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    else:  # row r is the cross product of edges r+1 and r+2, cyclically
+        cof = np.empty(e.shape)
+        for r, k in itertools.product(range(3), repeat=2):
+            s, t, u, v = (r + 1) % 3, (r + 2) % 3, (k + 1) % 3, (k + 2) % 3
+            cof[r, k] = e[s, u] * e[t, v] - e[s, v] * e[t, u]
+    det = np.einsum("kc,kc->c", e[0], cof[0])
     if not np.all(det != 0.0):  # decided before any division
         raise DegenerateMeshError("zero-measure cell encountered")
     return np.tensordot(np.vstack([-np.ones(mesh.dim), np.eye(mesh.dim)]), cof, axes=1) / det

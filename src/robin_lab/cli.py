@@ -367,7 +367,12 @@ def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") 
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {_SVG_H / 2:.2f})">{ylabel}</text>'
     )
-    points = " ".join(map("%.3f,%.3f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
+    # a block at a time: all the point strings at once would set a large run's peak memory
+    cuts = range(4096, xs.size, 4096)
+    blocks = zip(np.split(px(xs), cuts), np.split(py(ys), cuts))
+    points = " ".join(
+        " ".join(map("%.3f,%.3f".__mod__, zip(x.tolist(), y.tolist()))) for x, y in blocks
+    )
     parts.append(
         f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" points="{points}"/>'
     )

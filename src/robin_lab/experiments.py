@@ -76,9 +76,8 @@ def solve_robin(
     operator = assemble_operator(mesh, lam, lumped)
     load = assemble_load(mesh, f)
     system = assemble_system(operator, mesh, betas)
-    transfers = [(P, P.T.tocsr()) for P in prolongations(mesh)]
     try:
-        solutions, report = cg_solve(system.operator, load, tol, transfers, system.boundary)
+        solutions, report = cg_solve(operator, load, tol, prolongations(mesh), system.boundary)
     except Exception as exc:  # a failure of the whole family shows first at member 0
         if not getattr(exc, "__notes__", None):
             noted_member(exc, 0)

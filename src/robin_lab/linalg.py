@@ -44,8 +44,8 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
     """Solve (A + w_i B_i) x_i = b to a relative residual of tol for each
     (B_i, w_i) of ``boundary``; without it, the one member solves A x = b.
 
-    ``transfers`` holds the ``(P, P.T)`` pairs of the mesh hierarchy,
-    finest first (see `mesh.prolongations`).  Returns ``(X, SolveReport)``
+    ``transfers`` holds the prolongations P of the mesh hierarchy, finest
+    first, as `mesh.prolongations` returns them.  Returns ``(X, SolveReport)``
     with member i's solution in row i of X.  Non-convergence is reported,
     not raised; a non-finite intermediate value raises
     :class:`NumericBreakdownError` noted with the member's index.
@@ -123,6 +123,8 @@ def _check_finite(values, active, message) -> None:
 
 def _multigrid(A, boundary, transfers):
     """The map X -> (A + w_i B_i) X[:, i] on (n, N) blocks, and the cycle."""
+    transfers = [(P, P.T.tocsr()) for P in transfers]
+
     def galerkin(M):
         images = [M]
         for P, Pt in transfers:

@@ -1,7 +1,8 @@
 """Structured simplicial meshes of the unit interval, square, and cube.
 
 All three families are uniform with n subdivisions per axis, so the
-characteristic size is h = 1/n and every measure is exact:
+characteristic size is h = 1/n and every measure is a closed-form constant,
+1/(d! n^d) per cell and 1/((d-1)! n^(d-1)) per boundary facet, rounded once:
 
 * interval: n segments of length 1/n; the boundary carries the counting
   measure on {0, 1}, so the two endpoint facets have measure 1 each;
@@ -42,6 +43,7 @@ class Mesh:
     vertices sorted; a per-facet field's i-th value belongs to row i.
     ``facet_vertices`` holds those vertex indices (a single vertex in 1D)
     and ``facet_measures`` the surface measure (1.0 for interval endpoints).
+    A mesh built by hand passes its own measures; the builders' are closed forms.
     """
 
     dim: int
@@ -115,8 +117,8 @@ def build_unit_cube_mesh(n: int) -> Mesh:
     return _finish_mesh(3, vertices, cells.reshape(-1, 4), n)
 
 
-# the mesh arrays take about 400 bytes per cell, so this caps a mesh near
-# 1.6 GB, 20x the cells of the cube at n = 32
+# a mesh holds about 45 bytes per cell and assembling K + lambda*M peaks near 550
+# on the cube (tracemalloc, n = 64), so this caps that near 2.2 GB, 20x cube n = 32
 MAX_CELLS = 4_000_000
 
 
@@ -141,9 +143,9 @@ def build_mesh(domain: str, n: int) -> Mesh:
     return builder(n)
 
 
-def boundary_vertex_indices(mesh: Mesh) -> list:
+def boundary_vertex_indices(mesh: Mesh) -> np.ndarray:
     """Sorted indices of the vertices that lie on some boundary facet."""
-    return np.unique(mesh.facet_vertices).tolist()
+    return np.unique(mesh.facet_vertices)
 
 
 # grid axes of the vertex numbering, slowest first: the square numbers its
@@ -192,39 +194,23 @@ def _check_n(n: int) -> None:
 
 def _finish_mesh(dim, vertices, cells, n) -> Mesh:
     cells = np.asarray(cells, dtype=np.int64)
+    facet_vertices = _boundary_facets(vertices, cells, dim)
+    # d! equal cells split each grid box of side 1/n, and (d-1)! facets each box
+    # face; in 1D, 1/(0! n^0) = 1 is the counting measure on the endpoints
+    cell_parts, facet_parts = math.factorial(dim) * n**dim, math.factorial(dim - 1) * n ** (dim - 1)
     arrays = {
         "vertices": vertices,
         "cells": cells,
-        "cell_measures": np.abs(simplex_geometry(vertices, cells)[0]) / math.factorial(dim),
-        **_boundary_facets(vertices, cells, dim),
+        "cell_measures": np.full(len(cells), 1.0 / cell_parts),
+        "facet_vertices": facet_vertices,
+        "facet_measures": np.full(len(facet_vertices), 1.0 / facet_parts),
     }
     for arr in arrays.values():
         arr.setflags(write=False)
     return Mesh(dim=dim, h=1.0 / n, **arrays)
 
 
-def simplex_geometry(vertices, cells):
-    """``(det, cof)`` of each simplex's edge matrix E (row i is vertex i+1
-    minus vertex 0), in closed form: its signed determinant (num_cells,) and
-    cofactor matrix, shape (dim, dim, num_cells) with the cell last so every
-    entry is one contiguous array.  E^-1 = cof^T / det, so row i of cof / det
-    is the gradient of barycentric coordinate i+1; the measure is |det| / dim!."""
-    corners = cells.T  # (vertex, cell)
-    e = np.take(vertices.T, corners[1:], axis=1) - np.take(vertices.T, corners[:1], axis=1)
-    e = e.swapaxes(0, 1)  # (edge, coordinate, cell)
-    if len(e) == 1:
-        cof = np.ones(e.shape)
-    elif len(e) == 2:
-        cof = e[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
-    else:  # row r is the cross product of edges r+1 and r+2, cyclically
-        cof = np.empty(e.shape)
-        for r, k in itertools.product(range(3), repeat=2):
-            s, t, u, v = (r + 1) % 3, (r + 2) % 3, (k + 1) % 3, (k + 2) % 3
-            cof[r, k] = e[s, u] * e[t, v] - e[s, v] * e[t, u]
-    return np.einsum("kc,kc->c", e[0], cof[0]), cof
-
-
-def _boundary_facets(vertices, cells, dim) -> dict:
+def _boundary_facets(vertices, cells, dim) -> np.ndarray:
     # the mesh is conforming and fills the convex box, so a face is on the
     # boundary iff its vertices all lie on one box face: bit 2a (2a+1) of a
     # vertex is set when its coordinate a is 0 (1), and the AND is nonzero
@@ -233,13 +219,4 @@ def _boundary_facets(vertices, cells, dim) -> dict:
     combos = np.array(list(itertools.combinations(range(dim + 1), dim)))
     shared = np.bitwise_and.reduce(bits[cells][:, combos], axis=2)  # (num_cells, dim + 1)
     cell, combo = np.divmod(np.flatnonzero(shared), len(combos))
-    facet_vertices = np.sort(cells[cell[:, None], combos[combo]], axis=1)
-    pts = vertices[facet_vertices]  # (nf, dim, dim)
-    if dim == 1:
-        measures = np.ones(len(facet_vertices))  # counting measure on the endpoints
-    elif dim == 2:
-        measures = np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    else:
-        cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-        measures = np.linalg.norm(cross, axis=1) / 2.0
-    return {"facet_vertices": facet_vertices, "facet_measures": measures}
+    return np.sort(cells[cell[:, None], combos[combo]], axis=1)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import warnings
 
@@ -600,6 +601,19 @@ def test_emit_svg_same_bytes_for_array_and_list(tmp_path):
     emit_svg(xs, ys, str(a), "x", "y", "series")
     emit_svg(xs.tolist(), ys.tolist(), str(b), "x", "y", "series")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_emit_svg_points_span_formatting_blocks(tmp_path):
+    # 10000 points are formatted in three blocks: each point appears once, in
+    # order, with one space between neighbours across the block boundaries
+    xs = np.arange(10_000.0)
+    path = tmp_path / "a.svg"
+    emit_svg(xs, np.sin(xs / 50.0), str(path))
+    points = path.read_text().split('points="')[1].split('"')[0].split(" ")
+    assert len(points) == 10_000
+    assert all(re.fullmatch(r"-?\d+\.\d{3},-?\d+\.\d{3}", p) for p in points)
+    x = [float(p.split(",")[0]) for p in points]
+    assert all(a < b for a, b in zip(x, x[1:]))
 
 
 def test_emit_svg_deterministic_and_covering(tmp_path):

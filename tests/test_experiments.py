@@ -229,7 +229,7 @@ def test_family_members_equal_independent_solves_on_a_hierarchy():
     ]
     operator = assemble_operator(m, 1.0)
     system = assemble_system(operator, m, betas)
-    transfers = [(P, P.T.tocsr()) for P in prolongations(m)]
+    transfers = prolongations(m)
     _, report = cg_solve(operator, assemble_load(m, f), 1e-10, transfers, system.boundary)
     assert len(transfers) == 2
     assert len(set(report.member_iterations)) > 1

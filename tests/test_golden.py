@@ -79,7 +79,7 @@ CASES = {
             "beta_sequence": [facet_ramp(12)],
         },
         {
-            "solution.csv": "a1eac43930297f0132865b87c5960ec17df33c32f331adc79ca5a04d3b020637",
+            "solution.csv": "392b346c4d8e43cf069905bf622b57531bf3d9d75728c694e2d5212ca3525514",
             "solution.svg": "95a59c843185e138033396a6a8b5db1273b72ad6cebc3993e7bc56696d6aa96c",
         },
     ),
@@ -108,7 +108,7 @@ CASES = {
             "beta_sequence": [ONE, ONE, {"kind": "expr", "expr": "1 + x*y"}],
         },
         {
-            "stability.csv": "fa0dd564695e755fb4f20b628ac0587769be935858849ff2be23a22cba2d8f11",
+            "stability.csv": "8f097e28c4adec4bea65fad8d420b025b6dc3a6cf10ef0a00c166051cdf6ec09",
             "stability.svg": "387f5021ce90f6c23a4135d7fcc14c1718c7aad13f90367414b6710575c868af",
         },
     ),

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -115,8 +116,8 @@ def test_facet_sharing(domain):
 
 
 def test_boundary_vertex_indices_examples():
-    assert boundary_vertex_indices(build_interval_mesh(2)) == [0, 2]
-    assert boundary_vertex_indices(build_unit_square_mesh(1)) == [0, 1, 2, 3]
+    assert boundary_vertex_indices(build_interval_mesh(2)).tolist() == [0, 2]
+    assert boundary_vertex_indices(build_unit_square_mesh(1)).tolist() == [0, 1, 2, 3]
     # (n+1)^3 - (n-1)^3 boundary vertices on the cube
     assert len(boundary_vertex_indices(build_unit_cube_mesh(2))) == 26
 
@@ -171,7 +172,29 @@ def test_facet_arrays_match_face_count_oracle_at_benchmark_sizes(domain, n):
     m = build_mesh(domain, n)
     facet_vertices, facet_measures = boundary_facets_by_count(m)
     assert np.array_equal(m.facet_vertices, facet_vertices)
-    assert np.array_equal(m.facet_measures, facet_measures)
+    # the oracle measures each facet from its rounded coordinates
+    assert np.all(m.facet_measures == _closed_form(m)[1])
+    assert np.max(np.abs(m.facet_measures - facet_measures) / facet_measures) <= 1e-13
+
+
+def _closed_form(m):
+    """(cell measure, facet measure) of a box mesh: 1/(d! n^d), 1/((d-1)! n^(d-1))."""
+    d, n = m.dim, round(1.0 / m.h)
+    return 1.0 / (math.factorial(d) * n**d), 1.0 / (math.factorial(d - 1) * n ** (d - 1))
+
+
+@pytest.mark.parametrize(
+    "domain,surface,n",
+    [(d, s, n) for d, _, s in FAMILIES for n in range(1, 41)]
+    + [("square", 4.0, 255), ("square", 4.0, 256)],
+)
+def test_measures_are_exact_closed_forms(domain, surface, n):
+    m = build_mesh(domain, n)
+    cell, facet = _closed_form(m)
+    assert np.all(m.cell_measures == cell)
+    assert np.all(m.facet_measures == facet)
+    assert abs(m.cell_measures.sum() - 1.0) <= 1e-12
+    assert abs(m.facet_measures.sum() - surface) <= 1e-12
 
 
 @pytest.mark.parametrize("domain,n", [(d, n) for d, _, _ in FAMILIES for n in (16, 17)])
