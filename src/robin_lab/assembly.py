@@ -2,12 +2,13 @@
 
 K and M (consistent or row-sum-lumped) share one element rule: cell T
 contributes |T| (G G^T + lambda P), with |T| the mesh's cell measure, G
-its basis gradients (constant per simplex, in closed form from the
-cofactors of its edge matrix: the package's one simplex geometry) and P
-the mass pattern (1 + delta_ij)/((d+1)(d+2)), or I/(d+1) lumped.  B is
-the boundary mass matrix weighted by the coefficient beta, integrated with
-facet quadrature (exact for per-facet beta).  The load integrates the
-source against the P1 basis with cell quadrature.
+its basis gradients and P the mass pattern (1 + delta_ij)/((d+1)(d+2)),
+or I/(d+1) lumped.  Every cell is one of the d! Kuhn simplices of its
+grid box, and with its vertices in path order each has the same G G^T,
+so one block serves every cell and no per-cell geometry is computed.
+B is the boundary mass matrix weighted by the coefficient beta,
+integrated with facet quadrature (exact for per-facet beta).  The load
+integrates the source against the P1 basis with cell quadrature.
 
 Each matrix is one scatter into a ``scipy.sparse.csr_array`` with int32
 indices and no stored zeros.  K + lambda*M and the load do not depend on
@@ -19,40 +20,16 @@ B(1), so a constant family assembles B once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateMeshError, InvalidArgumentError, noted_member
+from .errors import InvalidArgumentError, noted_member
 from .fields import BoundaryField, SourceField, boundary_sup, eval_boundary, eval_source
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
-
-
-def _basis_gradients(mesh: Mesh) -> np.ndarray:
-    """P1 basis gradients, shape (dim+1, dim, nc) with the cell last, in
-    closed form.  With E a cell's edge matrix (row i is vertex i+1 minus
-    vertex 0), E^-1 = cof^T / det, so rows 1..dim are the cofactor rows over
-    the determinant and row 0 is minus their sum."""
-    coords, corners = mesh.vertices.T, mesh.cells.T  # (coordinate, vertex), (vertex, cell)
-    e = np.take(coords, corners[1:], axis=1) - np.take(coords, corners[:1], axis=1)
-    e = e.swapaxes(0, 1)  # (edge, coordinate, cell): each entry one contiguous array
-    if len(e) == 1:
-        cof = np.ones(e.shape)
-    elif len(e) == 2:
-        cof = e[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
-    else:  # row r is the cross product of edges r+1 and r+2, cyclically
-        cof = np.empty(e.shape)
-        for r, k in itertools.product(range(3), repeat=2):
-            s, t, u, v = (r + 1) % 3, (r + 2) % 3, (k + 1) % 3, (k + 2) % 3
-            cof[r, k] = e[s, u] * e[t, v] - e[s, v] * e[t, u]
-    det = np.einsum("kc,kc->c", e[0], cof[0])
-    if not np.all(det != 0.0):  # decided before any division
-        raise DegenerateMeshError("zero-measure cell encountered")
-    return np.tensordot(np.vstack([-np.ones(mesh.dim), np.eye(mesh.dim)]), cof, axes=1) / det
 
 
 def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
@@ -71,21 +48,19 @@ def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
 
 
 def _cells(mesh: Mesh, stiffness: bool, lam: float, lumped: bool) -> sp.csr_array:
-    """The element rule, scattered once: cell blocks |T| (G G^T + lam P), or
-    |T| lam P without ``stiffness``; G holds the basis gradients and P is the
-    mass pattern (1 + delta_ij)/((d+1)(d+2)), or I/(d+1) lumped."""
+    """The element rule, scattered once: every cell gets the same block
+    |T| (n^2 L + lam P), or |T| lam P without ``stiffness``.  On a Kuhn
+    simplex with its vertices in path order the basis gradients are
+    n (s_k - s_{k+1}), with s_1, ..., s_d the path's orthonormal steps and
+    s_0 = s_{d+1} = 0, so G G^T = n^2 L on every cell, L the path graph's
+    Laplacian; P is the mass pattern (1 + delta_ij)/((d+1)(d+2)), or I/(d+1)
+    lumped."""
     d = mesh.dim
     pattern = np.eye(d + 1) / (d + 1) if lumped else (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    if stiffness:
-        grads = _basis_gradients(mesh)
-        blocks = np.einsum("akc,bkc->abc", grads, grads)
-        del grads  # not held through the scatter
-        blocks += lam * pattern[:, :, None]
-    else:
-        blocks = np.repeat(lam * pattern[:, :, None], mesh.num_cells, axis=2)
-    blocks *= mesh.cell_measures
-    # entries in cell order convert to CSR about a third faster: a cell's rows lie close
-    blocks = np.ascontiguousarray(np.moveaxis(blocks, -1, 0))
+    grads = -np.diff(np.pad(np.eye(d), ((1, 1), (0, 0))), axis=0)  # on the path along x, y, z
+    laplacian = grads @ grads.T * (mesh.n**2 if stiffness else 0)
+    block = (laplacian + lam * pattern) * mesh.cell_measures[0]
+    blocks = np.broadcast_to(block, (mesh.num_cells, d + 1, d + 1))
     return _scatter(mesh.num_vertices, mesh.cells, blocks)
 
 

@@ -46,10 +46,9 @@ from .experiments import (
     theorem0_terms,
 )
 from .fields import BoundaryField, SourceField, check_expression_dimension, is_finite_number
-from .mesh import Mesh, build_mesh
+from .mesh import DOMAINS, Mesh, build_mesh
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
-DOMAINS = ("interval", "square", "cube")
 
 # the one_over_k generator expands to at most this many coefficients
 MAX_GENERATED = 10_000
@@ -155,7 +154,7 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
             f"config says {named!r} but the command line says {experiment!r}",
         )
     experiment = _choice(named, "experiment", EXPERIMENTS)
-    domain = _choice(data.get("domain"), "domain", DOMAINS)
+    domain = _choice(data.get("domain"), "domain", tuple(DOMAINS))
     numbers = {key: _number(data, key) for key in _NUMERIC_KEYS}
 
     lumped = data.get("lumped", False)

@@ -19,10 +19,6 @@ class InvalidCoefficientError(RobinLabError, ValueError):
     """A boundary coefficient evaluated to a negative value."""
 
 
-class DegenerateMeshError(RobinLabError):
-    """A cell with zero measure was encountered during assembly."""
-
-
 class NumericBreakdownError(RobinLabError):
     """A non-finite value appeared inside an iterative solve."""
 

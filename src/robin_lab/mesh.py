@@ -1,22 +1,21 @@
 """Structured simplicial meshes of the unit interval, square, and cube.
 
-All three families are uniform with n subdivisions per axis, so the
-characteristic size is h = 1/n and every measure is a closed-form constant,
-1/(d! n^d) per cell and 1/((d-1)! n^(d-1)) per boundary facet, rounded once:
+A mesh is its dimension d and its number n of subdivisions per axis: each
+of the n^d grid boxes is split into the d! Kuhn simplices, one per order in
+which a path from the box's low corner steps along the axes (`kuhn_paths`),
+so every cell is a translate of one of d! reference simplices.  h = 1/n and
+every measure is a closed-form constant, 1/(d! n^d) per cell and
+1/((d-1)! n^(d-1)) per boundary facet, rounded once:
 
 * interval: n segments of length 1/n; the boundary carries the counting
   measure on {0, 1}, so the two endpoint facets have measure 1 each;
-* square: each grid square is split into two triangles by the same
-  diagonal (low-left to up-right), giving 2n^2 cells and 4n boundary
-  edges of length 1/n;
-* cube: each grid cube is split into six tetrahedra sharing the main
-  diagonal (Kuhn subdivision), giving 6n^3 cells of volume 1/(6n^3) and
-  12n^2 boundary triangles.
+* square: two triangles per grid square, sharing its low-left to up-right
+  diagonal: 2n^2 cells and 4n boundary edges of length 1/n;
+* cube: six tetrahedra per grid cube, sharing its main diagonal: 6n^3
+  cells of volume 1/(6n^3) and 12n^2 boundary triangles.
 
 `prolongations` interpolates from the mesh at ceil(n/2) to the one at n
 (nested for even n) in closed form, for the solver's multigrid cycle.
-
-A boundary facet is a face whose vertices all lie on one face of the box.
 A mesh is immutable (its arrays are read-only) and safe to share across threads.
 """
 
@@ -24,18 +23,45 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 
+# domain name -> dimension
+DOMAINS = {"interval": 1, "square": 2, "cube": 3}
+
+# a mesh holds about 45 bytes per cell and assembling K + lambda*M peaks near 495
+# more on the cube (tracemalloc, n = 32 and 64), so this caps the two near 2.2 GB,
+# 20x cube n = 32
+MAX_CELLS = 4_000_000
+
+# grid axes of the vertex numbering, slowest first: the square numbers its
+# vertices iy * side + ix, the cube (ix * side + iy) * side + iz
+_AXIS_ORDER = {1: [0], 2: [1, 0], 3: [0, 1, 2]}
+
+
+def kuhn_paths(dim: int) -> np.ndarray:
+    """Integer vertices of the d! Kuhn simplices of the unit box, shape
+    (d!, d + 1, d): path k starts at the low corner and steps along the axes
+    in the k-th order of ``itertools.permutations``."""
+    steps = np.eye(dim, dtype=np.int64)[list(itertools.permutations(range(dim)))]
+    return np.pad(steps, ((0, 0), (1, 0), (0, 0))).cumsum(axis=1)
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Simplicial mesh of one of the unit boxes, with boundary data.
+    """Kuhn mesh of the unit box of dimension ``dim`` (1, 2 or 3) with ``n``
+    subdivisions per axis, with boundary data; any other (dim, n), or more
+    than MAX_CELLS cells, raises InvalidArgumentError before allocating.
 
+    Vertices are numbered by grid position (``_AXIS_ORDER``).  Cells are
+    box-major and path-minor: boxes in the order of their low corner's
+    vertex index, then the d! paths in `kuhn_paths` order.  Each cell lists
+    its vertices in path order, which assembly relies on.
     A boundary facet is a face (d of a cell's d + 1 vertices) whose vertices
     all lie on one face of the box.  The facets are rows of the ``facet_*``
     arrays, in cell-major order and, within a cell, in
@@ -43,16 +69,48 @@ class Mesh:
     vertices sorted; a per-facet field's i-th value belongs to row i.
     ``facet_vertices`` holds those vertex indices (a single vertex in 1D)
     and ``facet_measures`` the surface measure (1.0 for interval endpoints).
-    A mesh built by hand passes its own measures; the builders' are closed forms.
     """
 
     dim: int
-    vertices: np.ndarray  # (num_vertices, dim)
-    cells: np.ndarray  # (num_cells, dim + 1), vertex indices
-    cell_measures: np.ndarray  # (num_cells,)
-    facet_vertices: np.ndarray  # (num_facets, dim)
-    facet_measures: np.ndarray  # (num_facets,)
-    h: float
+    n: int
+    h: float = field(init=False)
+    vertices: np.ndarray = field(init=False)  # (num_vertices, dim)
+    cells: np.ndarray = field(init=False)  # (num_cells, dim + 1), vertex indices
+    cell_measures: np.ndarray = field(init=False)  # (num_cells,)
+    facet_vertices: np.ndarray = field(init=False)  # (num_facets, dim)
+    facet_measures: np.ndarray = field(init=False)  # (num_facets,)
+
+    def __post_init__(self):
+        dim, n = self.dim, self.n
+        if not (_is_integer(n) and n >= 1):
+            raise InvalidArgumentError(f"mesh parameter n must be an integer >= 1, got {n!r}")
+        if not (_is_integer(dim) and 1 <= dim <= 3):
+            raise InvalidArgumentError(f"mesh dimension must be 1, 2 or 3, got {dim!r}")
+        dim, n = int(dim), int(n)
+        cell_parts = math.factorial(dim) * n**dim  # n, 2n^2, 6n^3
+        if cell_parts > MAX_CELLS:
+            raise InvalidArgumentError(
+                f"the {dim}-dimensional mesh with n = {n} has more than {MAX_CELLS} cells"
+            )
+        vertices = _grid(dim, n) / n
+        # the boxes' low corners: the vertices with no coordinate n, in vertex order
+        boxes = np.arange((n + 1) ** dim).reshape((n + 1,) * dim)[(slice(n),) * dim].ravel()
+        cells = (boxes[:, None, None] + _index(kuhn_paths(dim), n + 1)).reshape(-1, dim + 1)
+        facet_vertices = _boundary_facets(vertices, cells, dim)
+        # d! equal cells split each grid box of side 1/n, and (d-1)! facets each box
+        # face; in 1D, 1/(0! n^0) = 1 is the counting measure on the endpoints
+        facet_parts = math.factorial(dim - 1) * n ** (dim - 1)
+        arrays = {
+            "vertices": vertices,
+            "cells": cells,
+            "cell_measures": np.full(len(cells), 1.0 / cell_parts),
+            "facet_vertices": facet_vertices,
+            "facet_measures": np.full(len(facet_vertices), 1.0 / facet_parts),
+        }
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        for name, value in dict(arrays, dim=dim, n=n, h=1.0 / n).items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_vertices(self) -> int:
@@ -69,88 +127,31 @@ class Mesh:
 
 def build_interval_mesh(n: int) -> Mesh:
     """Uniform mesh of (0, 1) with n segments."""
-    _check_n(n)
-    vertices = (np.arange(n + 1, dtype=float) / n).reshape(-1, 1)
-    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    return _finish_mesh(1, vertices, cells, n)
+    return Mesh(1, n)
 
 
 def build_unit_square_mesh(n: int) -> Mesh:
     """Uniform triangulation of (0, 1)^2, two triangles per grid square."""
-    _check_n(n)
-    side = n + 1
-    xs = np.arange(side, dtype=float) / n
-    gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack([gx.ravel(), gy.ravel()])
-    # vertex index iy * side + ix; squares in row-major (iy, ix) order
-    v00 = (np.arange(n)[:, None] * side + np.arange(n)).ravel()
-    v10, v01, v11 = v00 + 1, v00 + side, v00 + side + 1
-    # both triangles share the v00-v11 diagonal
-    cells = np.stack(
-        [np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])], axis=1
-    )
-    return _finish_mesh(2, vertices, cells.reshape(-1, 3), n)
-
-
-# vertex paths of the six Kuhn tetrahedra inside one grid cube: start at the
-# low corner and step along the axes in each order, shape (6, 4, 3)
-_KUHN_PATHS = np.array(
-    [
-        np.cumsum([(0, 0, 0), *np.eye(3, dtype=np.int64)[list(perm)]], axis=0)
-        for perm in itertools.permutations((0, 1, 2))
-    ]
-)
+    return Mesh(2, n)
 
 
 def build_unit_cube_mesh(n: int) -> Mesh:
     """Kuhn subdivision of (0, 1)^3: six tetrahedra per grid cube."""
-    _check_n(n)
-    side = n + 1
-    coords = np.arange(side, dtype=float) / n
-    gx, gy, gz = np.meshgrid(coords, coords, coords, indexing="ij")
-    # index = (ix * side + iy) * side + iz
-    vertices = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    r = np.arange(n)
-    corners = ((r[:, None, None] * side + r[:, None]) * side + r).ravel()
-    steps = _KUHN_PATHS @ np.array([side * side, side, 1])  # (6, 4) index offsets
-    cells = corners[:, None, None] + steps
-    return _finish_mesh(3, vertices, cells.reshape(-1, 4), n)
-
-
-# a mesh holds about 45 bytes per cell and assembling K + lambda*M peaks near 550
-# on the cube (tracemalloc, n = 64), so this caps that near 2.2 GB, 20x cube n = 32
-MAX_CELLS = 4_000_000
+    return Mesh(3, n)
 
 
 def build_mesh(domain: str, n: int) -> Mesh:
-    """Dispatch on the domain name: interval, square, or cube.  A mesh of
-    more than MAX_CELLS cells is rejected before anything is allocated."""
-    builders = {
-        "interval": (1, build_interval_mesh),
-        "square": (2, build_unit_square_mesh),
-        "cube": (3, build_unit_cube_mesh),
-    }
-    if domain not in builders:
+    """The mesh of a domain named in DOMAINS: interval, square, or cube."""
+    if domain not in DOMAINS:
         raise InvalidArgumentError(
             f"unknown domain {domain!r}; expected interval, square, or cube"
         )
-    dim, builder = builders[domain]
-    cells = math.factorial(dim) * n**dim  # n, 2n^2, 6n^3
-    if cells > MAX_CELLS:
-        raise InvalidArgumentError(
-            f"the {domain} mesh with n = {n} has more than {MAX_CELLS} cells"
-        )
-    return builder(n)
+    return Mesh(DOMAINS[domain], n)
 
 
 def boundary_vertex_indices(mesh: Mesh) -> np.ndarray:
     """Sorted indices of the vertices that lie on some boundary facet."""
     return np.unique(mesh.facet_vertices)
-
-
-# grid axes of the vertex numbering, slowest first: the square numbers its
-# vertices iy * side + ix, the cube (ix * side + iy) * side + iz
-_AXIS_ORDER = {1: [0], 2: [1, 0], 3: [0, 1, 2]}
 
 
 def prolongations(mesh: Mesh) -> list:
@@ -164,13 +165,11 @@ def prolongations(mesh: Mesh) -> list:
     box's low corner that steps along the axes in that order.  For odd n
     the meshes do not nest and the same formula interpolates.
     """
-    dim, n = mesh.dim, round(1.0 / mesh.h)
-    order = _AXIS_ORDER[dim]
+    dim, n = mesh.dim, mesh.n
     out = []
     while n > 3:
         m = -(-n // 2)
-        grid = np.empty(((n + 1) ** dim, dim), dtype=np.int64)
-        grid[:, order] = np.column_stack(np.unravel_index(np.arange(len(grid)), (n + 1,) * dim))
+        grid = _grid(dim, n)
         # in coarse grid units a fine vertex sits at grid * m / n = low + local / n
         low = np.minimum(grid * m // n, m - 1)
         local = grid * m - low * n  # n t, integers in [0, n]
@@ -178,7 +177,7 @@ def prolongations(mesh: Mesh) -> list:
         weights = -np.diff(np.take_along_axis(local, axes, axis=1), prepend=n, append=0) / n
         steps = np.cumsum(axes[:, :, None] == np.arange(dim), axis=1)
         corners = np.concatenate([low[:, None], low[:, None] + steps], axis=1)
-        cols = np.ravel_multi_index(tuple(corners[..., a] for a in order), (m + 1,) * dim)
+        cols = _index(corners, m + 1)
         rows = np.repeat(np.arange(len(grid)), dim + 1)
         P = sp.csr_array((weights.ravel(), (rows, cols.ravel())), shape=(len(grid), (m + 1) ** dim))
         P.eliminate_zeros()
@@ -187,27 +186,23 @@ def prolongations(mesh: Mesh) -> list:
     return out
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise InvalidArgumentError(f"mesh parameter n must be >= 1, got {n}")
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; booleans are not integers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _finish_mesh(dim, vertices, cells, n) -> Mesh:
-    cells = np.asarray(cells, dtype=np.int64)
-    facet_vertices = _boundary_facets(vertices, cells, dim)
-    # d! equal cells split each grid box of side 1/n, and (d-1)! facets each box
-    # face; in 1D, 1/(0! n^0) = 1 is the counting measure on the endpoints
-    cell_parts, facet_parts = math.factorial(dim) * n**dim, math.factorial(dim - 1) * n ** (dim - 1)
-    arrays = {
-        "vertices": vertices,
-        "cells": cells,
-        "cell_measures": np.full(len(cells), 1.0 / cell_parts),
-        "facet_vertices": facet_vertices,
-        "facet_measures": np.full(len(facet_vertices), 1.0 / facet_parts),
-    }
-    for arr in arrays.values():
-        arr.setflags(write=False)
-    return Mesh(dim=dim, h=1.0 / n, **arrays)
+def _grid(dim: int, n: int) -> np.ndarray:
+    """Integer coordinates 0..n of the grid's vertices in vertex order, shape ((n+1)^dim, dim)."""
+    grid = np.empty(((n + 1) ** dim, dim), dtype=np.int64)
+    grid[:, _AXIS_ORDER[dim]] = np.indices((n + 1,) * dim).reshape(dim, -1).T
+    return grid
+
+
+def _index(points: np.ndarray, side: int) -> np.ndarray:
+    """Vertex indices of integer grid points (coordinates on the last axis)
+    on a grid of ``side`` vertices per axis."""
+    axes = _AXIS_ORDER[points.shape[-1]]
+    return np.ravel_multi_index(tuple(points[..., a] for a in axes), (side,) * len(axes))
 
 
 def _boundary_facets(vertices, cells, dim) -> np.ndarray:

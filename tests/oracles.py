@@ -11,12 +11,18 @@ closed form
 The boundary facets of any conforming simplicial mesh are the faces that
 belong to exactly one cell; `boundary_facets_by_count` finds them by
 counting every face, independently of the box geometry the mesh uses.
+
+`simplex_geometry` computes every cell's basis gradients and determinant
+from its own vertex coordinates, and `assemble_by_cells` assembles
+K + lam*M from them cell by cell, independently of the Kuhn reference
+blocks the package tiles.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from robin_lab.errors import InvalidArgumentError
 
@@ -58,3 +64,46 @@ def boundary_facets_by_count(mesh):
         cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
         measures = np.linalg.norm(cross, axis=1) / 2.0
     return facet_vertices, measures
+
+
+def simplex_geometry(vertices, cells):
+    """``(grads, det)``: the P1 basis gradients of every cell, shape
+    (dim + 1, dim, nc) with the cell last, and the determinant of its edge
+    matrix E (row i is vertex i+1 minus vertex 0), in closed form: E^-1 =
+    cof^T / det, so rows 1..dim of the gradients are the cofactor rows over
+    the determinant and row 0 is minus their sum."""
+    coords, corners = np.asarray(vertices, dtype=float).T, np.asarray(cells).T
+    e = np.take(coords, corners[1:], axis=1) - np.take(coords, corners[:1], axis=1)
+    e = e.swapaxes(0, 1)  # (edge, coordinate, cell)
+    d = len(e)
+    if d == 1:
+        cof = np.ones(e.shape)
+    elif d == 2:
+        cof = e[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    else:  # row r is the cross product of edges r+1 and r+2, cyclically
+        cof = np.empty(e.shape)
+        for r, k in itertools.product(range(3), repeat=2):
+            s, t, u, v = (r + 1) % 3, (r + 2) % 3, (k + 1) % 3, (k + 2) % 3
+            cof[r, k] = e[s, u] * e[t, v] - e[s, v] * e[t, u]
+    det = np.einsum("kc,kc->c", e[0], cof[0])
+    grads = np.tensordot(np.vstack([-np.ones(d), np.eye(d)]), cof, axes=1) / det
+    return grads, det
+
+
+def assemble_by_cells(mesh, lam, lumped, stiffness=True):
+    """K + lam*M, or lam*M alone without ``stiffness``, as the sum over cells
+    of |T| (G G^T + lam P), with G and |T| = |det| / d! of each cell taken
+    from its own coordinates, in one COO -> CSR conversion with zero
+    entries dropped."""
+    d, nc = mesh.dim, mesh.num_cells
+    grads, det = simplex_geometry(mesh.vertices, mesh.cells)
+    pattern = np.eye(d + 1) / (d + 1) if lumped else (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2))
+    gram = np.einsum("akc,bkc->cab", grads, grads) if stiffness else 0.0
+    blocks = (gram + lam * pattern) * (np.abs(det) / math.factorial(d))[:, None, None]
+    rows = np.repeat(mesh.cells, d + 1, axis=1)
+    cols = np.tile(mesh.cells, (1, d + 1))
+    data = np.broadcast_to(blocks, (nc, d + 1, d + 1)).ravel()
+    shape = (mesh.num_vertices,) * 2
+    out = sp.coo_array((data, (rows.ravel(), cols.ravel())), shape=shape).tocsr()
+    out.eliminate_zeros()
+    return out

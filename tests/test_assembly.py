@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robin_lab.assembly import (
-    _basis_gradients,
     _scatter,
     assemble_boundary_mass,
     assemble_load,
@@ -13,15 +14,17 @@ from robin_lab.assembly import (
     assemble_stiffness,
     assemble_system,
 )
-from robin_lab.errors import DegenerateMeshError, InvalidArgumentError
+from robin_lab.errors import InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
 from robin_lab.mesh import (
-    Mesh,
     build_interval_mesh,
     build_mesh,
     build_unit_cube_mesh,
     build_unit_square_mesh,
+    kuhn_paths,
 )
+
+from oracles import assemble_by_cells, simplex_geometry
 
 # hand-assembled P1 matrices on the 2-cell interval (h = 1/2):
 # element stiffness (1/h)[[1,-1],[-1,1]], element mass (h/6)[[2,1],[1,2]]
@@ -144,49 +147,6 @@ def test_random_vectors_see_positive_definiteness():
         assert quad_a > 0.0
 
 
-def test_degenerate_cell_detected():
-    vertices = np.array([[0.0], [0.0], [1.0]])
-    cells = np.array([[0, 1], [1, 2]])
-    broken = Mesh(
-        dim=1,
-        vertices=vertices,
-        cells=cells,
-        cell_measures=np.array([0.0, 1.0]),
-        facet_vertices=np.array([[0], [2]]),
-        facet_measures=np.ones(2),
-        h=1.0,
-    )
-    with pytest.raises(DegenerateMeshError):
-        assemble_stiffness(broken)
-
-
-@pytest.mark.parametrize(
-    "vertices,cells",
-    [
-        # coincident vertices, with a positive stored measure
-        pytest.param([[0.0], [0.0], [1.0]], [[0, 1], [1, 2]], id="interval-coincident"),
-        pytest.param([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [[0, 1, 2]], id="collinear-triangle"),
-    ],
-)
-def test_degenerate_cell_detected_from_vertices(vertices, cells):
-    # degeneracy is read off the vertices, whatever the stored measures say,
-    # and is raised before anything divides by the zero determinant
-    dim = len(vertices[0])
-    broken = Mesh(
-        dim=dim,
-        vertices=np.array(vertices),
-        cells=np.array(cells),
-        cell_measures=np.ones(len(cells)),
-        facet_vertices=np.zeros((0, dim), dtype=np.int64),
-        facet_measures=np.zeros(0),
-        h=1.0,
-    )
-    with pytest.raises(DegenerateMeshError):
-        assemble_stiffness(broken)
-    with pytest.raises(DegenerateMeshError):
-        assemble_operator(broken, 1.0)
-
-
 @st.composite
 def simplices(draw):
     """Vertices of a random simplex in 1, 2 or 3 dimensions: its edge matrix
@@ -208,23 +168,48 @@ def simplices(draw):
 @settings(max_examples=60, deadline=None)
 @given(vertices=simplices())
 def test_closed_form_geometry_of_random_simplices(vertices):
+    # the oracle's per-cell geometry, which the assembly tests compare against
     d = vertices.shape[1]
     # swapping the first two vertices reverses the orientation
     for corners in (vertices, vertices[[1, 0, *range(2, d + 1)]]):
-        mesh = Mesh(
-            dim=d,
-            vertices=corners,
-            cells=np.arange(d + 1)[None],
-            cell_measures=np.ones(1),
-            facet_vertices=np.zeros((0, d), dtype=np.int64),
-            facet_measures=np.zeros(0),
-            h=1.0,
-        )
-        grads = _basis_gradients(mesh)[..., 0]
-        edges = corners[1:] - corners[0]  # the same bits assembly sees
+        grads = simplex_geometry(corners, np.arange(d + 1)[None])[0][..., 0]
+        edges = corners[1:] - corners[0]
         # barycentric coordinate i grows by one along edge i and is blind to the others
         assert np.max(np.abs(grads[1:] @ edges.T - np.eye(d))) <= 1e-12
         assert np.max(np.abs(grads.sum(axis=0))) <= 1e-12 * np.max(np.abs(grads))
+
+
+@pytest.mark.parametrize("domain,dim", [("interval", 1), ("square", 2), ("cube", 3)])
+def test_kuhn_reference_gradients_are_exact(domain, dim):
+    # in integer coordinates the closed-form geometry of each of the d! Kuhn
+    # simplices is exact, and all of them share G G^T, the one stiffness
+    # block that assembly gives every cell
+    grams = []
+    for path in kuhn_paths(dim):
+        grads = simplex_geometry(path, np.arange(dim + 1)[None])[0][..., 0]
+        assert np.array_equal(grads[1:] @ (path[1:] - path[0]).T, np.eye(dim))
+        assert not grads.sum(axis=0).any()
+        grams.append(grads @ grads.T)
+    assert len(grams) == math.factorial(dim)
+    assert all(np.array_equal(gram, grams[0]) for gram in grams)
+    # at n = 1 the cells are the reference simplices themselves
+    m = build_mesh(domain, 1)
+    assert np.array_equal(assemble_stiffness(m).toarray(), assemble_by_cells(m, 0.0, False).toarray())
+
+
+@pytest.mark.parametrize("domain", ["interval", "square", "cube"])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 17])
+def test_assembly_matches_per_cell_geometry(domain, n):
+    m = build_mesh(domain, n)
+    pairs = [(assemble_stiffness(m), assemble_by_cells(m, 0.0, False))]
+    for lumped in (False, True):
+        pairs.append((assemble_mass(m, lumped), assemble_by_cells(m, 1.0, lumped, False)))
+        for lam in (1e-6, 1.0, 1e6):
+            pairs.append((assemble_operator(m, lam, lumped), assemble_by_cells(m, lam, lumped)))
+    for A, oracle in pairs:
+        assert np.array_equal(A.indptr, oracle.indptr)
+        assert np.array_equal(A.indices, oracle.indices)
+        assert np.max(np.abs(A.data - oracle.data) / np.abs(oracle.data)) <= 1e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -263,20 +248,12 @@ def test_assembled_matrices_are_canonical_int32(domain, n):
 
 
 def test_system_is_exactly_symmetric():
-    for n in (2, 12):
-        m = build_unit_square_mesh(n)
-        A = _member_matrix(assemble_operator(m, 1.0), m, BoundaryField.constant(1.0))
-        assert abs(A - A.T).max() == 0.0
-
-
-@pytest.mark.parametrize("n", [3, 12])
-@pytest.mark.parametrize("lumped", [False, True])
-def test_cube_system_is_symmetric_to_rounding(n, lumped):
-    # the COO -> CSR conversion sums the duplicates of (i, j) and of (j, i)
-    # in different orders, so on the cube they may differ in the last bit
-    m = build_unit_cube_mesh(n)
-    A = _member_matrix(assemble_operator(m, 1.0, lumped), m, BoundaryField.constant(1.0))
-    assert abs(A - A.T).max() <= 4 * np.finfo(float).eps * abs(A).max()
+    for domain, n in [("square", 2), ("square", 12), ("cube", 3), ("cube", 12), ("cube", 17)]:
+        m = build_mesh(domain, n)
+        for lumped in (False, True):
+            operator = assemble_operator(m, 1.0, lumped)
+            A = _member_matrix(operator, m, BoundaryField.constant(1.0))
+            assert abs(A - A.T).max() == 0.0, (domain, n, lumped)
 
 
 def test_scatter_sums_duplicates():

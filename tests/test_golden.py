@@ -79,7 +79,7 @@ CASES = {
             "beta_sequence": [facet_ramp(12)],
         },
         {
-            "solution.csv": "392b346c4d8e43cf069905bf622b57531bf3d9d75728c694e2d5212ca3525514",
+            "solution.csv": "fd8c1308b2778921d7c6d099608859c36dd7faff7db78424f5b0fc816edfc7cd",
             "solution.svg": "95a59c843185e138033396a6a8b5db1273b72ad6cebc3993e7bc56696d6aa96c",
         },
     ),
@@ -108,7 +108,7 @@ CASES = {
             "beta_sequence": [ONE, ONE, {"kind": "expr", "expr": "1 + x*y"}],
         },
         {
-            "stability.csv": "8f097e28c4adec4bea65fad8d420b025b6dc3a6cf10ef0a00c166051cdf6ec09",
+            "stability.csv": "eb5dc34963c34dfa3a0992aae80e7b366db6443d3f4049db6a3deef763b2a131",
             "stability.svg": "387f5021ce90f6c23a4135d7fcc14c1718c7aad13f90367414b6710575c868af",
         },
     ),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.mesh import (
+    Mesh,
     boundary_vertex_indices,
     build_interval_mesh,
     build_mesh,
@@ -128,6 +129,29 @@ def test_boundary_vertex_indices_examples():
 def test_zero_subdivisions_rejected(builder):
     with pytest.raises(InvalidArgumentError):
         builder(0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: build_mesh("interval", 2.5), id="fractional-n"),
+        pytest.param(lambda: build_mesh("cube", True), id="boolean-n"),
+        pytest.param(lambda: Mesh(4, 2), id="dim-4"),
+        pytest.param(lambda: Mesh(2, 0), id="n-0"),
+        pytest.param(lambda: build_unit_cube_mesh(200), id="above-max-cells"),
+        # 6 n^3 wraps around in int64, so the cell count is taken in Python ints
+        pytest.param(lambda: Mesh(3, np.int64(3_000_000)), id="numpy-n-overflowing-int64"),
+    ],
+)
+def test_invalid_mesh_parameters_rejected(build):
+    with pytest.raises(InvalidArgumentError):
+        build()
+
+
+def test_numpy_integer_n_accepted():
+    m = build_mesh("square", np.int64(3))
+    assert type(m.n) is int and m.n == 3
+    assert np.array_equal(m.cells, build_unit_square_mesh(3).cells)
 
 
 def test_build_mesh_unknown_domain():
