@@ -33,14 +33,7 @@ from .fields import (
     eval_boundary,
 )
 from .linalg import SolveReport, cg_solve
-from .mesh import (
-    Mesh,
-    boundary_vertex_indices,
-    build_interval_mesh,
-    build_mesh,
-    build_unit_cube_mesh,
-    build_unit_square_mesh,
-)
+from .mesh import Mesh, boundary_vertex_indices, build_mesh
 from .stampacchia import (
     DecayReport,
     PhiSamples,

@@ -53,7 +53,7 @@ def lp_norm(f: SourceField, p: float, mesh: Mesh) -> float:
     values = eval_source(f, mesh)
     with np.errstate(over="ignore"):  # an overflow is reported below, naming p
         powers = np.abs(values) ** p
-        integral = float(np.einsum("e,q,eq->", mesh.cell_measures, weights, powers))
+        integral = mesh.cell_measure * float(np.sum(powers @ weights))
     # a subnormal integral has lost digits: refused like an underflow to 0
     if not np.isfinite(integral) or (integral < np.finfo(float).tiny and values.any()):
         raise InvalidArgumentError(f"int |f|^p = {integral:g} at p = {p:g}: beyond float range")
@@ -64,7 +64,7 @@ def level_set_measure(u, mesh: Mesh, k):
     """Boundary measure of {|u| > k}, by indicator sample fractions; a 1-D
     array of levels k gives an array of measures from one interpolation."""
     levels = np.asarray(k, dtype=float)
-    if np.any(levels < 0.0):
+    if not np.all(levels >= 0.0):  # NaN included
         raise InvalidArgumentError(f"level must be >= 0, got {k}")
     u = check_nodal(u, mesh)
     points, _ = facet_rule(mesh.dim)
@@ -72,5 +72,6 @@ def level_set_measure(u, mesh: Mesh, k):
     nverts = points.shape[1]
     samples = np.vstack([points, np.full((1, nverts), 1.0 / nverts)])
     values = np.abs(u[mesh.facet_vertices] @ samples.T)  # (nf, nsamples)
-    measures = np.array([mesh.facet_measures @ np.mean(values > c, axis=1) for c in levels.flat])
+    counts = np.array([np.count_nonzero(values > c) for c in levels.flat])
+    measures = mesh.facet_measure * counts / len(samples)
     return float(measures[0]) if levels.ndim == 0 else measures

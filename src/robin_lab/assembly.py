@@ -59,7 +59,7 @@ def _cells(mesh: Mesh, stiffness: bool, lam: float, lumped: bool) -> sp.csr_arra
     pattern = np.eye(d + 1) / (d + 1) if lumped else (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2))
     grads = -np.diff(np.pad(np.eye(d), ((1, 1), (0, 0))), axis=0)  # on the path along x, y, z
     laplacian = grads @ grads.T * (mesh.n**2 if stiffness else 0)
-    block = (laplacian + lam * pattern) * mesh.cell_measures[0]
+    block = (laplacian + lam * pattern) * mesh.cell_measure
     blocks = np.broadcast_to(block, (mesh.num_cells, d + 1, d + 1))
     return _scatter(mesh.num_vertices, mesh.cells, blocks)
 
@@ -81,7 +81,7 @@ def assemble_boundary_mass(mesh: Mesh, beta: BoundaryField) -> sp.csr_array:
     # basis values at the quad nodes are the barycentric coordinates, so
     # row q of the table holds w_q phi_i phi_j over all (i, j)
     table = weights[:, None, None] * rule_points[:, :, None] * rule_points[:, None, :]
-    local = mesh.facet_measures[:, None] * (beta_vals @ table.reshape(len(weights), -1))
+    local = mesh.facet_measure * (beta_vals @ table.reshape(len(weights), -1))
     return _scatter(mesh.num_vertices, mesh.facet_vertices, local)
 
 
@@ -89,7 +89,7 @@ def assemble_load(mesh: Mesh, f: SourceField) -> np.ndarray:
     """Load vector F_i = sum_cells int_cell f phi_i (exact for constant f)."""
     rule_points, weights = cell_rule(mesh.dim)
     f_vals = eval_source(f, mesh)  # (nc, nq)
-    local = mesh.cell_measures[:, None] * (f_vals @ (weights[:, None] * rule_points))
+    local = mesh.cell_measure * (f_vals @ (weights[:, None] * rule_points))
     return np.bincount(mesh.cells.ravel(), local.ravel(), minlength=mesh.num_vertices)
 
 

@@ -3,9 +3,10 @@
 A mesh is its dimension d and its number n of subdivisions per axis: each
 of the n^d grid boxes is split into the d! Kuhn simplices, one per order in
 which a path from the box's low corner steps along the axes (`kuhn_paths`),
-so every cell is a translate of one of d! reference simplices.  h = 1/n and
-every measure is a closed-form constant, 1/(d! n^d) per cell and
-1/((d-1)! n^(d-1)) per boundary facet, rounded once:
+so every cell is a translate of one of d! reference simplices.  h = 1/n,
+the boundary facets follow from the integer grid, and every cell has the
+measure 1/(d! n^d) and every boundary facet 1/((d-1)! n^(d-1)), each a
+single float rounded once:
 
 * interval: n segments of length 1/n; the boundary carries the counting
   measure on {0, 1}, so the two endpoint facets have measure 1 each;
@@ -34,8 +35,8 @@ from .errors import InvalidArgumentError
 # domain name -> dimension
 DOMAINS = {"interval": 1, "square": 2, "cube": 3}
 
-# a mesh holds about 45 bytes per cell and assembling K + lambda*M peaks near 495
-# more on the cube (tracemalloc, n = 32 and 64), so this caps the two near 2.2 GB,
+# a mesh holds about 37 bytes per cell and assembling K + lambda*M peaks near 495
+# more on the cube (tracemalloc, n = 32 and 64), so this caps the two near 2.1 GB,
 # 20x cube n = 32
 MAX_CELLS = 4_000_000
 
@@ -63,12 +64,12 @@ class Mesh:
     vertex index, then the d! paths in `kuhn_paths` order.  Each cell lists
     its vertices in path order, which assembly relies on.
     A boundary facet is a face (d of a cell's d + 1 vertices) whose vertices
-    all lie on one face of the box.  The facets are rows of the ``facet_*``
-    arrays, in cell-major order and, within a cell, in
-    ``itertools.combinations`` order of its vertex columns, with each row's
-    vertices sorted; a per-facet field's i-th value belongs to row i.
-    ``facet_vertices`` holds those vertex indices (a single vertex in 1D)
-    and ``facet_measures`` the surface measure (1.0 for interval endpoints).
+    all lie on one face of the box.  Row i of ``facet_vertices`` holds the
+    sorted vertex indices of facet i (a single vertex in 1D), and a
+    per-facet field's i-th value belongs to it.  The rows are cell-major
+    and, within a cell, in ``itertools.combinations`` order of its vertex
+    columns.  ``cell_measure`` and ``facet_measure`` are the one measure
+    every cell and every boundary facet has (1.0 for interval endpoints).
     """
 
     dim: int
@@ -76,9 +77,9 @@ class Mesh:
     h: float = field(init=False)
     vertices: np.ndarray = field(init=False)  # (num_vertices, dim)
     cells: np.ndarray = field(init=False)  # (num_cells, dim + 1), vertex indices
-    cell_measures: np.ndarray = field(init=False)  # (num_cells,)
     facet_vertices: np.ndarray = field(init=False)  # (num_facets, dim)
-    facet_measures: np.ndarray = field(init=False)  # (num_facets,)
+    cell_measure: float = field(init=False)  # of every cell
+    facet_measure: float = field(init=False)  # of every boundary facet
 
     def __post_init__(self):
         dim, n = self.dim, self.n
@@ -92,24 +93,30 @@ class Mesh:
             raise InvalidArgumentError(
                 f"the {dim}-dimensional mesh with n = {n} has more than {MAX_CELLS} cells"
             )
-        vertices = _grid(dim, n) / n
+        grid = _grid(dim, n)
         # the boxes' low corners: the vertices with no coordinate n, in vertex order
         boxes = np.arange((n + 1) ** dim).reshape((n + 1,) * dim)[(slice(n),) * dim].ravel()
-        cells = (boxes[:, None, None] + _index(kuhn_paths(dim), n + 1)).reshape(-1, dim + 1)
-        facet_vertices = _boundary_facets(vertices, cells, dim)
+        paths = kuhn_paths(dim)
+        cells = (boxes[:, None, None] + _index(paths, n + 1)).reshape(-1, dim + 1)
+        # Kuhn end-face rule: every face but the two without an end vertex of the
+        # path holds both ends, which differ in every coordinate, so only these
+        # can be boundary facets.  On box c with step axes a_1 ... a_d, the face
+        # without the last vertex lies on x_{a_d} = 0 iff c[a_d] = 0, and the
+        # face without the first on x_{a_1} = 1 iff c[a_1] = n - 1.
+        axes = np.diff(paths, axis=1).argmax(axis=2)  # (d!, d): each path's step axes
+        corner = grid[boxes]
+        ends = np.stack([corner[:, axes[:, -1]] == 0, corner[:, axes[:, 0]] == n - 1], axis=2)
+        cell, end = np.divmod(np.flatnonzero(ends), 2)
+        # path order is vertex order, so each facet's vertices are already sorted
+        facet_vertices = cells[cell[:, None], end[:, None] + np.arange(dim)]
+        arrays = {"vertices": grid / n, "cells": cells, "facet_vertices": facet_vertices}
+        for arr in arrays.values():
+            arr.setflags(write=False)
         # d! equal cells split each grid box of side 1/n, and (d-1)! facets each box
         # face; in 1D, 1/(0! n^0) = 1 is the counting measure on the endpoints
         facet_parts = math.factorial(dim - 1) * n ** (dim - 1)
-        arrays = {
-            "vertices": vertices,
-            "cells": cells,
-            "cell_measures": np.full(len(cells), 1.0 / cell_parts),
-            "facet_vertices": facet_vertices,
-            "facet_measures": np.full(len(facet_vertices), 1.0 / facet_parts),
-        }
-        for arr in arrays.values():
-            arr.setflags(write=False)
-        for name, value in dict(arrays, dim=dim, n=n, h=1.0 / n).items():
+        measures = {"cell_measure": 1.0 / cell_parts, "facet_measure": 1.0 / facet_parts}
+        for name, value in dict(arrays, **measures, dim=dim, n=n, h=1.0 / n).items():
             object.__setattr__(self, name, value)
 
     @property
@@ -123,21 +130,6 @@ class Mesh:
     @property
     def num_facets(self) -> int:
         return self.facet_vertices.shape[0]
-
-
-def build_interval_mesh(n: int) -> Mesh:
-    """Uniform mesh of (0, 1) with n segments."""
-    return Mesh(1, n)
-
-
-def build_unit_square_mesh(n: int) -> Mesh:
-    """Uniform triangulation of (0, 1)^2, two triangles per grid square."""
-    return Mesh(2, n)
-
-
-def build_unit_cube_mesh(n: int) -> Mesh:
-    """Kuhn subdivision of (0, 1)^3: six tetrahedra per grid cube."""
-    return Mesh(3, n)
 
 
 def build_mesh(domain: str, n: int) -> Mesh:
@@ -203,15 +195,3 @@ def _index(points: np.ndarray, side: int) -> np.ndarray:
     on a grid of ``side`` vertices per axis."""
     axes = _AXIS_ORDER[points.shape[-1]]
     return np.ravel_multi_index(tuple(points[..., a] for a in axes), (side,) * len(axes))
-
-
-def _boundary_facets(vertices, cells, dim) -> np.ndarray:
-    # the mesh is conforming and fills the convex box, so a face is on the
-    # boundary iff its vertices all lie on one box face: bit 2a (2a+1) of a
-    # vertex is set when its coordinate a is 0 (1), and the AND is nonzero
-    on_side = np.stack([vertices == 0.0, vertices == 1.0], axis=2).reshape(len(vertices), -1)
-    bits = np.packbits(on_side, axis=1, bitorder="little")[:, 0]  # uint8, 2 * dim <= 6 bits
-    combos = np.array(list(itertools.combinations(range(dim + 1), dim)))
-    shared = np.bitwise_and.reduce(bits[cells][:, combos], axis=2)  # (num_cells, dim + 1)
-    cell, combo = np.divmod(np.flatnonzero(shared), len(combos))
-    return np.sort(cells[cell[:, None], combos[combo]], axis=1)

@@ -39,13 +39,13 @@ class StampacchiaParams:
     variant: str = "classical"
 
     def __post_init__(self):
-        if self.c < 0.0:
+        if not self.c >= 0.0:  # NaN included
             raise InvalidArgumentError(f"c must be >= 0, got {self.c}")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise InvalidArgumentError(f"alpha must be > 0, got {self.alpha}")
-        if self.delta <= 1.0:
+        if not self.delta > 1.0:
             raise InvalidArgumentError(f"delta must be > 1, got {self.delta}")
-        if self.phi0 < 0.0:
+        if not self.phi0 >= 0.0:
             raise InvalidArgumentError(f"phi0 must be >= 0, got {self.phi0}")
         if self.variant not in _VARIANTS:
             raise InvalidArgumentError(
@@ -104,9 +104,9 @@ def stampacchia_gap(params: StampacchiaParams) -> float:
 
 def fit_minimal_c(samples: PhiSamples, alpha: float, delta: float) -> float:
     """Smallest c with phi(h) <= c (h-k)^(-alpha) phi(k)^delta on the grid."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # NaN included
         raise InvalidArgumentError(f"alpha must be > 0, got {alpha}")
-    if delta <= 1.0:
+    if not delta > 1.0:
         raise InvalidArgumentError(f"delta must be > 1, got {delta}")
     if samples.ks.size < 2:
         raise InvalidArgumentError("need at least two samples to fit c")
@@ -162,7 +162,7 @@ def theorem_constants(d: int, c2: float, phi0: float = 0.0) -> StampacchiaParams
     alpha equals the trace exponent s, delta = s - 1, and the iteration
     starts at level 0; c2 is the composite multiplicative constant.
     """
-    if c2 < 0.0:
+    if not c2 >= 0.0:  # NaN included
         raise InvalidArgumentError(f"composite constant must be >= 0, got {c2}")
     s = trace_exponent(d)
     return StampacchiaParams(c=c2, alpha=s, delta=s - 1.0, phi0=phi0)

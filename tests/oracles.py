@@ -8,6 +8,11 @@ closed form
     u(x) = f/lam + A cosh(sqrt(lam) (x - 1/2)),
     A = -(beta f / lam) / (sqrt(lam) sinh(sqrt(lam)/2) + beta cosh(sqrt(lam)/2))
 
+On the square, -Laplace(u) + lam u = 1 with du/dnu + beta u = 0 separates:
+`robin_square_series` expands u in the even Robin modes cos(mu_j (x - 1/2))
+of x, with mu_j tan(mu_j / 2) = beta, and solves each mode's equation in y
+with the closed form above at lam + mu_j^2.
+
 The boundary facets of any conforming simplicial mesh are the faces that
 belong to exactly one cell; `boundary_facets_by_count` finds them by
 counting every face, independently of the box geometry the mesh uses.
@@ -18,6 +23,7 @@ K + lam*M from them cell by cell, independently of the Kuhn reference
 blocks the package tiles.
 """
 
+import functools
 import itertools
 import math
 
@@ -42,6 +48,46 @@ def analytic_interval_solution(lam: float, beta: float, f_const: float):
         return f_const / lam + amp * math.cosh(root * (x - 0.5))
 
     return evaluate
+
+
+def robin_square_series(lam: float, beta: float, modes: int = 1000):
+    """The exact solution for f = 1 and a constant beta > 0 on (0, 1)^2 as a
+    function of an (m, 2) array of points, summed over the first ``modes``
+    even modes u = sum_j c_j cos(mu_j (x - 1/2)) w_j(y).  c_j = int X_j /
+    int X_j^2 expands 1 in the modes X_j, and w_j solves -w'' + (lam +
+    mu_j^2) w = 1 with the Robin condition, written with cosh(r s) /
+    cosh(r/2) = e^(r (s - 1/2)) (1 + e^(-2 r s)) / (1 + e^(-r)) at
+    s = |y - 1/2| so that no term overflows."""
+    mu = _even_robin_roots(float(beta), modes)
+    coeffs = (2.0 * np.sin(mu / 2.0) / mu) / (0.5 + np.sin(mu) / (2.0 * mu))
+    r = np.sqrt(lam + mu**2)
+
+    def evaluate(points):
+        # the series separates, so it is summed once on the grid of the
+        # points' distinct coordinates
+        (x, ix), (y, iy) = (np.unique(c, return_inverse=True) for c in np.asarray(points).T)
+        s = np.abs(y - 0.5)[:, None]
+        ratio = np.exp(r * (s - 0.5)) * (1.0 + np.exp(-2.0 * r * s)) / (1.0 + np.exp(-r))
+        w = (1.0 - beta * ratio / (r * np.tanh(r / 2.0) + beta)) / r**2
+        return ((coeffs * np.cos(np.outer(x - 0.5, mu))) @ w.T)[ix, iy]
+
+    return evaluate
+
+
+@functools.lru_cache(maxsize=None)
+def _even_robin_roots(beta: float, modes: int) -> np.ndarray:
+    """mu_j in (2 pi j, 2 pi j + pi) with mu_j tan(mu_j / 2) = beta, j < modes,
+    by bisection on t = mu_j / 2 - pi j in (0, pi/2), where (2 pi j + 2t) tan t
+    rises from 0 to infinity."""
+    base = 2.0 * np.pi * np.arange(modes)
+    lo, hi = np.zeros(modes), np.full(modes, np.pi / 2.0)
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        above = (base + 2.0 * mid) * np.tan(mid) > beta
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    mu = base + lo + hi
+    mu.setflags(write=False)
+    return mu
 
 
 def boundary_facets_by_count(mesh):

@@ -16,7 +16,7 @@ from robin_lab.cli import main as cli_main
 from robin_lab.stampacchia import PhiSamples, StampacchiaParams, fit_minimal_c
 from robin_lab.stampacchia import stampacchia_gap, verify_decay
 
-from oracles import analytic_interval_solution
+from oracles import analytic_interval_solution, robin_square_series
 
 ONE = rl.SourceField.constant(1.0)
 
@@ -29,12 +29,12 @@ def _line(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def cube8():
-    return rl.build_unit_cube_mesh(8)
+    return rl.build_mesh("cube", 8)
 
 
 @pytest.fixture(scope="module")
 def cube12():
-    return rl.build_unit_cube_mesh(12)
+    return rl.build_mesh("cube", 12)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def test_criterion_1_interval_oracle_accuracy():
     oracle = analytic_interval_solution(1.0, 1.0, 1.0)
     errors = {}
     for n in (128, 256):
-        mesh = rl.build_interval_mesh(n)
+        mesh = rl.build_mesh("interval", n)
         (u,) = rl.solve_robin(mesh, 1.0, ONE, [rl.BoundaryField.constant(1.0)])
         exact = np.array([oracle(float(x[0])) for x in mesh.vertices])
         errors[n] = float(np.max(np.abs(u - exact)))
@@ -88,7 +88,7 @@ def test_criterion_2_constant_solution_exactness():
 
 
 def test_criterion_3_coercivity_and_cg():
-    mesh = rl.build_unit_cube_mesh(4)
+    mesh = rl.build_mesh("cube", 4)
     lam = 1.0
     beta = rl.BoundaryField.constant(1.0)
     A = rl.assemble_operator(mesh, lam) + rl.assemble_boundary_mass(mesh, beta)
@@ -342,4 +342,29 @@ def test_criterion_10_manufactured_solution_beyond_1d(tmp_path, domain, dim, ns)
         + ", reduction per halving "
         + ", ".join(f"{q:.2f}" for q in factors)
         + " (>=2.4)",
+    )
+
+
+def test_criterion_11_square_stability_against_series_oracle():
+    # constant beta 1.5 against 2: the record (0, 1) of a sweep against the
+    # exact series at the vertices; its boundary sup is that of u(1.5)
+    exact_a, exact_b = robin_square_series(1.0, 1.5), robin_square_series(1.0, 2.0)
+    betas = [rl.BoundaryField.constant(1.5), rl.BoundaryField.constant(2.0)]
+    errors = []
+    for n in (8, 16, 32, 64):
+        mesh = rl.build_mesh("square", n)
+        record = rl.stability_sweep(mesh, 1.0, ONE, betas)[0]
+        u_a, u_b = exact_a(mesh.vertices), exact_b(mesh.vertices)
+        diff = np.max(np.abs(u_a - u_b))
+        un_bd = np.max(np.abs(u_a[rl.boundary_vertex_indices(mesh)]))
+        exact = np.array([diff, un_bd, diff / (un_bd * 0.5)])
+        fe = np.array([record.diff_sup_closure, record.un_sup_boundary, record.ratio])
+        errors.append(np.abs(fe / exact - 1.0))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    _line(
+        11,
+        orders.min() >= 1.9 and errors[-1].max() <= 1.5e-4,
+        f"square n=8..64, relative errors of (diff_sup, un_bd_sup, ratio) at n=64 "
+        f"{np.array2string(errors[-1], precision=2)} (<=1.5e-4), observed orders "
+        f"{np.array2string(orders.min(axis=0), precision=2)} (>=1.9)",
     )

@@ -10,12 +10,7 @@ from robin_lab.analysis import (
 from robin_lab.errors import InvalidArgumentError, UnsupportedDimensionError
 from robin_lab.experiments import level_set_pipeline
 from robin_lab.fields import SourceField
-from robin_lab.mesh import (
-    boundary_vertex_indices,
-    build_interval_mesh,
-    build_unit_cube_mesh,
-    build_unit_square_mesh,
-)
+from robin_lab.mesh import boundary_vertex_indices, build_mesh
 
 
 @pytest.mark.parametrize("d,q,s", [(3, 6.0, 4.0), (4, 4.0, 3.0), (6, 3.0, 2.5)])
@@ -33,7 +28,7 @@ def test_exponents_reject_low_dimension(d):
 
 
 def test_sup_norm_regions():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     boundary = boundary_vertex_indices(m)
     u = np.array([-1.0, 0.3, 0.7])
     assert sup_norm(u) == 1.0
@@ -46,22 +41,25 @@ def test_sup_norm_regions():
 
 
 def test_lp_norm_of_unit_source_on_cube():
-    m = build_unit_cube_mesh(2)
+    m = build_mesh("cube", 2)
     f = SourceField.constant(1.0)
     for p in (1.0, 2.0, 4.0, 7.5):
         assert lp_norm(f, p, m) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("builder", [build_unit_square_mesh, build_unit_cube_mesh])
-def test_lp_norm_of_linear_source(builder):
+# the ids name the builder aliases these cases once called
+@pytest.mark.parametrize(
+    "domain", ["square", "cube"], ids=["build_unit_square_mesh", "build_unit_cube_mesh"]
+)
+def test_lp_norm_of_linear_source(domain):
     # the quadratic-exact cell rule integrates x^2 exactly: ||x||_2 = sqrt(1/3)
-    m = builder(3)
+    m = build_mesh(domain, 3)
     f = SourceField.from_expression("x")
     assert abs(lp_norm(f, 2.0, m) - np.sqrt(1.0 / 3.0)) <= 1e-14
 
 
 def test_lp_norm_zero_and_guards():
-    m = build_interval_mesh(4)
+    m = build_mesh("interval", 4)
     zero = SourceField.constant(0.0)
     assert lp_norm(zero, 2.0, m) == 0.0
     for p in (0.5, float("nan")):
@@ -77,14 +75,14 @@ def test_lp_norm_zero_and_guards():
 
 
 def test_level_set_constant_cases():
-    m = build_unit_square_mesh(2)
+    m = build_mesh("square", 2)
     u = np.full(m.num_vertices, 0.5)
     assert level_set_measure(u, m, 0.4) == pytest.approx(4.0, abs=1e-12)
     assert level_set_measure(u, m, 0.6) == 0.0
 
 
 def test_level_set_monotone_and_vanishing():
-    m = build_unit_cube_mesh(3)
+    m = build_mesh("cube", 3)
     rng = np.random.default_rng(8)
     u = rng.standard_normal(m.num_vertices)
     top = sup_norm(u[boundary_vertex_indices(m)])
@@ -95,12 +93,18 @@ def test_level_set_monotone_and_vanishing():
 
 
 def test_solution_validation():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     with pytest.raises(InvalidArgumentError):
         level_set_measure(np.ones(4), m, 0.5)
-    cube = build_unit_cube_mesh(1)
+    for level in (-0.5, np.nan, [0.5, np.nan]):
+        with pytest.raises(InvalidArgumentError, match="level"):
+            level_set_measure(np.ones(3), m, level)
+    cube = build_mesh("cube", 1)
     with pytest.raises(InvalidArgumentError):
         level_set_pipeline(np.ones(cube.num_vertices - 1), cube)
+    u = np.linspace(0.0, 1.0, cube.num_vertices)
+    with pytest.raises(InvalidArgumentError, match="composite constant"):
+        level_set_pipeline(u, cube, c2=np.nan)
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             sup_norm(np.array([1.0, bad, 0.0]))

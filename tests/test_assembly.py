@@ -16,13 +16,7 @@ from robin_lab.assembly import (
 )
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
-from robin_lab.mesh import (
-    build_interval_mesh,
-    build_mesh,
-    build_unit_cube_mesh,
-    build_unit_square_mesh,
-    kuhn_paths,
-)
+from robin_lab.mesh import build_mesh, kuhn_paths
 
 from oracles import assemble_by_cells, simplex_geometry
 
@@ -34,12 +28,12 @@ M_LUMPED_2 = np.diag([0.25, 0.5, 0.25])
 
 
 def test_interval_stiffness_matches_hand_assembly():
-    K = assemble_stiffness(build_interval_mesh(2))
+    K = assemble_stiffness(build_mesh("interval", 2))
     assert np.allclose(K.toarray(), K_INTERVAL_2, atol=1e-14)
 
 
 def test_interval_mass_matches_hand_assembly():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     M = assemble_mass(m)
     assert np.allclose(M.toarray(), M_INTERVAL_2, atol=1e-15)
     ML = assemble_mass(m, lumped=True)
@@ -54,7 +48,7 @@ def test_stiffness_kernel_contains_constants(domain):
 
 
 def test_square_stiffness_row_sums_vanish():
-    K = assemble_stiffness(build_unit_square_mesh(1))
+    K = assemble_stiffness(build_mesh("square", 1))
     assert np.max(np.abs(K.toarray().sum(axis=1))) < 1e-12
 
 
@@ -66,26 +60,26 @@ def test_mass_total_is_domain_volume(domain):
 
 
 def test_boundary_mass_interval_is_endpoint_diagonal():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     B = assemble_boundary_mass(m, BoundaryField.constant(1.0))
     assert np.allclose(B.toarray(), np.diag([1.0, 0.0, 1.0]), atol=1e-15)
 
 
 def test_boundary_mass_zero_coefficient():
-    m = build_unit_square_mesh(2)
+    m = build_mesh("square", 2)
     B = assemble_boundary_mass(m, BoundaryField.constant(0.0))
     assert not B.toarray().any()
 
 
 def test_boundary_mass_total_is_perimeter():
-    m = build_unit_square_mesh(3)
+    m = build_mesh("square", 3)
     B = assemble_boundary_mass(m, BoundaryField.constant(1.0))
     ones = np.ones(B.shape[0])
     assert abs(ones @ (B @ ones) - 4.0) < 1e-12
 
 
 def test_boundary_mass_rejects_negative_samples():
-    m = build_unit_square_mesh(2)
+    m = build_mesh("square", 2)
     from robin_lab.errors import InvalidCoefficientError
 
     with pytest.raises(InvalidCoefficientError):
@@ -116,7 +110,7 @@ def _member_matrix(operator, mesh, beta):
 
 
 def test_system_is_sum_of_parts():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     operator = assemble_operator(m, 1.0, lumped=True)
     A = _member_matrix(operator, m, BoundaryField.constant(1.0))
     expected = K_INTERVAL_2 + M_LUMPED_2 + np.diag([1.0, 0.0, 1.0])
@@ -128,11 +122,11 @@ def test_system_rejects_negative_lambda():
     # would make the operator definite
     for lam in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidArgumentError):
-            assemble_operator(build_interval_mesh(2), lam)
+            assemble_operator(build_mesh("interval", 2), lam)
 
 
 def test_random_vectors_see_positive_definiteness():
-    m = build_unit_cube_mesh(2)
+    m = build_mesh("cube", 2)
     beta = BoundaryField.constant(1.0)
     lam = 1.0
     A = _member_matrix(assemble_operator(m, lam), m, beta)

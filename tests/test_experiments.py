@@ -22,13 +22,7 @@ from robin_lab.experiments import (
 )
 from robin_lab.fields import BoundaryField, SourceField
 from robin_lab.linalg import cg_solve
-from robin_lab.mesh import (
-    boundary_vertex_indices,
-    build_interval_mesh,
-    build_mesh,
-    build_unit_cube_mesh,
-    prolongations,
-)
+from robin_lab.mesh import boundary_vertex_indices, build_mesh, prolongations
 
 from oracles import analytic_interval_solution
 
@@ -44,7 +38,7 @@ def _solve(mesh, lam=1.0, beta=1.0, f=ONE, **kw):
 
 
 def test_problem_requires_positive_lambda():
-    m = build_interval_mesh(4)
+    m = build_mesh("interval", 4)
     with pytest.raises(InvalidArgumentError):
         _solve(m, lam=0.0)
     with pytest.raises(InvalidArgumentError):
@@ -63,13 +57,13 @@ def test_constant_solution_is_exact(domain, n):
 
 
 def test_zero_source_gives_zero_solution():
-    m = build_interval_mesh(16)
+    m = build_mesh("interval", 16)
     u = _solve(m, f=SourceField.constant(0.0))
     assert np.max(np.abs(u)) == 0.0
 
 
 def test_interval_solution_matches_oracle():
-    m = build_interval_mesh(32)
+    m = build_mesh("interval", 32)
     u = _solve(m, tol=1e-12)
     oracle = analytic_interval_solution(1.0, 1.0, 1.0)
     exact = np.array([oracle(float(x[0])) for x in m.vertices])
@@ -112,7 +106,7 @@ def test_oracle_rejects_bad_data():
 
 
 def test_solver_linearity():
-    m = build_interval_mesh(32)
+    m = build_mesh("interval", 32)
     tol = 1e-12
     f1 = SourceField.constant(1.0)
     f2 = SourceField.from_expression("x")
@@ -126,7 +120,7 @@ def test_solver_linearity():
 
 def test_monotone_dependence_on_beta_1d():
     # larger beta pulls the boundary values down (lumped mass, f >= 0)
-    m = build_interval_mesh(64)
+    m = build_mesh("interval", 64)
     previous = None
     for beta in (0.5, 1.0, 2.0, 4.0):
         u = _solve(m, beta=beta, lumped=True, tol=1e-12)
@@ -138,7 +132,7 @@ def test_monotone_dependence_on_beta_1d():
 
 
 def test_stability_identical_coefficients():
-    m = build_interval_mesh(16)
+    m = build_mesh("interval", 16)
     tol = 1e-10
     betas = [BoundaryField.constant(1.0)] * 3
     records = stability_sweep(m, 1.0, ONE, betas, tol=tol)
@@ -149,7 +143,7 @@ def test_stability_identical_coefficients():
 
 
 def test_stability_two_constants_against_oracle():
-    m = build_interval_mesh(128)
+    m = build_mesh("interval", 128)
     betas = [BoundaryField.constant(1.0), BoundaryField.constant(1.5)]
     records = stability_sweep(m, 1.0, ONE, betas, tol=1e-12)
     u_a = analytic_interval_solution(1.0, 1.0, 1.0)
@@ -162,13 +156,13 @@ def test_stability_two_constants_against_oracle():
 
 
 def test_stability_needs_two_coefficients():
-    m = build_interval_mesh(4)
+    m = build_mesh("interval", 4)
     with pytest.raises(InvalidArgumentError):
         stability_sweep(m, 1.0, ONE, [BoundaryField.constant(1.0)])
 
 
 def test_stability_reports_failing_index():
-    m = build_interval_mesh(4)
+    m = build_mesh("interval", 4)
     betas = [BoundaryField.constant(1.0), BoundaryField.from_function(lambda p: -1.0)]
     with pytest.raises(Exception, match="index 1"):
         stability_sweep(m, 1.0, ONE, betas)
@@ -179,7 +173,7 @@ def test_failing_member_keeps_its_exception():
     def undecodable(p):
         raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
-    m = build_interval_mesh(4)
+    m = build_mesh("interval", 4)
     betas = [BoundaryField.constant(1.0), BoundaryField.from_function(undecodable)]
     with pytest.raises(UnicodeDecodeError, match="index 1") as info:
         convergence_study(m, 1.0, ONE, betas, BoundaryField.constant(1.0))
@@ -189,7 +183,7 @@ def test_failing_member_keeps_its_exception():
 def test_family_members_equal_independent_solves():
     # the shared K + lam M and load must give each member exactly what a
     # problem of its own gives
-    m = build_unit_cube_mesh(3)
+    m = build_mesh("cube", 3)
     f = SourceField.from_expression("1 + x*y")
     betas = [
         BoundaryField.constant(0.5),
@@ -215,7 +209,7 @@ def test_family_members_equal_independent_solves_on_a_hierarchy():
     # members' Jacobi scales and coarsest inverses are all in play; the
     # repeated members share one B, and the member with beta = 1e3 takes
     # one more iteration, so the others freeze while it goes on
-    m = build_unit_cube_mesh(8)
+    m = build_mesh("cube", 8)
     f = SourceField.from_expression("1 + x*y")
     facet = BoundaryField.per_facet(np.linspace(0.2, 2.0, m.num_facets))
     betas = [
@@ -279,7 +273,7 @@ def test_estimate_constant():
 
 
 def test_convergence_identical_sequence():
-    m = build_interval_mesh(16)
+    m = build_mesh("interval", 16)
     tol = 1e-10
     beta = BoundaryField.constant(1.0)
     errs = convergence_study(m, 1.0, ONE, [beta, beta], beta, tol=tol)
@@ -288,7 +282,7 @@ def test_convergence_identical_sequence():
 
 
 def test_convergence_sequence_shrinks():
-    m = build_interval_mesh(64)
+    m = build_mesh("interval", 64)
     betas = [BoundaryField.constant(1.0 + 1.0 / (k + 1)) for k in range(33)]
     limit = BoundaryField.constant(1.0)
     errs = np.array(convergence_study(m, 1.0, ONE, betas, limit, tol=1e-11))
@@ -297,14 +291,14 @@ def test_convergence_sequence_shrinks():
 
 
 def test_theorem0_ratio_unit_source():
-    m = build_unit_cube_mesh(2)
+    m = build_mesh("cube", 2)
     u = _solve(m, tol=1e-11)
     sup_u, f_norm = theorem0_terms(u, m, ONE, 4.0)
     assert sup_u / f_norm == pytest.approx(sup_norm(u), rel=1e-12)
 
 
 def test_theorem0_ratio_scaling_invariance():
-    m = build_unit_cube_mesh(2)
+    m = build_mesh("cube", 2)
     f1 = SourceField.from_expression("1 + x")
     f2 = SourceField.from_function(lambda p: 2.0 * (1.0 + p[0]))
     u1 = _solve(m, f=f1, tol=1e-12)
@@ -315,14 +309,14 @@ def test_theorem0_ratio_scaling_invariance():
 
 
 def test_theorem0_rejects_zero_source():
-    m = build_unit_cube_mesh(2)
+    m = build_mesh("cube", 2)
     u = _solve(m, tol=1e-11)
     with pytest.raises(InvalidArgumentError):
         theorem0_terms(u, m, SourceField.constant(0.0), 4.0)
 
 
 def test_level_set_pipeline_trivial_for_zero_difference():
-    m = build_unit_cube_mesh(2)
+    m = build_mesh("cube", 2)
     u = _solve(m, tol=1e-11)
     report = level_set_pipeline(u - u, m)
     assert report.hypothesis_ok
@@ -333,7 +327,7 @@ def test_level_set_pipeline_trivial_for_zero_difference():
 
 
 def test_level_set_pipeline_on_solved_pair():
-    m = build_unit_cube_mesh(4)
+    m = build_mesh("cube", 4)
     ua = _solve(m, beta=1.0, tol=1e-11)
     ub = _solve(m, beta=1.5, tol=1e-11)
     report = level_set_pipeline(ua - ub, m)

@@ -15,31 +15,31 @@ from robin_lab.fields import (
     eval_boundary,
     eval_source,
 )
-from robin_lab.mesh import build_interval_mesh, build_unit_square_mesh
+from robin_lab.mesh import build_mesh
 
 
 def test_eval_constant():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     values = eval_boundary(BoundaryField.constant(1.0), m, np.ones((1, 1)))
     assert values.shape == (2, 1)
     assert np.all(values == 1.0)
 
 
 def test_eval_per_facet_lookup():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     field = BoundaryField.per_facet([0.5, 2.0])
     assert eval_boundary(field, m, np.ones((1, 1))).tolist() == [[0.5], [2.0]]
 
 
 @pytest.mark.parametrize("count", [7, 9])
 def test_per_facet_length_must_match_facet_count(count):
-    m = build_unit_square_mesh(2)  # 8 facets
+    m = build_mesh("square", 2)  # 8 facets
     with pytest.raises(InvalidArgumentError, match="8 boundary facets"):
         eval_boundary(BoundaryField.per_facet(np.ones(count)), m, np.eye(2))
 
 
 def test_eval_closure_on_square_edge():
-    m = build_unit_square_mesh(2)
+    m = build_mesh("square", 2)
     field = BoundaryField.from_function(lambda p: p[0] + 1.0)
     # bottom edge from (0, 0) to (0.5, 0), evaluated at its midpoint
     corners = m.vertices[m.facet_vertices]  # (nf, 2, 2)
@@ -51,7 +51,7 @@ def test_eval_closure_on_square_edge():
 
 
 def test_closure_sees_all_points_at_once():
-    m = build_unit_square_mesh(3)
+    m = build_mesh("square", 3)
     shapes = []
 
     def fn(p):
@@ -64,7 +64,7 @@ def test_closure_sees_all_points_at_once():
 
 
 def test_negative_coefficient_rejected_at_evaluation():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     with pytest.raises(InvalidCoefficientError):
         eval_boundary(BoundaryField.constant(-1.0), m, np.ones((1, 1)))
     with pytest.raises(InvalidCoefficientError):
@@ -73,7 +73,7 @@ def test_negative_coefficient_rejected_at_evaluation():
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_non_finite_coefficient_rejected_at_evaluation(bad):
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     with pytest.raises(InvalidCoefficientError, match="not finite"):
         boundary_sup(BoundaryField.constant(bad), m)
     with pytest.raises(InvalidCoefficientError):
@@ -81,7 +81,7 @@ def test_non_finite_coefficient_rejected_at_evaluation(bad):
 
 
 def test_sup_diff_examples():
-    m = build_interval_mesh(4)
+    m = build_mesh("interval", 4)
     same = BoundaryField.constant(3.0)
     assert boundary_sup_diff([same, same], m)[0, 1] == 0.0
     assert boundary_sup_diff(
@@ -93,7 +93,7 @@ def test_sup_diff_examples():
 
 
 def test_sup_diff_symmetry_and_triangle_inequality():
-    m = build_unit_square_mesh(2)
+    m = build_mesh("square", 2)
     rng = np.random.default_rng(7)
     nf = m.num_facets
     betas = [
@@ -112,21 +112,21 @@ def test_sup_diff_symmetry_and_triangle_inequality():
 
 
 def test_boundary_sup_examples():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     assert boundary_sup(BoundaryField.constant(2.0), m) == 2.0
     assert boundary_sup(BoundaryField.per_facet([0.1, 7.0]), m) == 7.0
 
 
 def test_boundary_sup_closure_reaches_corner():
     # sample set contains the facet vertices, so x attains 1 at the corner
-    m = build_unit_square_mesh(3)
+    m = build_mesh("square", 3)
     field = BoundaryField.from_function(lambda p: p[0])
     assert boundary_sup(field, m) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_constant_norms_are_exact(n):
-    m = build_unit_square_mesh(n)
+    m = build_mesh("square", n)
     field = BoundaryField.constant(0.75)
     assert boundary_sup(field, m) == 0.75
 
@@ -140,7 +140,7 @@ def test_per_facet_shape_validation():
 
 def test_source_eval():
     # two triangles; the cell rule's points are the edge midpoints
-    m = build_unit_square_mesh(1)
+    m = build_mesh("square", 1)
     assert np.all(eval_source(SourceField.constant(2.0), m) == np.full((2, 3), 2.0))
     f = SourceField.from_function(lambda p: p[0] + p[1])
     assert eval_source(f, m).tolist() == [[0.5, 1.5, 1.0], [0.5, 1.5, 1.0]]
@@ -175,7 +175,7 @@ def test_expression_evaluates_arrays_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgumentError):
-            eval_source(SourceField.from_function(fn), build_unit_square_mesh(1))
+            eval_source(SourceField.from_function(fn), build_mesh("square", 1))
     assert np.allclose(
         compile_expression("x + 2*y")(np.array([[0.5, 1.0], [0.25, 0.0]])), [1.0, 1.0]
     )

@@ -17,7 +17,7 @@ from robin_lab.assembly import (
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
 from robin_lab.linalg import cg_solve
-from robin_lab.mesh import build_interval_mesh, build_mesh, prolongations
+from robin_lab.mesh import build_mesh, prolongations
 
 
 def _identity(n):
@@ -42,7 +42,7 @@ def test_zero_rhs_is_immediate():
 
 
 def _interval_system(n=128, lam=1.0, beta=1.0, f=1.0):
-    m = build_interval_mesh(n)
+    m = build_mesh("interval", n)
     A = assemble_operator(m, lam) + assemble_boundary_mass(m, BoundaryField.constant(beta))
     b = assemble_load(m, SourceField.constant(f))
     return A, b
@@ -65,7 +65,7 @@ def test_report_invariant():
 
 def test_singular_system_reports_nonconvergence():
     # pure stiffness matrix with an inconsistent right-hand side
-    m = build_interval_mesh(16)
+    m = build_mesh("interval", 16)
     K = assemble_stiffness(m)
     b = np.zeros(K.shape[0])
     b[0] = 1.0  # not orthogonal to the constant kernel
@@ -76,7 +76,7 @@ def test_singular_system_reports_nonconvergence():
 def test_max_iter_budget_respected():
     # the singular system stops unconverged within the fixed budget of
     # 10 x the dimension
-    K = assemble_stiffness(build_interval_mesh(16))
+    K = assemble_stiffness(build_mesh("interval", 16))
     b = np.zeros(K.shape[0])
     b[0] = 1.0
     _, report = cg_solve(K, b, tol=1e-10)

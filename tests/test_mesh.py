@@ -8,15 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robin_lab.errors import InvalidArgumentError
-from robin_lab.mesh import (
-    Mesh,
-    boundary_vertex_indices,
-    build_interval_mesh,
-    build_mesh,
-    build_unit_cube_mesh,
-    build_unit_square_mesh,
-    prolongations,
-)
+from robin_lab.mesh import Mesh, boundary_vertex_indices, build_mesh, prolongations
 
 from oracles import boundary_facets_by_count
 
@@ -28,56 +20,56 @@ FAMILIES = [
 
 
 def test_interval_counts():
-    m = build_interval_mesh(2)
+    m = build_mesh("interval", 2)
     assert m.num_vertices == 3
     assert m.num_cells == 2
     assert m.num_facets == 2
     assert np.allclose(sorted(v[0] for v in m.vertices), [0.0, 0.5, 1.0])
 
-    m1 = build_interval_mesh(1)
+    m1 = build_mesh("interval", 1)
     assert m1.num_vertices == 2
     assert m1.num_cells == 1
-    assert m1.cell_measures[0] == pytest.approx(1.0, abs=1e-15)
+    assert m1.cell_measure == pytest.approx(1.0, abs=1e-15)
 
 
 def test_interval_partition_of_unity():
-    m = build_interval_mesh(128)
-    assert abs(m.cell_measures.sum() - 1.0) < 1e-12
+    m = build_mesh("interval", 128)
+    assert abs(m.cell_measure * m.num_cells - 1.0) < 1e-12
 
 
 def test_interval_endpoint_facets():
-    m = build_interval_mesh(4)
+    m = build_mesh("interval", 4)
     # counting measure on the two endpoints
-    assert m.facet_measures.tolist() == [1.0, 1.0]
+    assert m.facet_measure == 1.0
     xs = m.vertices[m.facet_vertices[:, 0], 0]
     assert xs.tolist() == [0.0, 1.0]
 
 
 def test_square_counts():
-    m = build_unit_square_mesh(2)
+    m = build_mesh("square", 2)
     assert m.num_vertices == 9
     assert m.num_cells == 8
     assert m.num_facets == 8
 
-    m1 = build_unit_square_mesh(1)
+    m1 = build_mesh("square", 1)
     assert m1.num_vertices == 4
     assert m1.num_cells == 2
     assert m1.num_facets == 4
 
 
 def test_square_perimeter():
-    m = build_unit_square_mesh(4)
-    assert abs(m.facet_measures.sum() - 4.0) < 1e-12
-    assert np.allclose(m.facet_measures, 0.25, rtol=0.0, atol=1e-15)
+    m = build_mesh("square", 4)
+    assert abs(m.facet_measure * m.num_facets - 4.0) < 1e-12
+    assert m.facet_measure == pytest.approx(0.25, rel=0.0, abs=1e-15)
 
 
 def test_cube_counts():
-    m1 = build_unit_cube_mesh(1)
+    m1 = build_mesh("cube", 1)
     assert m1.num_vertices == 8
     assert m1.num_cells == 6
     assert m1.num_facets == 12
 
-    m2 = build_unit_cube_mesh(2)
+    m2 = build_mesh("cube", 2)
     assert m2.num_vertices == 27
     assert m2.num_cells == 48
     assert m2.num_facets == 48
@@ -85,18 +77,18 @@ def test_cube_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cube_equal_tet_volumes(n):
-    m = build_unit_cube_mesh(n)
+    m = build_mesh("cube", n)
     expected = 1.0 / (6 * n**3)
-    assert np.max(np.abs(m.cell_measures - expected)) < 1e-12
-    assert abs(m.cell_measures.sum() - 1.0) < 1e-12
+    assert abs(m.cell_measure - expected) < 1e-12
+    assert abs(m.cell_measure * m.num_cells - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("domain,dim,surface", FAMILIES)
 def test_measure_sums(domain, dim, surface):
     m = build_mesh(domain, 3)
     assert m.dim == dim
-    assert abs(m.cell_measures.sum() - 1.0) < 1e-12
-    assert abs(m.facet_measures.sum() - surface) < 1e-12
+    assert abs(m.cell_measure * m.num_cells - 1.0) < 1e-12
+    assert abs(m.facet_measure * m.num_facets - surface) < 1e-12
     assert m.h == pytest.approx(1.0 / 3.0)
 
 
@@ -117,18 +109,21 @@ def test_facet_sharing(domain):
 
 
 def test_boundary_vertex_indices_examples():
-    assert boundary_vertex_indices(build_interval_mesh(2)).tolist() == [0, 2]
-    assert boundary_vertex_indices(build_unit_square_mesh(1)).tolist() == [0, 1, 2, 3]
+    assert boundary_vertex_indices(build_mesh("interval", 2)).tolist() == [0, 2]
+    assert boundary_vertex_indices(build_mesh("square", 1)).tolist() == [0, 1, 2, 3]
     # (n+1)^3 - (n-1)^3 boundary vertices on the cube
-    assert len(boundary_vertex_indices(build_unit_cube_mesh(2))) == 26
+    assert len(boundary_vertex_indices(build_mesh("cube", 2))) == 26
 
 
+# the ids name the builder aliases these cases once called
 @pytest.mark.parametrize(
-    "builder", [build_interval_mesh, build_unit_square_mesh, build_unit_cube_mesh]
+    "domain",
+    ["interval", "square", "cube"],
+    ids=["build_interval_mesh", "build_unit_square_mesh", "build_unit_cube_mesh"],
 )
-def test_zero_subdivisions_rejected(builder):
+def test_zero_subdivisions_rejected(domain):
     with pytest.raises(InvalidArgumentError):
-        builder(0)
+        build_mesh(domain, 0)
 
 
 @pytest.mark.parametrize(
@@ -138,7 +133,7 @@ def test_zero_subdivisions_rejected(builder):
         pytest.param(lambda: build_mesh("cube", True), id="boolean-n"),
         pytest.param(lambda: Mesh(4, 2), id="dim-4"),
         pytest.param(lambda: Mesh(2, 0), id="n-0"),
-        pytest.param(lambda: build_unit_cube_mesh(200), id="above-max-cells"),
+        pytest.param(lambda: build_mesh("cube", 200), id="above-max-cells"),
         # 6 n^3 wraps around in int64, so the cell count is taken in Python ints
         pytest.param(lambda: Mesh(3, np.int64(3_000_000)), id="numpy-n-overflowing-int64"),
     ],
@@ -151,7 +146,7 @@ def test_invalid_mesh_parameters_rejected(build):
 def test_numpy_integer_n_accepted():
     m = build_mesh("square", np.int64(3))
     assert type(m.n) is int and m.n == 3
-    assert np.array_equal(m.cells, build_unit_square_mesh(3).cells)
+    assert np.array_equal(m.cells, build_mesh("square", 3).cells)
 
 
 def test_build_mesh_unknown_domain():
@@ -160,10 +155,10 @@ def test_build_mesh_unknown_domain():
 
 
 def test_mesh_is_immutable():
-    m = build_interval_mesh(4)
+    m = build_mesh("interval", 4)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 9.9
-    for arr in (m.facet_vertices, m.facet_measures):
+    for arr in (m.cells, m.facet_vertices):
         assert not arr.flags.writeable
 
 
@@ -185,7 +180,7 @@ def test_facet_arrays_match_brute_force_oracle(family, n):
     domain, _, surface = family
     m = build_mesh(domain, n)
     assert m.facet_vertices.tolist() == _oracle_facets(m)
-    assert abs(m.facet_measures.sum() - surface) < 1e-12
+    assert abs(m.facet_measure * m.num_facets - surface) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -197,8 +192,8 @@ def test_facet_arrays_match_face_count_oracle_at_benchmark_sizes(domain, n):
     facet_vertices, facet_measures = boundary_facets_by_count(m)
     assert np.array_equal(m.facet_vertices, facet_vertices)
     # the oracle measures each facet from its rounded coordinates
-    assert np.all(m.facet_measures == _closed_form(m)[1])
-    assert np.max(np.abs(m.facet_measures - facet_measures) / facet_measures) <= 1e-13
+    assert m.facet_measure == _closed_form(m)[1]
+    assert np.max(np.abs(m.facet_measure - facet_measures) / facet_measures) <= 1e-13
 
 
 def _closed_form(m):
@@ -215,10 +210,10 @@ def _closed_form(m):
 def test_measures_are_exact_closed_forms(domain, surface, n):
     m = build_mesh(domain, n)
     cell, facet = _closed_form(m)
-    assert np.all(m.cell_measures == cell)
-    assert np.all(m.facet_measures == facet)
-    assert abs(m.cell_measures.sum() - 1.0) <= 1e-12
-    assert abs(m.facet_measures.sum() - surface) <= 1e-12
+    assert m.cell_measure == cell
+    assert m.facet_measure == facet
+    assert abs(m.cell_measure * m.num_cells - 1.0) <= 1e-12
+    assert abs(m.facet_measure * m.num_facets - surface) <= 1e-12
 
 
 @pytest.mark.parametrize("domain,n", [(d, n) for d, _, _ in FAMILIES for n in (16, 17)])

@@ -67,6 +67,10 @@ def test_params_validation():
         StampacchiaParams(c=1.0, alpha=4.0, delta=1.0)
     with pytest.raises(InvalidArgumentError):
         StampacchiaParams(c=1.0, alpha=4.0, delta=3.0, variant="fancy")
+    nan = float("nan")
+    for bad in ({"c": nan}, {"alpha": nan}, {"delta": nan}, {"phi0": nan}):
+        with pytest.raises(InvalidArgumentError):
+            StampacchiaParams(**{"c": 1.0, "alpha": 4.0, "delta": 3.0, **bad})
 
 
 def test_samples_validation():
@@ -92,6 +96,9 @@ def test_fit_trivial_cases():
     assert fit_minimal_c(two, 4.0, 3.0) == 0.0
     with pytest.raises(InvalidArgumentError):
         fit_minimal_c(PhiSamples(np.array([0.0]), np.array([1.0])), 4.0, 3.0)
+    for alpha, delta in ((float("nan"), 3.0), (4.0, float("nan"))):
+        with pytest.raises(InvalidArgumentError):
+            fit_minimal_c(two, alpha, delta)
 
 
 def test_fit_matches_exhaustive_double_loop():
@@ -180,7 +187,8 @@ def test_theorem_constants_examples():
     assert (p4.alpha, p4.delta) == (3.0, 2.0)
     with pytest.raises(UnsupportedDimensionError):
         theorem_constants(2, 1.0)
-    with pytest.raises(InvalidArgumentError):
-        theorem_constants(3, -1.0)
+    for c2 in (-1.0, float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            theorem_constants(3, c2)
     # zero composite constant collapses the gap no matter the start value
     assert stampacchia_gap(theorem_constants(3, 0.0, phi0=123.0)) == 0.0
