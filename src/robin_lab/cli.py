@@ -14,9 +14,9 @@ and per-experiment extras.  Field specs:
 
 Every run writes manifest.json (config echo, version, mesh statistics,
 timings, warnings), one CSV per result table, and one SVG per plot.  CSV
-and SVG bytes are deterministic for identical configs.  One rule writes
-every CSV cell: a string as it is and a number with "%.17g", so floats
-round-trip exactly and integers print their own digits.
+and SVG bytes are deterministic for identical configs.  Tables are written
+from columns, a block of rows at a time, with one rule per cell: a string
+as it is and a number with "%.17g" (floats round-trip, integers print digits).
 
 Exit codes: 0 success, 2 invalid config (an unknown key included) or
 command line, 3 solve failure, 4 unwritable output path.  Every failure
@@ -52,6 +52,7 @@ EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
 
 # the one_over_k generator expands to at most this many coefficients
 MAX_GENERATED = 10_000
+_BLOCK = 4096  # CSV rows or plot points formatted at a time, to bound peak memory
 
 # numeric key -> (default, None when required; integer; lower bound;
 # whether the bound itself is allowed)
@@ -288,17 +289,28 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
     raise ConfigError(where, f"unsupported field kind {kind!r}")
 
 
-def emit_csv(header, rows, path) -> None:
-    """Write a CSV table: '.' decimals, '\\n' endings, one rule per cell.
+def emit_csv(header, columns, path) -> None:
+    """Write a table from its columns, _BLOCK rows at a time, one rule per cell.
 
-    A string is written as it is and any number with "%.17g".  ``rows``
-    may be any iterable; each row is written as it is produced.
+    A string as it is, a number with "%.17g" (an integer array with str).  In
+    a block of an array each distinct value, by its bits, is formatted once.
     """
+    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [c if isinstance(c, str) else "%.17g" % c for c in row]
-            handle.write(",".join(cells) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK):
+            cells = [_cells(column[start : start + _BLOCK]) for column in columns]
+            handle.write("".join(map(line.__mod__, zip(*cells))))
+
+
+def _cells(block) -> list:
+    if not isinstance(block, np.ndarray):
+        return [c if isinstance(c, str) else "%.17g" % c for c in block]
+    if block.dtype.kind in "iu":
+        return list(map(str, block.tolist()))
+    bits, index = np.unique(block.view(np.int64), return_inverse=True)
+    strings = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return strings[index].tolist()
 
 
 _SVG_W, _SVG_H = 640, 480
@@ -366,8 +378,7 @@ def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") 
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {_SVG_H / 2:.2f})">{ylabel}</text>'
     )
-    # a block at a time: all the point strings at once would set a large run's peak memory
-    cuts = range(4096, xs.size, 4096)
+    cuts = range(_BLOCK, xs.size, _BLOCK)
     blocks = zip(np.split(px(xs), cuts), np.split(py(ys), cuts))
     points = " ".join(
         " ".join(map("%.3f,%.3f".__mod__, zip(x.tolist(), y.tolist()))) for x, y in blocks
@@ -425,8 +436,8 @@ def run(config: RunConfig) -> int:
     }
     started = time.perf_counter()
     try:
-        for name, (header, rows) in tables.items():
-            emit_csv(header, rows, os.path.join(out, f"{name}.csv"))
+        for name, (header, columns) in tables.items():
+            emit_csv(header, columns, os.path.join(out, f"{name}.csv"))
         for name, (xs, ys, xlabel, ylabel, title) in plots.items():
             emit_svg(xs, ys, os.path.join(out, f"{name}.svg"), xlabel, ylabel, title)
         timings["emit_seconds"] = time.perf_counter() - started  # the manifest holds timings
@@ -447,13 +458,12 @@ def _run_experiment(config: RunConfig):
 
     if config.experiment == "solve":
         (u,) = solve_robin(mesh, lam, f, betas[:1], lumped, tol)
-        index = range(mesh.num_vertices)
-        coords, values = mesh.vertices.T.tolist(), u.tolist()
+        index = np.arange(mesh.num_vertices)
         header = ["vertex_index", *"xyz"[: mesh.dim], "value"]
-        tables["solution"] = (header, zip(index, *coords, values))
+        tables["solution"] = (header, [index, *mesh.vertices.T, u])
         plots["solution"] = (
-            coords[0] if mesh.dim == 1 else index,
-            values,
+            mesh.vertices[:, 0] if mesh.dim == 1 else index,
+            u,
             "x" if mesh.dim == 1 else "vertex index",
             "value",
             "nodal solution",
@@ -470,7 +480,7 @@ def _run_experiment(config: RunConfig):
             for r in records
         ]
         rows.append(["C_hat", c_hat, "", "", "", ""])
-        tables["stability"] = (header, rows)
+        tables["stability"] = (header, list(zip(*rows)))
         ratios = [r.ratio for r in records if r.ratio is not None]
         plots["stability"] = (
             range(len(ratios)),
@@ -485,7 +495,7 @@ def _run_experiment(config: RunConfig):
     elif config.experiment == "convergence":
         errs = convergence_study(mesh, lam, f, betas, config.beta_limit, lumped, tol)
         ns = range(len(errs))
-        tables["convergence"] = (["n", "sup_err"], zip(ns, errs))
+        tables["convergence"] = (["n", "sup_err"], [ns, errs])
         plots["convergence"] = (
             ns,
             errs,
@@ -498,17 +508,16 @@ def _run_experiment(config: RunConfig):
     elif config.experiment == "stampacchia":
         u_a, u_b = solve_robin(mesh, lam, f, betas[:2], lumped, tol)
         report = level_set_pipeline(u_a - u_b, mesh, c2=config.c2)
-        ks, phis = report.samples.ks.tolist(), report.samples.values.tolist()
-        tables["stampacchia"] = (["k", "phi"], zip(ks, phis))
+        tables["stampacchia"] = (["k", "phi"], [report.samples.ks, report.samples.values])
         vanish = "" if report.vanish_point is None else report.vanish_point
         tables["stampacchia_report"] = (
             ["hypothesis_ok", "predicted_gap", "vanish_point", "conclusion_ok"],
-            [[str(report.hypothesis_ok).lower(), report.predicted_gap, vanish,
-              str(report.conclusion_ok).lower()]],
+            [[str(report.hypothesis_ok).lower()], [report.predicted_gap], [vanish],
+             [str(report.conclusion_ok).lower()]],
         )
         plots["stampacchia"] = (
-            ks,
-            phis,
+            report.samples.ks,
+            report.samples.values,
             "level k",
             "boundary measure of {|u| > k}",
             "level-set decay",
@@ -522,7 +531,7 @@ def _run_experiment(config: RunConfig):
         ratio = sup_u / f_norm
         tables["theorem0"] = (
             ["p", "sup_u", "f_norm", "ratio"],
-            [[config.p, sup_u, f_norm, ratio]],
+            [[config.p], [sup_u], [f_norm], [ratio]],
         )
         summary["ratio"] = ratio
 

@@ -165,8 +165,11 @@ def level_set_pipeline(u_diff, mesh: Mesh, c2: float = 0.0) -> DecayReport:
 
     The multiplicative constant fed into the check is the larger of the
     supplied composite c2 and the grid-fitted minimal constant, so the
-    hypothesis holds on the samples whenever the data admits it.
+    hypothesis holds on the samples whenever the data admits it.  An
+    invalid c2 is rejected even when u_diff vanishes on the boundary.
     """
+    if not c2 >= 0.0:  # NaN included
+        raise InvalidArgumentError(f"composite constant must be >= 0, got {c2}")
     s = trace_exponent(mesh.dim)
     u_diff = check_nodal(u_diff, mesh)
     sup_bd = sup_norm(u_diff[boundary_vertex_indices(mesh)])

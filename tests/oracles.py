@@ -21,6 +21,9 @@ counting every face, independently of the box geometry the mesh uses.
 from its own vertex coordinates, and `assemble_by_cells` assembles
 K + lam*M from them cell by cell, independently of the Kuhn reference
 blocks the package tiles.
+
+`csv_cell_by_cell` writes a numeric table one cell at a time, without the
+per-block formatting of distinct values that the CLI's writer does.
 """
 
 import functools
@@ -153,3 +156,11 @@ def assemble_by_cells(mesh, lam, lumped, stiffness=True):
     out = sp.coo_array((data, (rows.ravel(), cols.ravel())), shape=shape).tocsr()
     out.eliminate_zeros()
     return out
+
+
+def csv_cell_by_cell(header, columns) -> str:
+    """A numeric table as text, row by row with every cell through "%.17g":
+    the plain writer whose bytes emit_csv must reproduce."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    lines = [",".join(header)] + [",".join("%.17g" % cell for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"

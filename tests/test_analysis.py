@@ -105,6 +105,13 @@ def test_solution_validation():
     u = np.linspace(0.0, 1.0, cube.num_vertices)
     with pytest.raises(InvalidArgumentError, match="composite constant"):
         level_set_pipeline(u, cube, c2=np.nan)
+    # a vanishing difference has a trivial report, but c2 is checked first;
+    # a negative c2 must not hide behind the fitted constant either
+    cube = build_mesh("cube", 2)
+    zero, ramp = np.zeros(cube.num_vertices), np.linspace(0.0, 1.0, cube.num_vertices)
+    for u, c2 in ((zero, np.nan), (zero, -5.0), (ramp, -5.0)):
+        with pytest.raises(InvalidArgumentError, match="composite constant"):
+            level_set_pipeline(u, cube, c2=c2)
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             sup_norm(np.array([1.0, bad, 0.0]))

@@ -26,7 +26,7 @@ from robin_lab.cli import (
     run,
 )
 
-from oracles import analytic_interval_solution
+from oracles import analytic_interval_solution, csv_cell_by_cell
 
 
 def _solve_config(output_dir, n=64):
@@ -573,7 +573,7 @@ def test_expand_beta_sequence_generator():
 
 def test_emit_csv_trivial_table(tmp_path):
     path = tmp_path / "t.csv"
-    emit_csv(["a", "b"], [[1, 0.5]], str(path))
+    emit_csv(["a", "b"], [[1], [0.5]], str(path))
     assert path.read_text() == "a,b\n1,0.5\n"
 
 
@@ -588,10 +588,51 @@ def test_emit_csv_float_round_trip(tmp_path):
 def test_emit_csv_one_cell_rule(tmp_path):
     # a string passes through, a number of either type goes through "%.17g"
     path = tmp_path / "t.csv"
-    emit_csv(["s", "empty", "int", "float"], [["C_hat", "", 66048, 0.1 + 0.2]], str(path))
+    emit_csv(["s", "empty", "int", "float"], [["C_hat"], [""], [66048], [0.1 + 0.2]], str(path))
     cells = path.read_text().splitlines()[1].split(",")
     assert cells[:3] == ["C_hat", "", "66048"]
     assert float(cells[3]) == 0.1 + 0.2
+
+
+# -0.0 and 0.0 differ in their bits and print differently
+_SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-320, 0.1 + 0.2, 2.0**53]
+_SPECIAL_INTS = [0, -1, 66048, 2**53 - 1, 2**53, -(2**53)]
+
+
+@st.composite
+def _numeric_columns(draw):
+    """Float64 and int64 columns spanning 0 to 3 row blocks, each drawn from a
+    small pool (so values repeat) mixed with fresh values (so most do not).
+    Every float column starts with the special values, -0.0 and 0.0 first."""
+    rows = draw(st.sampled_from([0, 1, 4095, 4096, 4097, 2 * 4096 + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for integer in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        if integer:
+            drawn = draw(st.lists(st.integers(-(2**53), 2**53), max_size=6))
+            pool = np.array(_SPECIAL_INTS + drawn, dtype=np.int64)
+            fresh = rng.integers(-(2**53), 2**53, rows, endpoint=True)
+        else:
+            pool = np.array(_SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=6)))
+            fresh = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+        column = np.where(rng.random(rows) < 0.5, fresh, pool[rng.integers(pool.size, size=rows)])
+        if not integer:
+            head = min(rows, len(_SPECIAL_FLOATS))
+            column[:head] = _SPECIAL_FLOATS[:head]
+        columns.append(column)
+    return columns
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(columns=_numeric_columns())
+def test_emit_csv_matches_cell_by_cell_writer(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        emit_csv(header, columns, path)
+        with open(path, "rb") as handle:
+            written = handle.read()
+    assert written == csv_cell_by_cell(header, columns).encode("ascii")
 
 
 def test_emit_svg_same_bytes_for_array_and_list(tmp_path):

@@ -69,6 +69,21 @@ CASES = {
             "solution.svg": "3c648e038f9427c462cca722943bdf0c50b080df515aa1b7a5a3c54ddcfce3cd",
         },
     ),
+    # 5041 rows: the CSV writer formats rows in blocks of 4096, so this table spans two
+    "solve-square-blocks": (
+        {
+            "experiment": "solve",
+            "domain": "square",
+            "n": 70,
+            "lambda": 1.0,
+            "f": {"kind": "expr", "expr": "1 + x*y"},
+            "beta_sequence": [ONE],
+        },
+        {
+            "solution.csv": "ce7001e2949f613cdd58151ed46673af1cbabebf5ec9cad987331b1f7c73450b",
+            "solution.svg": "d80d038e24fa45b696e11ee3ccdab31000c3b529f785fda2be25762f4eb454d0",
+        },
+    ),
     "solve-square-per-facet": (
         {
             "experiment": "solve",

@@ -67,3 +67,25 @@ def test_traced_stability_run_reads_the_solver(tmp_path, monkeypatch):
     assert metrics["linalg.cg_iterations"] == sum(report.member_iterations) > 0
     assert metrics["linalg.cg_residual_max"] <= 1e-10
     assert metrics["assembly.nnz"] == operator.nnz
+
+
+def test_traced_solve_run_charges_both_writers_to_emit(tmp_path, monkeypatch):
+    # the CSV and the SVG writer each make one cli.emit span; a writer that
+    # is renamed or bypassed would move its time into cli.self_s instead
+    tracing = _load_tracing(monkeypatch)
+    config = {
+        "experiment": "solve",
+        "domain": "square",
+        "n": 8,
+        "lambda": 1.0,
+        "f": {"kind": "constant", "value": 1.0},
+        "beta_sequence": [{"kind": "constant", "value": 1.0}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    tracer, code, _, _ = tracing.trace_cli(["solve", "--config", str(path)])
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["cli.emit_calls"] == 2
+    assert metrics["cli.emit_s"] > 0
