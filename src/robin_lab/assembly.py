@@ -10,12 +10,13 @@ B is the boundary mass matrix weighted by the coefficient beta,
 integrated with facet quadrature (exact for per-facet beta).  The load
 integrates the source against the P1 basis with cell quadrature.
 
-Each matrix is one scatter into a ``scipy.sparse.csr_array`` with int32
-indices and no stored zeros.  K + lambda*M and the load do not depend on
-beta, so a family that differs only in beta builds them once
-(`assemble_operator`, `assemble_load`), and `assemble_system` gives each
-member its B, kept apart from K + lambda*M: a constant beta scales one
-B(1), so a constant family assembles B once.
+Each matrix is a ``scipy.sparse.csr_array`` with int32 indices and no
+stored zeros: K + lambda*M is written in CSR order from the stencil the
+one block tiles on the grid, and B is one scatter of facet blocks.
+K + lambda*M and the load do not depend on beta, so a family that differs
+only in beta builds them once (`assemble_operator`, `assemble_load`), and
+`assemble_system` gives each member its B, kept apart from K + lambda*M:
+a constant beta scales one B(1), so a constant family assembles B once.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ from .quadrature import cell_rule, facet_rule
 
 
 def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
-    """Accumulate (ne, nloc, nloc) blocks, or (ne, nloc^2) rows, on the (ne, nloc) vertex ids.
-
-    Duplicate (row, col) entries are summed by the COO -> CSR conversion and
-    entries that sum to zero are dropped; indices are int32.
-    """
+    """Sum (ne, nloc, nloc) blocks, or (ne, nloc^2) rows, on the (ne, nloc) vertex
+    ids by one COO -> CSR conversion, dropping entries that sum to zero."""
     ids = np.asarray(ids, dtype=np.int32)
     nloc = ids.shape[1]
     rows = np.repeat(ids, nloc, axis=1).ravel()
@@ -48,20 +46,32 @@ def _scatter(num_vertices: int, ids, local) -> sp.csr_array:
 
 
 def _cells(mesh: Mesh, stiffness: bool, lam: float, lumped: bool) -> sp.csr_array:
-    """The element rule, scattered once: every cell gets the same block
+    """The element rule in CSR order: every cell gets the same block
     |T| (n^2 L + lam P), or |T| lam P without ``stiffness``.  On a Kuhn
     simplex with its vertices in path order the basis gradients are
     n (s_k - s_{k+1}), with s_1, ..., s_d the path's orthonormal steps and
     s_0 = s_{d+1} = 0, so G G^T = n^2 L on every cell, L the path graph's
     Laplacian; P is the mass pattern (1 + delta_ij)/((d+1)(d+2)), or I/(d+1)
-    lumped."""
-    d = mesh.dim
+    lumped.  Entry (v, v + s) is summed in slot s of an (offsets, grid)
+    array, one slice-add over the boxes per block entry (k, l) of each path,
+    in `kuhn_paths` order; sorted offsets put each row in column order."""
+    d, n, nv = mesh.dim, mesh.n, mesh.num_vertices
     pattern = np.eye(d + 1) / (d + 1) if lumped else (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2))
     grads = -np.diff(np.pad(np.eye(d), ((1, 1), (0, 0))), axis=0)  # on the path along x, y, z
-    laplacian = grads @ grads.T * (mesh.n**2 if stiffness else 0)
+    laplacian = grads @ grads.T * (n**2 if stiffness else 0)
     block = (laplacian + lam * pattern) * mesh.cell_measure
-    blocks = np.broadcast_to(block, (mesh.num_cells, d + 1, d + 1))
-    return _scatter(mesh.num_vertices, mesh.cells, blocks)
+    ids = mesh.cells[: math.factorial(d)]  # the paths of the box at vertex 0
+    steps = ids[:, None, :] - ids[:, :, None]  # (path, k, l): column minus row
+    offsets = np.unique(steps)
+    acc = np.zeros((len(offsets),) + (n + 1,) * d)
+    for p, k, l in np.ndindex(steps.shape):  # vertex k of path p lies at one place in every box
+        box = tuple(slice(c, c + n) for c in np.unravel_index(ids[p, k], (n + 1,) * d))
+        acc[(np.searchsorted(offsets, steps[p, k, l]),) + box] += block[k, l]
+    data = acc.reshape(len(offsets), nv).T
+    stored = data != 0.0
+    cols = np.arange(nv, dtype=np.int32)[:, None] + offsets.astype(np.int32)
+    indptr = np.pad(np.count_nonzero(stored, axis=1).cumsum(dtype=np.int32), (1, 0))
+    return sp.csr_array((data[stored], cols[stored], indptr), shape=(nv, nv))
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_array:

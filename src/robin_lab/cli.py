@@ -49,6 +49,8 @@ from .fields import BoundaryField, SourceField, check_expression_dimension, is_f
 from .mesh import DOMAINS, Mesh, build_mesh
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
+# the fewest and the most coefficients each experiment takes, in EXPERIMENTS order
+_BETA_COUNTS = dict(zip(EXPERIMENTS, [(1, 1), (2, np.inf), (1, np.inf), (2, 2), (1, 1)]))
 
 # the one_over_k generator expands to at most this many coefficients
 MAX_GENERATED = 10_000
@@ -173,10 +175,10 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
             "experiment", "stampacchia runs need the cube domain (dimension >= 3)"
         )
     beta_specs = expand_beta_sequence(data.get("beta_sequence"))
-    if experiment in ("stability", "stampacchia") and len(beta_specs) < 2:
-        raise ConfigError(
-            "beta_sequence", f"{experiment} runs need at least two coefficients"
-        )
+    fewest, most = _BETA_COUNTS[experiment]
+    if not fewest <= len(beta_specs) <= most:
+        many = f"exactly {most}" if most == fewest else f"at least {fewest}"
+        raise ConfigError("beta_sequence", f"{experiment} runs take {many} coefficient(s)")
 
     started = time.perf_counter()
     try:
@@ -457,7 +459,7 @@ def _run_experiment(config: RunConfig):
     tables, plots, summary = {}, {}, {}
 
     if config.experiment == "solve":
-        (u,) = solve_robin(mesh, lam, f, betas[:1], lumped, tol)
+        (u,) = solve_robin(mesh, lam, f, betas, lumped, tol)
         index = np.arange(mesh.num_vertices)
         header = ["vertex_index", *"xyz"[: mesh.dim], "value"]
         tables["solution"] = (header, [index, *mesh.vertices.T, u])
@@ -506,7 +508,7 @@ def _run_experiment(config: RunConfig):
         summary["final_sup_err"] = errs[-1]
 
     elif config.experiment == "stampacchia":
-        u_a, u_b = solve_robin(mesh, lam, f, betas[:2], lumped, tol)
+        u_a, u_b = solve_robin(mesh, lam, f, betas, lumped, tol)
         report = level_set_pipeline(u_a - u_b, mesh, c2=config.c2)
         tables["stampacchia"] = (["k", "phi"], [report.samples.ks, report.samples.values])
         vanish = "" if report.vanish_point is None else report.vanish_point
@@ -526,7 +528,7 @@ def _run_experiment(config: RunConfig):
         summary["conclusion_ok"] = report.conclusion_ok
 
     else:  # theorem0
-        (u,) = solve_robin(mesh, lam, f, betas[:1], lumped, tol)
+        (u,) = solve_robin(mesh, lam, f, betas, lumped, tol)
         sup_u, f_norm = theorem0_terms(u, mesh, f, config.p)
         ratio = sup_u / f_norm
         tables["theorem0"] = (

@@ -110,8 +110,7 @@ def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
         values = np.repeat(field.facet_values[:, None], shape[1], axis=1)
     else:
         physical = bary_points @ mesh.vertices[mesh.facet_vertices]  # (nf, k, dim)
-        values = _eval_closure(field.closure, physical.reshape(-1, mesh.dim))
-        values = values.reshape(shape)
+        values = _eval_closure(field.closure, physical.reshape(-1, mesh.dim).T).reshape(shape)
     invalid = ~(np.isfinite(values) & (values >= 0.0))
     if invalid.any():
         facet, j = np.argwhere(invalid)[0]
@@ -123,25 +122,29 @@ def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
 
 
 def eval_source(field: SourceField, mesh: Mesh) -> np.ndarray:
-    """Values at the cell rule points of every cell, shape (nc, nq)."""
+    """Values at the cell rule points of every cell, shape (nc, nq); a
+    closure gets all the points in one call, in no promised order."""
     rule_points, _ = cell_rule(mesh.dim)
     shape = (mesh.num_cells, rule_points.shape[0])
     if field.kind == "constant":
         values = np.full(shape, field.constant_value)
     else:
-        physical = np.einsum("qk,ckd->cqd", rule_points, mesh.vertices[mesh.cells])
-        values = _eval_closure(field.closure, physical.reshape(-1, mesh.dim))
-        values = values.reshape(shape)
+        physical = np.zeros((mesh.dim,) + shape[::-1])  # (d, q, c)
+        for k, weights in enumerate(rule_points.T):  # k in order, as an einsum sums
+            corner = np.take(mesh.vertices.T, mesh.cells[:, k], axis=1)  # (d, c)
+            for points, weight in zip(physical.swapaxes(0, 1), weights):
+                points += weight * corner
+        values = _eval_closure(field.closure, physical.reshape(mesh.dim, -1)).reshape(shape[::-1]).T
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("source field evaluated to a non-finite value")
-    return values
+    return np.ascontiguousarray(values)
 
 
-def _eval_closure(fn, points: np.ndarray) -> np.ndarray:
-    """fn at all points (k, dim) in one call; see the module docstring."""
+def _eval_closure(fn, coords: np.ndarray) -> np.ndarray:
+    """fn at all points (dim, k) in one call; see the module docstring."""
     with np.errstate(all="ignore"):
-        values = np.asarray(fn(points.T), dtype=float)
-    return np.broadcast_to(values, points.shape[:1])
+        values = np.asarray(fn(coords), dtype=float)
+    return np.broadcast_to(values, coords.shape[1:])
 
 
 def _sample_points(mesh: Mesh) -> np.ndarray:

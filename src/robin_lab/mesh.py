@@ -35,8 +35,8 @@ from .errors import InvalidArgumentError
 # domain name -> dimension
 DOMAINS = {"interval": 1, "square": 2, "cube": 3}
 
-# a mesh holds about 37 bytes per cell and assembling K + lambda*M peaks near 495
-# more on the cube (tracemalloc, n = 32 and 64), so this caps the two near 2.1 GB,
+# a mesh holds about 37 bytes per cell and assembling K + lambda*M peaks near 70
+# more on the cube (tracemalloc, n = 32 and 64), so this caps the two near 0.45 GB,
 # 20x cube n = 32
 MAX_CELLS = 4_000_000
 
@@ -155,7 +155,8 @@ def prolongations(mesh: Mesh) -> list:
     coordinates in its coarse grid box, sorted so that t(1) >= ... >= t(d),
     the weights are 1 - t(1), t(1) - t(2), ..., t(d) on the path from the
     box's low corner that steps along the axes in that order.  For odd n
-    the meshes do not nest and the same formula interpolates.
+    the meshes do not nest and the same formula interpolates.  The corners'
+    indices grow along the path, so the CSR arrays are written directly.
     """
     dim, n = mesh.dim, mesh.n
     out = []
@@ -167,11 +168,10 @@ def prolongations(mesh: Mesh) -> list:
         local = grid * m - low * n  # n t, integers in [0, n]
         axes = np.argsort(-local, axis=1, kind="stable")
         weights = -np.diff(np.take_along_axis(local, axes, axis=1), prepend=n, append=0) / n
-        steps = np.cumsum(axes[:, :, None] == np.arange(dim), axis=1)
-        corners = np.concatenate([low[:, None], low[:, None] + steps], axis=1)
-        cols = _index(corners, m + 1)
-        rows = np.repeat(np.arange(len(grid)), dim + 1)
-        P = sp.csr_array((weights.ravel(), (rows, cols.ravel())), shape=(len(grid), (m + 1) ** dim))
+        strides = _index(np.eye(dim, dtype=np.int64), m + 1)[axes]  # of the path's steps
+        cols = _index(low, m + 1)[:, None] + np.pad(strides.cumsum(axis=1), ((0, 0), (1, 0)))
+        indptr = np.arange(0, (dim + 1) * len(grid) + 1, dim + 1)
+        P = sp.csr_array((weights.ravel(), cols.ravel(), indptr), shape=(len(grid), (m + 1) ** dim))
         P.eliminate_zeros()
         out.append(P)
         n = m

@@ -22,6 +22,13 @@ from its own vertex coordinates, and `assemble_by_cells` assembles
 K + lam*M from them cell by cell, independently of the Kuhn reference
 blocks the package tiles.
 
+`prolongations_by_corners` builds the multigrid transfers from each fine
+vertex's coarse simplex corners as grid points, looked up in the coarse
+mesh's vertices and converted from COO, and `cell_points_by_einsum` places
+the cell rule points with one einsum over each cell's vertex coordinates:
+the forms the package's closed-form CSR and coordinate-major builds must
+reproduce bit for bit.
+
 `csv_cell_by_cell` writes a numeric table one cell at a time, without the
 per-block formatting of distinct values that the CLI's writer does.
 """
@@ -34,6 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from robin_lab.errors import InvalidArgumentError
+from robin_lab.mesh import Mesh
+from robin_lab.quadrature import cell_rule
 
 
 def analytic_interval_solution(lam: float, beta: float, f_const: float):
@@ -156,6 +165,45 @@ def assemble_by_cells(mesh, lam, lumped, stiffness=True):
     out = sp.coo_array((data, (rows.ravel(), cols.ravel())), shape=shape).tocsr()
     out.eliminate_zeros()
     return out
+
+
+def prolongations_by_corners(mesh):
+    """The chain of `robin_lab.mesh.prolongations`, n -> ceil(n/2) while
+    n > 3, with row i holding fine vertex i's weights on the corners of its
+    coarse Kuhn simplex: with t its coordinates in its coarse grid box,
+    sorted so that t(1) >= ... >= t(d), the weights 1 - t(1), t(1) - t(2),
+    ..., t(d) sit on the path from the box's low corner that steps along the
+    axes in that order.  Each corner is a coarse grid point, found among the
+    coarse mesh's vertices; zero weights are dropped."""
+    dim, n = mesh.dim, mesh.n
+    out = []
+    while n > 3:
+        m = -(-n // 2)
+        grid = np.rint(Mesh(dim, n).vertices * n).astype(np.int64)
+        coarse = np.rint(Mesh(dim, m).vertices * m).astype(np.int64)
+        index = np.empty((m + 1,) * dim, dtype=np.int64)
+        index[tuple(coarse.T)] = np.arange(len(coarse))
+        # in coarse grid units a fine vertex sits at grid * m / n = low + local / n
+        low = np.minimum(grid * m // n, m - 1)
+        local = grid * m - low * n
+        axes = np.argsort(-local, axis=1, kind="stable")
+        weights = -np.diff(np.take_along_axis(local, axes, axis=1), prepend=n, append=0) / n
+        steps = np.cumsum(axes[:, :, None] == np.arange(dim), axis=1)
+        corners = np.concatenate([low[:, None], low[:, None] + steps], axis=1)
+        cols = index[tuple(np.moveaxis(corners, -1, 0))]
+        rows = np.repeat(np.arange(len(grid)), dim + 1)
+        P = sp.csr_array((weights.ravel(), (rows, cols.ravel())), shape=(len(grid), len(coarse)))
+        P.eliminate_zeros()
+        out.append(P)
+        n = m
+    return out
+
+
+def cell_points_by_einsum(mesh):
+    """The cell rule points of every cell in physical coordinates, shape
+    (nc, nq, dim): the barycentric rule rows times the cell's vertices."""
+    rule_points, _ = cell_rule(mesh.dim)
+    return np.einsum("qk,ckd->cqd", rule_points, mesh.vertices[mesh.cells])
 
 
 def csv_cell_by_cell(header, columns) -> str:

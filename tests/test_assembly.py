@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,21 @@ def test_cube_system_is_symmetric_to_rounding(n, lumped):
     m = build_mesh("cube", n)
     A = _member_matrix(assemble_operator(m, 1.0, lumped), m, BoundaryField.constant(1.0))
     assert abs(A - A.T).max() == 0.0
+
+
+@pytest.mark.parametrize("domain,n", [("square", 128), ("cube", 24)])
+def test_operator_peak_memory_is_a_few_times_its_result(domain, n):
+    # written in CSR order from the stencil, K + lam*M needs about twice the
+    # matrix it returns; a COO -> CSR scatter of every cell's block needs 7x
+    # (square) to 15x (cube)
+    m = build_mesh(domain, n)
+    tracemalloc.start()
+    try:
+        A = assemble_operator(m, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def test_scatter_sums_duplicates():

@@ -210,6 +210,25 @@ _INVALID_CONFIGS = {
         "beta_sequence.count",
         {"beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 10**22}},
     ),
+    # an experiment's surplus coefficients would go unused, unchecked
+    "solve-two-betas": ("beta_sequence", {"beta_sequence": [_constant(1.0), _expr("-1")]}),
+    "solve-generator-three": (
+        "beta_sequence",
+        {"beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 3}},
+    ),
+    "theorem0-two-betas": (
+        "beta_sequence",
+        {"experiment": "theorem0", "beta_sequence": [_constant(1.0), _constant(2.0)]},
+    ),
+    "stampacchia-three-betas": (
+        "beta_sequence",
+        {
+            "experiment": "stampacchia",
+            "domain": "cube",
+            "n": 2,
+            "beta_sequence": [_constant(1.0), _constant(1.5), _constant(2.0)],
+        },
+    ),
 }
 
 

@@ -17,6 +17,8 @@ from robin_lab.fields import (
 )
 from robin_lab.mesh import build_mesh
 
+from oracles import cell_points_by_einsum
+
 
 def test_eval_constant():
     m = build_mesh("interval", 2)
@@ -148,6 +150,20 @@ def test_source_eval():
         eval_source(SourceField.from_function(lambda p: float("nan")), m)
     with pytest.raises(InvalidArgumentError):
         SourceField.constant(float("inf"))
+
+
+@pytest.mark.parametrize("domain,n", [("interval", 5), ("square", 5), ("square", 8), ("cube", 3)])
+def test_source_points_equal_einsum_oracle(domain, n):
+    # the coordinate-major points have the einsum's bits, so an elementwise
+    # source takes the same values whatever order the closure sees them in
+    m = build_mesh(domain, n)
+    coords = np.ascontiguousarray(np.moveaxis(cell_points_by_einsum(m), -1, 0))
+    expr = {"interval": "1 + x/3", "square": "1 + x*y - y/7", "cube": "x*y - z/3 + 0.1"}[domain]
+    for f in (
+        SourceField.from_expression(expr),
+        SourceField.from_function(lambda p: (p[0] - 0.3) * p[-1] * p[-1] + 1.0),
+    ):
+        assert np.array_equal(eval_source(f, m), f.closure(coords))
 
 
 def test_expression_language():

@@ -108,7 +108,7 @@ CASES = {
             "beta_sequence": [facet_ramp(48)],
         },
         {
-            "solution.csv": "ed50db5bfe4026a43ed87faf267d68beedc9cf364c9d183a9604d41326cea52c",
+            "solution.csv": "e0fea7dd4fd644027f95f239f872e4e7a4fccc07b8929ebbd1cc2ebf42c92c8c",
             "solution.svg": "4b06ab892a58c50d6ff4a09e24cdf437a76c6ae6bd6e6343523f5eaabeba9c25",
         },
     ),
@@ -137,7 +137,7 @@ CASES = {
             "beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 3},
         },
         {
-            "convergence.csv": "ab13ab7d3238bdbca368d26661dbd34c40b035025594844aa935b15f7920798c",
+            "convergence.csv": "826c7480c7ccb5644e83075f5389d76ee4303d7b5218ac0ea082ece95aa0d328",
             "convergence.svg": "f07d763dbc1572bb4539f6bed60d91ec9aafaa41843ae2a1f4f6335440c3b98f",
         },
     ),
@@ -151,10 +151,10 @@ CASES = {
             "beta_sequence": [ONE, {"kind": "constant", "value": 1.5}],
         },
         {
-            "stampacchia.csv": "dd42f8ac6a573aed2ee5d7c1bf6bcbc339b5f0d2746a3a4a13de4627b6dac3e0",
+            "stampacchia.csv": "9ef87e7a41fa57b4fdad0372469b60c4af274eb6c6f8033bdf7d07030356af8e",
             "stampacchia.svg": "1a10924abed4b78fd8577088401941901e9c3f8b694d5277060c0988869f6a10",
             "stampacchia_report.csv": (
-                "5f90a548473961d6b48de2612861598e99f71ab6b75e1de39f4d2cf2cb2bab7e"
+                "f72c53375afda63cd28bda1e4fa3c8ac371de99e5c27addae3d7ca985ef4abaf"
             ),
         },
     ),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.mesh import Mesh, boundary_vertex_indices, build_mesh, prolongations
 
-from oracles import boundary_facets_by_count
+from oracles import boundary_facets_by_count, prolongations_by_corners
 
 FAMILIES = [
     ("interval", 1, 2.0),
@@ -231,3 +231,16 @@ def test_prolongations_reproduce_linear_functions(domain, n):
         assert np.max(np.abs(P @ (0.25 + coarse.vertices @ slope) - exact)) <= 1e-14
         fine = coarse
     assert fine.num_vertices <= 4**fine.dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), n=st.integers(1, 40))
+def test_prolongations_equal_corner_oracle(dim, n):
+    # the closed-form CSR build stores exactly the arrays of the COO build
+    # from the coarse simplex corners, at odd and even n
+    chain, oracle = prolongations(Mesh(dim, n)), prolongations_by_corners(Mesh(dim, n))
+    assert len(chain) == len(oracle)
+    for P, Q in zip(chain, oracle):
+        assert P.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(P, name), getattr(Q, name)), name
