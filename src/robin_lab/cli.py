@@ -15,8 +15,9 @@ and per-experiment extras.  Field specs:
 Every run writes manifest.json (config echo, version, mesh statistics,
 timings, warnings), one CSV per result table, and one SVG per plot.  CSV
 and SVG bytes are deterministic for identical configs.  Tables are written
-from columns, a block of rows at a time, with one rule per cell: a string
+from columns, a block of rows per str.join, with one rule per cell: a string
 as it is and a number with "%.17g" (floats round-trip, integers print digits).
+Plot points are written as "%.3f" would write them, from numpy digits.
 
 Exit codes: 0 success, 2 invalid config (an unknown key included) or
 command line, 3 solve failure, 4 unwritable output path.  Every failure
@@ -276,9 +277,12 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
                     f"per_facet field needs a 'values' list with one value for "
                     f"each of the mesh's {mesh.num_facets} boundary facets",
                 )
-            if not all(is_finite_number(v) and v >= 0.0 for v in values):
+            exact = set(map(type, values)) <= {int, float}  # bool is not an int here
+            array = np.array(values if exact else [np.nan], dtype=float)  # an int may overflow
+            # an int just above the float maximum rounds to it, so compare exactly too
+            if not ((array >= 0.0) & (array < np.inf)).all() or max(values) > sys.float_info.max:
                 raise ConfigError(where, "per_facet values must be finite numbers >= 0")
-            return cls.per_facet(values)
+            return cls.per_facet(array)
         if kind == "expr":
             expr = spec.get("expr")
             if not isinstance(expr, str):
@@ -286,23 +290,29 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
             built = cls.from_expression(expr)  # reports syntax errors first
             check_expression_dimension(expr, mesh.dim)
             return built
-    except ValueError as exc:  # InvalidArgumentError from the expression
+    except (ValueError, OverflowError) as exc:  # a bad expression, an int overflowing
         raise ConfigError(where, str(exc)) from exc
     raise ConfigError(where, f"unsupported field kind {kind!r}")
 
 
 def emit_csv(header, columns, path) -> None:
-    """Write a table from its columns, _BLOCK rows at a time, one rule per cell.
+    """Write a table from its equally long columns, _BLOCK rows at a time.
 
     A string as it is, a number with "%.17g" (an integer array with str).  In
-    a block of an array each distinct value, by its bits, is formatted once.
+    a block of an array each distinct value, by its bits, is formatted once,
+    and the block's cells are joined with "," and "\\n" in one str.join.
     """
-    line = ",".join(["%s"] * len(columns)) + "\n"
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise RobinLabError(f"csv columns must be equally long, got lengths {lengths}")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _BLOCK):
-            cells = [_cells(column[start : start + _BLOCK]) for column in columns]
-            handle.write("".join(map(line.__mod__, zip(*cells))))
+        for start in range(0, lengths[0], _BLOCK):
+            rows = min(_BLOCK, lengths[0] - start)
+            text = ([","] * (2 * len(columns) - 1) + ["\n"]) * rows  # cells go in between
+            for k, column in enumerate(columns):
+                text[2 * k :: 2 * len(columns)] = _cells(column[start : start + rows])
+            handle.write("".join(text))
 
 
 def _cells(block) -> list:
@@ -317,6 +327,11 @@ def _cells(block) -> list:
 
 _SVG_W, _SVG_H = 640, 480
 _SVG_MARGIN = 60.0
+# "ddd" and a free byte for each group of three digits, as one uint32
+_DIGITS = np.frombuffer(b"".join(b"%03d " % i for i in range(1000)), dtype=np.uint32)
+# the least value in thousandths at which each byte of four whole groups and the
+# fraction group is kept: leading zeros and the spare bytes drop, "." stays
+_SHOWN = np.r_[np.insert(10 ** np.arange(14, 3, -1, dtype=np.int64), [3, 6, 9], 2**62), [0] * 6]
 
 
 def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") -> None:
@@ -380,17 +395,36 @@ def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") 
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {_SVG_H / 2:.2f})">{ylabel}</text>'
     )
-    cuts = range(_BLOCK, xs.size, _BLOCK)
-    blocks = zip(np.split(px(xs), cuts), np.split(py(ys), cuts))
-    points = " ".join(
-        " ".join(map("%.3f,%.3f".__mod__, zip(x.tolist(), y.tolist()))) for x, y in blocks
-    )
+    coords = np.column_stack([px(xs), py(ys)]).ravel()
+    points = " ".join(map(_points, np.split(coords, range(2 * _BLOCK, coords.size, 2 * _BLOCK))))
     parts.append(
         f'<polyline fill="none" stroke="steelblue" stroke-width="1.5" points="{points}"/>'
     )
     parts.append("</svg>")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(parts) + "\n")
+
+
+def _points(coords) -> str:
+    """Interleaved x, y coordinates as "%.3f,%.3f" points joined by " ": by %
+    if any is outside [0, 2^30) or has its sign bit set, else in numpy, which
+    rounds exact values half to even as "%.3f" does: where fl(1000 v) is a
+    tie, the sign of 1000 v - fl(1000 v), exact by a Dekker split, decides."""
+    if np.signbit(coords).any() or not (coords < 2.0**30).all():
+        return " ".join(["%.3f,%.3f"] * (coords.size // 2)) % tuple(coords.tolist())
+    scaled = coords * 1000.0
+    high = coords * 134217729.0 - (coords * 134217729.0 - coords)  # 26 bits: 1000 high exact
+    error = (high * 1000.0 - scaled) + (coords - high) * 1000.0
+    tie = np.abs(scaled - np.rint(scaled)) == 0.5  # k + 1/2 +- 1/4 is exact
+    rounded = np.rint(scaled + np.where(tie, 0.25 * np.sign(error), 0.0))
+    thousandths = rounded.astype(np.int64)
+    groups = -(-len(str(thousandths.max() // 1000)) // 3)  # of three whole digits
+    place = 1000 ** np.arange(groups, -1, -1, dtype=np.int64)[:, None]
+    chars = _DIGITS.take((thousandths // place % 1000).T).view(np.uint8)
+    chars[:, 4 * groups - 1] = ord(".")  # the free bytes after the units and the fraction
+    chars.reshape(-1, 2, 4 * groups + 4)[:, :, -1] = (ord(","), ord(" "))
+    keep = thousandths[:, None] >= _SHOWN[-4 * groups - 4 :]
+    return chars[keep].tobytes()[:-1].decode("ascii")
 
 
 def run(config: RunConfig) -> int:

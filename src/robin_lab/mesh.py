@@ -156,7 +156,7 @@ def prolongations(mesh: Mesh) -> list:
     the weights are 1 - t(1), t(1) - t(2), ..., t(d) on the path from the
     box's low corner that steps along the axes in that order.  For odd n
     the meshes do not nest and the same formula interpolates.  The corners'
-    indices grow along the path, so the CSR arrays are written directly.
+    indices grow along the path, so the int32 CSR arrays are written directly.
     """
     dim, n = mesh.dim, mesh.n
     out = []
@@ -170,8 +170,9 @@ def prolongations(mesh: Mesh) -> list:
         weights = -np.diff(np.take_along_axis(local, axes, axis=1), prepend=n, append=0) / n
         strides = _index(np.eye(dim, dtype=np.int64), m + 1)[axes]  # of the path's steps
         cols = _index(low, m + 1)[:, None] + np.pad(strides.cumsum(axis=1), ((0, 0), (1, 0)))
-        indptr = np.arange(0, (dim + 1) * len(grid) + 1, dim + 1)
-        P = sp.csr_array((weights.ravel(), cols.ravel(), indptr), shape=(len(grid), (m + 1) ** dim))
+        indptr = np.arange(0, (dim + 1) * len(grid) + 1, dim + 1, dtype=np.int32)
+        cols = cols.ravel().astype(np.int32)
+        P = sp.csr_array((weights.ravel(), cols, indptr), shape=(len(grid), (m + 1) ** dim))
         P.eliminate_zeros()
         out.append(P)
         n = m

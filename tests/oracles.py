@@ -31,6 +31,10 @@ reproduce bit for bit.
 
 `csv_cell_by_cell` writes a numeric table one cell at a time, without the
 per-block formatting of distinct values that the CLI's writer does.
+`csv_row_by_row` joins the CLI's cells one row at a time, with no row
+blocks, and `points_pair_by_pair` formats polyline points one pair at a
+time with the % operator: the forms whose bytes the CLI's block joins and
+numpy rounding must reproduce.
 """
 
 import functools
@@ -40,6 +44,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from robin_lab.cli import _cells
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.mesh import Mesh
 from robin_lab.quadrature import cell_rule
@@ -212,3 +217,17 @@ def csv_cell_by_cell(header, columns) -> str:
     rows = zip(*(np.asarray(column).tolist() for column in columns))
     lines = [",".join(header)] + [",".join("%.17g" % cell for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def csv_row_by_row(header, columns) -> str:
+    """A table as text, each whole column through the CLI's cell rule and
+    every row through one "%s,...,%s\\n"."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    rows = zip(*(_cells(column) for column in columns))
+    return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
+
+
+def points_pair_by_pair(coords) -> str:
+    """Interleaved x, y coordinates as "%.3f,%.3f" points joined by " "."""
+    pairs = zip(coords[0::2].tolist(), coords[1::2].tolist())
+    return " ".join(map("%.3f,%.3f".__mod__, pairs))

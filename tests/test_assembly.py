@@ -17,7 +17,7 @@ from robin_lab.assembly import (
 )
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
-from robin_lab.mesh import build_mesh, kuhn_paths
+from robin_lab.mesh import build_mesh, kuhn_paths, prolongations
 
 from oracles import assemble_by_cells, simplex_geometry
 
@@ -240,6 +240,18 @@ def test_assembled_matrices_are_canonical_int32(domain, n):
     # the lumped operator stores no entry beyond the sum of its parts
     parts = assemble_stiffness(m) + assemble_mass(m, lumped=True)
     assert operator.nnz == parts.nnz
+
+
+@pytest.mark.parametrize("domain,n", [("interval", 64), ("square", 64), ("cube", 12)])
+def test_transfers_and_galerkin_images_are_int32(domain, n):
+    # the multigrid hierarchy keeps assembly's int32 indices on every level
+    m = build_mesh(domain, n)
+    A = assemble_operator(m, 1.0)
+    for P in prolongations(m):
+        Pt = P.T.tocsr()
+        A = Pt @ A @ P
+        for M in (P, Pt, A):
+            assert M.indices.dtype == M.indptr.dtype == np.int32
 
 
 def test_system_is_exactly_symmetric():

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robin_lab import fields
+from robin_lab import cli, fields
 from robin_lab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -25,8 +26,14 @@ from robin_lab.cli import (
     parse_config,
     run,
 )
+from robin_lab.errors import RobinLabError
 
-from oracles import analytic_interval_solution, csv_cell_by_cell
+from oracles import (
+    analytic_interval_solution,
+    csv_cell_by_cell,
+    csv_row_by_row,
+    points_pair_by_pair,
+)
 
 
 def _solve_config(output_dir, n=64):
@@ -239,6 +246,32 @@ def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, case):
     path = _write(tmp_path, "c.json", cfg)
     assert main([cfg["experiment"], "--config", path]) == EXIT_CONFIG
     assert _single_error_line(capsys)["field"] == where
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["true", '"1.0"', "null", "NaN", "1e309", "1" + "0" * 400, str(int(sys.float_info.max) + 1)],
+    ids=["bool", "string", "null", "nan", "float-too-big", "int-too-big", "int-above-max"],
+)
+def test_per_facet_value_not_a_finite_number_exits_2(tmp_path, capsys, literal):
+    # the int one above the float maximum rounds to it as a float but is
+    # beyond the range by exact comparison, as a constant value is
+    text = json.dumps(_solve_config(str(tmp_path / "o"))).replace(
+        '"beta_sequence": [{"kind": "constant", "value": 1.0}]',
+        '"beta_sequence": [{"kind": "per_facet", "values": [1.0, %s]}]' % literal,
+    )
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+    assert _single_error_line(capsys)["field"] == "beta_sequence[0]"
+
+
+def test_per_facet_values_at_the_float_range_accepted(tmp_path):
+    top = int(sys.float_info.max)  # an int that converts to a float exactly
+    cfg = _solve_config(str(tmp_path / "o"))
+    cfg["beta_sequence"] = [{"kind": "per_facet", "values": [top, 5e-324]}]
+    beta = parse_config(cfg).betas[0]
+    assert beta.facet_values.tolist() == [sys.float_info.max, 5e-324]
 
 
 @pytest.mark.parametrize(
@@ -686,3 +719,107 @@ def test_emit_svg_deterministic_and_covering(tmp_path):
     text = a.read_text()
     assert "<polyline" in text
     assert f"{max(ys) * 1.05:.6g}" in text  # top tick covers max * 1.05
+
+
+def test_emit_csv_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(RobinLabError, match=r"\[3, 1\]"):
+        emit_csv(["a", "b"], [np.array([1.0, 2.0, 3.0]), np.array([4.0])], str(path))
+    assert not path.exists()
+
+
+@st.composite
+def _mixed_tables(draw):
+    """(block size, columns): float and int arrays, lists mixing numbers and
+    strings, and ranges, over rows that span several blocks of the drawn size."""
+    block = draw(st.sampled_from([1, 2, 3, 7, cli._BLOCK]))
+    if block == cli._BLOCK:
+        rows = draw(st.sampled_from([cli._BLOCK + 1, 2 * cli._BLOCK + 3]))
+    else:
+        rows = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floats = np.array(_SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=4)))
+    words = draw(st.lists(st.text("abc_", max_size=3), max_size=3))
+    mixed = [*_SPECIAL_FLOATS, *_SPECIAL_INTS, "", "C_hat", *words]
+    makers = {
+        "float": lambda: floats[rng.integers(floats.size, size=rows)],
+        "int": lambda: rng.integers(-(2**53), 2**53, rows, endpoint=True),
+        "mixed": lambda: [mixed[i] for i in rng.integers(len(mixed), size=rows)],
+        "range": lambda: range(3, 3 + rows),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=1, max_size=4))
+    return block, [makers[kind]() for kind in kinds]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(table=_mixed_tables())
+def test_emit_csv_matches_row_by_row_join(table):
+    block, columns = table
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK", block)
+        path = os.path.join(tmp, "t.csv")
+        emit_csv(header, columns, path)
+        with open(path, "rb") as handle:
+            written = handle.read()
+    assert written == csv_row_by_row(header, columns).encode("ascii")
+
+
+def _rounding_cases(rng, size):
+    """Values on and next to the ties of three-decimal rounding (k/16 and
+    k/2000), from below 1e-3 up to 2^30, with a few of every magnitude."""
+    scale = 2.0 ** rng.integers(-14, 31, size)
+    ties = np.floor(rng.random(size) * scale * 16) / 16
+    near = np.floor(rng.random(size) * scale * 2000) / 2000
+    values = np.concatenate([ties, near, rng.random(size) * scale])
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, 0)])
+    return values[values < 2.0**30]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 400),
+    special=st.sampled_from([None, np.nan, np.inf, -np.inf, -0.0, -1e-4, 2.0**30]),
+)
+def test_points_match_pair_by_pair_formatting(seed, size, special):
+    # a block holding one coordinate outside [0, 2^30) with a clear sign bit
+    # is formatted with the % operator, any other in numpy
+    rng = np.random.default_rng(seed)
+    coords = rng.permutation(_rounding_cases(rng, size))[: 2 * size]
+    coords = coords[: coords.size // 2 * 2]
+    if special is not None and coords.size:
+        coords[rng.integers(coords.size)] = special
+    if coords.size:
+        assert cli._points(coords) == points_pair_by_pair(coords)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 3, 64, cli._BLOCK]),
+    size=st.sampled_from([1, 2, 5, 130, cli._BLOCK + 7]),
+    special=st.sampled_from([None, np.nan, np.inf, -np.inf, -0.0]),
+    grid=st.booleans(),
+)
+def test_emit_svg_matches_pair_by_pair_points(seed, block, size, special, grid):
+    # x on the integers up to a last point of 8320, so that the plot's
+    # x = 60 + k/16 holds ties of three-decimal rounding, or drawn at
+    # random; y on and near ties
+    rng = np.random.default_rng(seed)
+    xs = np.arange(size, dtype=float) if grid else rng.random(size) * 1e3
+    xs[-1] = 8320.0 if grid else xs[-1]
+    ys = rng.choice(_rounding_cases(rng, size), size)
+    if special is not None:
+        ys[rng.integers(size)] = special
+    written = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK", block)
+        for points in (cli._points, points_pair_by_pair):
+            patch.setattr(cli, "_points", points)
+            path = os.path.join(tmp, f"{len(written)}.svg")
+            with np.errstate(all="ignore"):  # an infinite y leaves no finite scale
+                emit_svg(xs, ys, path, "x", "y", "series")
+            with open(path, "rb") as handle:
+                written.append(handle.read())
+    assert written[0] == written[1]

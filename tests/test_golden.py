@@ -84,6 +84,22 @@ CASES = {
             "solution.svg": "d80d038e24fa45b696e11ee3ccdab31000c3b529f785fda2be25762f4eb454d0",
         },
     ),
+    # 4225 rows and plot points span two blocks; 64 of the plot's x values
+    # are exact ties of three-decimal rounding, which go to the even digit
+    "solve-square-64-expr": (
+        {
+            "experiment": "solve",
+            "domain": "square",
+            "n": 64,
+            "lambda": 1.0,
+            "f": {"kind": "expr", "expr": "2 + x - y*y"},
+            "beta_sequence": [ONE],
+        },
+        {
+            "solution.csv": "43c6481ebaa3168da47cf175f86af334574f075698226f1c35dee379b5c6267c",
+            "solution.svg": "48ff42d2be1640a9722f3e05eeb8ab19893784f66e505eabc0fb24243eac3eac",
+        },
+    ),
     "solve-square-per-facet": (
         {
             "experiment": "solve",
