@@ -478,12 +478,31 @@ def run(config: RunConfig) -> int:
             emit_svg(xs, ys, os.path.join(out, f"{name}.svg"), xlabel, ylabel, title)
         timings["emit_seconds"] = time.perf_counter() - started  # the manifest holds timings
         with open(os.path.join(out, "manifest.json"), "w", encoding="ascii") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
+            _write_json(manifest, handle)
             handle.write("\n")
     except OSError as exc:
         _emit_error("output", f"cannot write results: {exc}")
         return EXIT_OUTPUT
     return EXIT_OK
+
+
+def _write_json(value, handle) -> None:
+    """Writes json.dumps(value, sort_keys=True) a piece at a time: a dict key
+    by key and a list of dicts or lists item by item, so that a large config
+    echo (eight per_facet betas) never becomes one string.  Each piece is
+    one call of the C encoder, which json.dump and an indent would bypass."""
+    if isinstance(value, dict):
+        parts, ends = sorted(value.items()), "{}"
+    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        parts, ends = [(None, item) for item in value], "[]"
+    else:
+        handle.write(json.dumps(value))
+        return
+    handle.write(ends[0])
+    for k, (key, item) in enumerate(parts):
+        handle.write(("" if k == 0 else ", ") + ("" if key is None else json.dumps(key) + ": "))
+        _write_json(item, handle)
+    handle.write(ends[1])
 
 
 def _run_experiment(config: RunConfig):

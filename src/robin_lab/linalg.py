@@ -2,20 +2,27 @@
 
 The members share A = K + lambda M, b and the mesh hierarchy.  A family is
 one batched solve, independent CG on the columns of an (n, N) block (not
-block CG: no step mixes members).  A column that meets its tolerance
-freezes while the others go on.  Column reductions sum each member's own
-contiguous row, never across rows and never through BLAS, so a member's
-bits depend neither on its place in the family nor on the thread count.
+block CG: no step mixes members), updated in place in buffers allocated
+once.  A column that meets its tolerance freezes while the others go on.
+Column reductions sum each member's own contiguous row, never across rows
+and never through BLAS, so a member's bits depend neither on its place in
+the family nor on the thread count.
 
 The preconditioner is one symmetric V(1,1) multigrid cycle on the hierarchy
-of `mesh.prolongations`, built once per family: P^T A P per level, and
-P^T B P per distinct B (constant members share B(1)).  Member i is smoothed
-by Jacobi damped by 1.6 over the Gershgorin bound of D^-1 (A + w_i B_i),
-taken from the row sums of |A| + |w_i B_i|, so the cycle is SPD for every
-lambda, beta and n.  The coarsest level (A itself without a hierarchy) is
-inverted by one stacked Cholesky factorisation, with the pseudo-inverse
-for a member whose factorisation fails: CG then reports the singular
-operator as non-convergence.  The budget is 10 iterations per unknown.
+of `mesh.prolongations`, built once per family: P^T A P per level, and the
+distinct B (constant members share B(1)) stacked by rows and imaged by one
+product per level, kron(I, P^T) V P, which gives each block the bits and
+stored order of its own P^T B P.  Each level's images are read sorted (as
+scipy's canonical format orders them) into one CSR holding every member's
+nonempty rows, columns interleaved like the raveled block: an apply is
+A X plus one boundary product scaled by the weights, whatever N is.
+Member i is smoothed by Jacobi damped by 1.6 over the Gershgorin bound of
+D^-1 (A + w_i B_i), from the row sums of |A| + |w_i B_i|, so the cycle is
+SPD for every lambda, beta and n.  The coarsest level (A itself without a
+hierarchy) is inverted by one stacked Cholesky factorisation, with the
+pseudo-inverse for a member whose factorisation fails: CG then reports the
+singular operator as non-convergence.  The budget is 10 iterations per
+unknown.
 """
 
 from __future__ import annotations
@@ -47,8 +54,9 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
     ``transfers`` holds the prolongations P of the mesh hierarchy, finest
     first, as `mesh.prolongations` returns them.  Returns ``(X, SolveReport)``
     with member i's solution in row i of X.  Non-convergence is reported,
-    not raised; a non-finite intermediate value raises
-    :class:`NumericBreakdownError` noted with the member's index.
+    not raised.  A B_i that is not n x n or a non-finite w_i raises
+    :class:`InvalidArgumentError`, a non-finite intermediate value
+    :class:`NumericBreakdownError`, each noted with the member's index.
     """
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -57,6 +65,10 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
     if not tol > 0.0:  # NaN included
         raise InvalidArgumentError(f"tol must be > 0, got {tol}")
     boundary = [(sp.csr_array((n, n)), 0.0)] if boundary is None else boundary
+    for i, (B, w) in enumerate(boundary):
+        if B.shape != (n, n) or not np.isfinite(w):
+            message = f"boundary term of shape {B.shape}, weight {w}: expected ({n}, {n}), finite"
+            raise noted_member(InvalidArgumentError(message), i)
     size = len(boundary)
 
     with np.errstate(over="ignore"):  # an overflow gives inf, raised below
@@ -65,12 +77,12 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
         raise NumericBreakdownError("norm of the right-hand side is not finite")
     if b_norm == 0.0:
         return np.zeros((size, n)), SolveReport(0, 0.0, True, [0] * size, [0.0] * size)
-    apply, precondition = _multigrid(A, boundary, transfers)
 
     with np.errstate(all="ignore"):  # non-finite values are caught below
+        apply, precondition = _multigrid(A, boundary, transfers)
         x, r = np.zeros((n, size)), np.repeat(b[:, None], size, axis=1)
-        p = precondition(r)
-        rz = _dots(r, p)
+        p, work = precondition(r).copy(), (np.empty((n, size)), np.empty((size, n)))
+        rz = _dots(r, p, work)
         iterations, restarts_left = np.zeros(size, dtype=int), np.full(size, 5)
         active = np.ones(size, dtype=bool)
         while True:
@@ -79,18 +91,20 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
                 break
             iterations += active
             Ap = apply(p)
-            pAp = _dots(p, Ap)
+            pAp = _dots(p, Ap, work)
             _check_finite(pAp, active, "non-finite value in conjugate gradient")
             active &= pAp > 0.0  # nonpositive curvature: not PD, give up
             alpha = np.divide(rz, pAp, out=np.zeros(size), where=active)
-            x += alpha * p
-            r -= alpha * Ap
-            rel = np.sqrt(_dots(r, r)) / b_norm
+            x += np.multiply(alpha, p, out=work[0])
+            r -= np.multiply(alpha, Ap, out=Ap)
+            del Ap  # not held through the cycle
+            rel = np.sqrt(_dots(r, r, work)) / b_norm
             _check_finite(rel, active, "non-finite residual in conjugate gradient")
             restart = active & (rel <= tol)
             if restart.any():
-                true_r = b[:, None] - apply(x)
-                true_ok = np.sqrt(_dots(true_r, true_r)) / b_norm <= tol
+                true_r = apply(x)  # b - A x in place: one block less at the peak
+                np.subtract(b[:, None], true_r, out=true_r)
+                true_ok = np.sqrt(_dots(true_r, true_r, work)) / b_norm <= tol
                 done = restart & (true_ok | (restarts_left == 0))
                 # the recurrence drifted from the true residual: restart cleanly
                 restart &= ~done
@@ -98,21 +112,26 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
                 r[:, restart] = true_r[:, restart]
                 active &= ~done
             z = precondition(r)
-            rz_next = _dots(r, z)
-            p = z + np.divide(rz_next, rz, out=np.zeros(size), where=active & ~restart) * p
+            rz_next = _dots(r, z, work)
+            p *= np.divide(rz_next, rz, out=np.zeros(size), where=active & ~restart)
+            p += z
             rz = rz_next
-        true_r = b[:, None] - apply(x)
-        residuals = np.sqrt(_dots(true_r, true_r)) / b_norm
+        true_r = apply(x)
+        np.subtract(b[:, None], true_r, out=true_r)
+        residuals = np.sqrt(_dots(true_r, true_r, work)) / b_norm
 
     converged = bool(np.all(residuals <= tol))
     totals = (int(iterations.sum()), float(residuals.max(initial=0.0)), converged)
     return x.T.copy(), SolveReport(*totals, iterations.tolist(), residuals.tolist())
 
 
-def _dots(a, b) -> np.ndarray:
-    """Column inner products of two (n, N) blocks, each summed along its
-    own contiguous row, so with the bits of a lone vector's sum."""
-    return np.sum(np.ascontiguousarray((a * b).T), axis=1)
+def _dots(a, b, work) -> np.ndarray:
+    """Column inner products of two (n, N) blocks, each member's products
+    summed along its own contiguous row of a member-major copy, so with the
+    bits of a lone vector's sum; ``work`` holds an (n, N) and an (N, n) block."""
+    products, rows = work
+    rows[...] = np.multiply(a, b, out=products).T
+    return np.sum(rows, axis=1)
 
 
 def _check_finite(values, active, message) -> None:
@@ -124,60 +143,101 @@ def _check_finite(values, active, message) -> None:
 def _multigrid(A, boundary, transfers):
     """The map X -> (A + w_i B_i) X[:, i] on (n, N) blocks, and the cycle."""
     transfers = [(P, P.T.tocsr()) for P in transfers]
+    weights = np.array([w for _, w in boundary], dtype=float)
+    # the distinct B (constant members share B(1)), stacked by rows, are imaged
+    # together: kron(I, P^T) V P holds each block's P^T B P, bits and order
+    ids = [id(B) for B, _ in boundary]
+    _, first, member = np.unique(ids, return_index=True, return_inverse=True)
+    V = sp.vstack([boundary[k][0] for k in first], format="csr")
 
-    def galerkin(M):
-        images = [M]
-        for P, Pt in transfers:
-            images.append(Pt @ images[-1] @ P)
-        return images
+    def terms(op, V):
+        """The Jacobi scales and, read from V sorted, the boundary terms as one
+        CSR on the raveled (n, N) block: row (k, i) is the k-th nonempty row
+        of B_i, column c N + i is vertex c of member i."""
+        V.sort_indices()
+        n, size, bounds = op.shape[0], len(member), V.indptr[::op.shape[0]]
+        scale = _jacobi_scales(op, V, member * n + np.arange(n)[:, None], weights)
+        lengths = np.diff(V.indptr).reshape(-1, n)[member]
+        members, rows = np.nonzero(lengths)
+        dtype = sp.get_index_dtype(maxval=n * size)
+        cols = np.concatenate([V.indices[bounds[j] : bounds[j + 1]] for j in member])
+        cols = cols.astype(dtype, copy=False) * size
+        cols += np.repeat(np.arange(size, dtype=dtype), np.diff(bounds)[member])
+        indptr = np.zeros(len(rows) + 1, dtype)
+        np.cumsum(lengths[members, rows], out=indptr[1:])
+        data = np.concatenate([V.data[bounds[j] : bounds[j + 1]] for j in member])
+        S = sp.csr_array((data, cols, indptr), shape=(len(rows), n * size))
+        return scale, S, rows * size + members, weights[members]
 
-    ops = galerkin(A)
+    ops, levels = [A], []
+    for P, Pt in transfers:
+        ops.append(Pt @ ops[-1] @ P)
+        V, fine = _repeated(Pt, len(first)) @ V @ P, V
+        levels.append(terms(ops[-2], fine))
     if ops[-1].shape[0] > MAX_DENSE:
         raise InvalidArgumentError(f"coarsest level above {MAX_DENSE} unknowns: pass the hierarchy")
-    # a run of consecutive members that share a B is one group, a slice of
-    # the columns; each distinct B's Galerkin images are formed once
-    starts = [i for i, (B, _) in enumerate(boundary) if i == 0 or B is not boundary[i - 1][0]]
-    groups = [slice(a, b) for a, b in zip(starts, starts[1:] + [len(boundary)])]
-    weights = np.array([w for _, w in boundary], dtype=float)
-    chains = {id(B): B for B, _ in boundary}
-    chains = {key: galerkin(B) for key, B in chains.items()}
-    mats = [[chains[id(boundary[g.start][0])][level] for g in groups] for level in range(len(ops))]
+    if not transfers:  # the coarsest level is applied only when it is the finest
+        levels.append(terms(A, V))
+    blocks = V.toarray().reshape(len(first), *ops[-1].shape)[member]
+    coarsest = _inverses(ops[-1].toarray() + blocks * weights[:, None, None])
+    xs = [np.empty((op.shape[0], len(member))) for op in ops[:-1]]
 
     def apply(x, level=0):
+        _, S, where, w = levels[level]
         y = ops[level] @ x
-        for B, cols in zip(mats[level], groups):
-            y[:, cols] += (B @ x[:, cols]) * weights[cols]
+        np.add.at(y.ravel(), where, (S @ x.ravel()) * w)
         return y
 
-    scales = [_jacobi_scales(op, level, groups, weights) for op, level in zip(ops, mats[:-1])]
-    dense = np.repeat(ops[-1].toarray()[None], len(weights), axis=0)
-    for B, cols in zip(mats[-1], groups):
-        dense[cols] += B.toarray() * weights[cols, None, None]
-    coarsest = _inverses(dense)
-
-    def cycle(r, level=0):
-        if level == len(transfers):
-            return np.einsum("nij,nj->in", coarsest, np.ascontiguousarray(r.T))
-        scale, (P, Pt) = scales[level], transfers[level]
-        x = scale * r
-        x += P @ cycle(Pt @ (r - apply(x, level)), level + 1)
-        x += scale * (r - apply(x, level))
-        return x
-
-    return apply, cycle
+    # no closure refers to itself, so the hierarchy is freed on return, not
+    # by the cyclic garbage collector after the rest of the run
+    hierarchy = (transfers, [scale for scale, *_ in levels], xs, coarsest, apply)
+    return apply, lambda r: _cycle(r, hierarchy)
 
 
-def _jacobi_scales(A, mats, groups, weights) -> np.ndarray:
-    """omega_i / diag(A + w_i B_i) as an (n, N) block, with omega_i = 1.6
-    over the Gershgorin bound of D^-1 (A + w_i B_i)."""
-    diag = np.repeat(A.diagonal()[:, None], len(weights), axis=1)
-    # row sums of |A|: no row of an assembled or Galerkin operator is empty
-    rows = np.repeat(np.add.reduceat(np.abs(A.data), A.indptr[:-1])[:, None], len(weights), axis=1)
-    for B, cols in zip(mats, groups):
-        diag[:, cols] += B.diagonal()[:, None] * weights[cols]
-        rows[:, cols] += (abs(B) @ np.ones(B.shape[1]))[:, None] * np.abs(weights[cols])
-    diag = np.where(diag > 0.0, diag, 1.0)  # A is not PD; CG reports it
-    return (1.6 / np.max(rows / diag, axis=0)) / diag
+def _cycle(r, hierarchy, level=0):
+    """One V(1,1) cycle on the (n, N) block r from ``level`` down."""
+    transfers, scales, xs, coarsest, apply = hierarchy
+    if level == len(transfers):
+        return np.einsum("nij,nj->in", coarsest, np.ascontiguousarray(r.T))
+    (P, Pt), scale, x = transfers[level], scales[level], xs[level]
+    np.multiply(scale, r, out=x)
+    y = apply(x, level)
+    y = Pt @ np.subtract(r, y, out=y)  # the fine block is freed before the recursion
+    x += P @ _cycle(y, hierarchy, level + 1)
+    y = apply(x, level)
+    x += np.multiply(scale, np.subtract(r, y, out=y), out=y)
+    return x
+
+
+def _repeated(M, count) -> sp.csr_array:
+    """kron(I_count, M) in CSR, each row in M's stored order."""
+    if count == 1:
+        return M
+    dtype = sp.get_index_dtype(maxval=count * max(M.nnz, *M.shape))
+    step = np.arange(count, dtype=dtype)[:, None]
+    indptr = np.append((M.indptr[:-1] + M.nnz * step).ravel(), dtype(count * M.nnz))
+    indices = (M.indices + M.shape[1] * step).ravel()
+    shape = (count * M.shape[0], count * M.shape[1])
+    return sp.csr_array((np.tile(M.data, count), indices, indptr), shape=shape)
+
+
+def _jacobi_scales(A, V, blocks, weights) -> np.ndarray:
+    """omega_i / diag(A + w_i B_i) as an (n, N) block, omega_i = 1.6 over the
+    Gershgorin bound of D^-1 (A + w_i B_i); V stacks the distinct B by rows,
+    blocks[a, i] is the row of V that holds row a of B_i."""
+    n = A.shape[0]
+    # V's blocks side by side on the diagonal: its diagonal is theirs
+    shift = np.repeat(np.arange(0, V.shape[0], n, dtype=V.indices.dtype), np.diff(V.indptr[::n]))
+    diag = sp.csr_array((V.data, V.indices + shift, V.indptr), shape=(V.shape[0],) * 2).diagonal()
+    # row sums of |B| and |A|: no row of an assembled or Galerkin operator is empty
+    sums = sp.csr_array((np.abs(V.data), V.indices, V.indptr), shape=V.shape) @ np.ones(n)
+    diag, sums = diag[blocks], sums[blocks]
+    diag *= weights
+    diag += A.diagonal()[:, None]
+    sums *= np.abs(weights)
+    sums += np.add.reduceat(np.abs(A.data), A.indptr[:-1])[:, None]
+    diag[~(diag > 0.0)] = 1.0  # A is not PD; CG reports it
+    return np.divide(1.6 / np.max(sums / diag, axis=0), diag, out=diag)
 
 
 def _inverses(a) -> np.ndarray:

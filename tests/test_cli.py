@@ -440,6 +440,22 @@ def test_manifest_round_trip_reproduces_outputs(tmp_path):
     ).read_bytes()
 
 
+def test_manifest_is_one_compact_sorted_encoding(tmp_path):
+    # the manifest is written a dict key or a list item at a time; the
+    # pieces join to what one json.dumps(..., sort_keys=True) gives
+    cfg = _solve_config(str(tmp_path / "out"), n=4)
+    cfg["experiment"] = "stability"
+    cfg["beta_sequence"] = [
+        {"kind": "per_facet", "values": [2.0, 3.0]},
+        {"kind": "expr", "expr": "1 + x"},
+        {"kind": "constant", "value": 1.5},
+    ]
+    assert main(["stability", "--config", _write(tmp_path, "c.json", cfg)]) == EXIT_OK
+    text = (tmp_path / "out" / "manifest.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert json.loads(text)["config"] == cfg
+
+
 def test_dimension_caveat_warnings(tmp_path):
     for domain, n, expect_warning in (("interval", 8, True), ("cube", 2, False)):
         cfg = _solve_config(str(tmp_path / domain), n=n)

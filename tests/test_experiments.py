@@ -248,6 +248,49 @@ def test_permuted_family_permutes_rows(family):
     assert np.array_equal(permuted, rows[list(order)])
 
 
+_MESHES = {"cube": build_mesh("cube", 8), "square": build_mesh("square", 16)}
+_EXPRESSIONS = ["1 + x*y", "0.5 + x", "2 - y"]
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(sorted(_MESHES)),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("shared"), st.integers(0, 1)),
+            st.tuples(st.just("constant"), st.floats(0.0, 5.0)),
+            st.tuples(st.just("facet"), st.integers(0, 2**32 - 1)),
+            st.tuples(st.just("expr"), st.integers(0, len(_EXPRESSIONS) - 1)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_mixed_family_rows_equal_lone_solves(domain, kinds):
+    # shared constant coefficients (repeated objects), per-facet ones with
+    # zero facets (their boundary matrices lose entries to eliminate_zeros,
+    # so the members' patterns differ) and expressions, on meshes with two
+    # or more coarse levels: every row has the bits of its member solved alone
+    m = _MESHES[domain]
+    shared = [BoundaryField.constant(0.5), BoundaryField.constant(3.0)]
+    betas = []
+    for kind, value in kinds:
+        if kind == "shared":
+            betas.append(shared[value])
+        elif kind == "constant":
+            betas.append(BoundaryField.constant(value))
+        elif kind == "facet":
+            rng = np.random.default_rng(value)
+            values = rng.uniform(0.2, 2.0, m.num_facets) * (rng.random(m.num_facets) < 0.7)
+            betas.append(BoundaryField.per_facet(values))
+        else:
+            betas.append(BoundaryField.from_expression(_EXPRESSIONS[value]))
+    assert len(prolongations(m)) >= 2
+    family = solve_robin(m, 1.0, ONE, betas)
+    for row, beta in zip(family, betas):
+        assert np.array_equal(row, _solve(m, beta=beta))
+
+
 def test_failing_member_is_named():
     # with lambda = 1e-300 the beta = 0 member is singular in practice and
     # stops unconverged, while its neighbour solves

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from robin_lab.assembly import (
 )
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
-from robin_lab.linalg import cg_solve
+from robin_lab.linalg import _multigrid, cg_solve
 from robin_lab.mesh import build_mesh, prolongations
 
 
@@ -91,6 +93,71 @@ def test_rhs_shape_checked():
         cg_solve(_identity(4), np.ones(4), tol=0.0)
     with pytest.raises(InvalidArgumentError):
         cg_solve(_identity(4), np.ones(4), tol=float("nan"))
+
+
+def test_boundary_shape_checked_per_member():
+    # a boundary matrix of the wrong shape is refused up front, naming its
+    # member, instead of failing inside numpy
+    with pytest.raises(InvalidArgumentError, match="shape") as info:
+        cg_solve(_identity(5), np.ones(5), 1e-10, (), [(sp.identity(4, format="csr"), 1.0)])
+    assert info.value.__notes__ == ["solve failed for coefficient index 0"]
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+def test_nonfinite_weight_refused_per_member(weight):
+    # refused before the hierarchy is built, so no floating-point warning
+    # escapes (warnings are errors in this suite)
+    boundary = [(_identity(5), 1.0), (_identity(5), weight)]
+    with pytest.raises(InvalidArgumentError, match="finite") as info:
+        cg_solve(_identity(5), np.ones(5), 1e-10, (), boundary)
+    assert info.value.__notes__ == ["solve failed for coefficient index 1"]
+
+
+def test_apply_makes_one_boundary_product_per_level(monkeypatch):
+    # every member's B sits in one CSR per level, so an apply costs two
+    # sparse products (A and the boundary terms) whatever the number of
+    # distinct B; at the finest level each column has the bits of
+    # A x_i + (B_i x_i) w_i
+    m = build_mesh("cube", 8)
+    A = assemble_operator(m, 1.0)
+    transfers = prolongations(m)
+    sizes = [A.shape[0]] + [P.shape[1] for P in transfers[:-1]]
+    rng = np.random.default_rng(5)
+    counts = []
+    for size in (2, 9):
+        betas = [BoundaryField.per_facet(rng.uniform(0.5, 2.0, m.num_facets)) for _ in range(size)]
+        weights = rng.uniform(0.5, 2.0, size)
+        boundary = [(assemble_boundary_mass(m, beta), w) for beta, w in zip(betas, weights)]
+        apply, _ = _multigrid(A, boundary, transfers)
+        x = rng.standard_normal((A.shape[0], size))
+        y = apply(x)
+        for i, (B, w) in enumerate(boundary):
+            assert np.array_equal(y[:, i], (A @ x[:, [i]] + (B @ x[:, [i]]) * w)[:, 0])
+        calls = []
+        matmul = sp.csr_array.__matmul__
+        with monkeypatch.context() as patch:
+            patch.setattr(sp.csr_array, "__matmul__", lambda a, b: calls.append(a) or matmul(a, b))
+            for level, n in enumerate(sizes):
+                apply(rng.standard_normal((n, size)), level)
+        counts.append(len(calls))
+    assert counts == [2 * len(sizes)] * 2
+
+
+def test_hierarchy_freed_without_the_cycle_collector():
+    # no closure of the multigrid refers to itself, so a family's hierarchy
+    # is freed as soon as the solve drops it, not at a later collection
+    m = build_mesh("cube", 8)
+    A = assemble_operator(m, 1.0)
+    B = assemble_boundary_mass(m, BoundaryField.constant(1.0))
+    apply, precondition = _multigrid(A, [(B, 1.0)], prolongations(m))
+    precondition(np.ones((A.shape[0], 1)))
+    alive = weakref.ref(apply)
+    gc.disable()
+    try:
+        del apply, precondition
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def _multigrid_solve(domain, n, lam=1.0):
