@@ -4,8 +4,8 @@ the L^p norm of a source, and the trace exponent.
 Sup-norms are nodal maxima, which are exact for P1 functions; the boundary
 sup of u is ``sup_norm(u[boundary_vertex_indices(mesh)])``.  Boundary
 level-set measures use indicator fractions over per-facet sample points
-(quadrature nodes plus the centroid), which is monotone in the threshold by
-construction.
+(quadrature nodes plus the centroid, placed by `fields.interpolate`), which
+is monotone in the threshold by construction.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
-from .fields import SourceField, eval_source
+from .fields import SourceField, eval_source, interpolate
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
@@ -69,9 +69,8 @@ def level_set_measure(u, mesh: Mesh, k):
     u = check_nodal(u, mesh)
     points, _ = facet_rule(mesh.dim)
     # indicator samples: the rule points plus the centroid
-    nverts = points.shape[1]
-    samples = np.vstack([points, np.full((1, nverts), 1.0 / nverts)])
-    values = np.abs(u[mesh.facet_vertices] @ samples.T)  # (nf, nsamples)
+    samples = np.vstack([points, np.full((1, mesh.dim), 1.0 / mesh.dim)])
+    values = np.abs(interpolate(u, mesh.facet_vertices, samples))  # (nf, nsamples)
     counts = np.array([np.count_nonzero(values > c) for c in levels.flat])
     measures = mesh.facet_measure * counts / len(samples)
     return float(measures[0]) if levels.ndim == 0 else measures

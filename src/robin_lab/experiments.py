@@ -5,7 +5,8 @@ f and differ only in the boundary coefficient, into one (len(betas),
 num_vertices) array of nodal rows; every experiment reduces its rows.
 `stability_sweep` tabulates, for every ordered pair (n, m), the sup-norm
 solution gap against the product of the boundary sup of u_n and the sup
-difference of the coefficients; `estimate_constant` extracts the smallest
+difference of the coefficients (one `fields.sup_gaps` table each, every
+unordered pair measured once); `estimate_constant` extracts the smallest
 constant consistent with all informative pairs.  `convergence_study`
 compares a coefficient sequence against its limit problem on the same
 mesh, which isolates coefficient dependence from discretization error.
@@ -30,7 +31,7 @@ from .errors import (
     NoInformativePairsError,
     noted_member,
 )
-from .fields import BoundaryField, SourceField, boundary_sup, boundary_sup_diff
+from .fields import BoundaryField, SourceField, boundary_sup, boundary_sup_diff, sup_gaps
 from .linalg import cg_solve
 from .mesh import Mesh, boundary_vertex_indices, prolongations
 from .stampacchia import (
@@ -105,26 +106,13 @@ def stability_sweep(
     sups = [boundary_sup(beta, mesh) for beta in betas]
     boundary = boundary_vertex_indices(mesh)
     un_bds = [sup_norm(u[boundary]) for u in solutions]
-    beta_diffs = boundary_sup_diff(betas, mesh)
-    # |a - b| == |b - a| exactly, so each unordered pair is measured once
-    diffs = {}
-    for n, m in itertools.combinations(range(len(betas)), 2):
-        diffs[n, m] = diffs[m, n] = sup_norm(solutions[n] - solutions[m])
+    diffs, beta_diffs = sup_gaps(solutions), boundary_sup_diff(betas, mesh)
     records = []
     for n, m in itertools.permutations(range(len(betas)), 2):
-        diff, beta_diff = diffs[n, m], float(beta_diffs[n, m])
+        diff, beta_diff = float(diffs[n, m]), float(beta_diffs[n, m])
         informative = beta_diff > _RATIO_FLOOR * (1.0 + sups[n]) and un_bds[n] > 0.0
         ratio = diff / (un_bds[n] * beta_diff) if informative else None
-        records.append(
-            StabilityRecord(
-                n=n,
-                m=m,
-                diff_sup_closure=diff,
-                un_sup_boundary=un_bds[n],
-                beta_diff_sup=beta_diff,
-                ratio=ratio,
-            )
-        )
+        records.append(StabilityRecord(n, m, diff, un_bds[n], beta_diff, ratio))
     return records
 
 

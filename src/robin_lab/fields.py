@@ -17,10 +17,16 @@ valid closure on every domain.
 Negative and non-finite values are rejected at evaluation time, where the
 evidence is; closures cannot be validated eagerly.
 
+`interpolate` is the one sampling path: it carries nodal data (vertex
+coordinates for a closure's points, a P1 solution for its level sets) to
+barycentric points of cells or facets, each point summed in vertex order.
+
 Sup norms are approximated by maxima over a per-facet sample set
 consisting of the facet vertices plus the facet quadrature nodes, so
 piecewise-linear and per-facet data are resolved exactly and closures are
-sampled up to the corners.
+sampled up to the corners.  `sup_gaps` is the one pairwise loop: the sup of
+|row_n - row_m| for every pair of a family's tabulated coefficients or
+nodal solutions.
 """
 
 from __future__ import annotations
@@ -91,26 +97,42 @@ class SourceField:
         return cls.from_function(compile_expression(expr))
 
 
-def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
-    """Values at barycentric points of every boundary facet, shape (nf, k).
+def interpolate(nodal, ids, bary_points) -> np.ndarray:
+    """Values with the vertex axis last at k barycentric points (rows of
+    ``bary_points``) of each simplex, a row of vertex ``ids``: shape
+    (..., len(ids), k), weight j going to column j, summed in column order."""
+    out = np.zeros(np.shape(nodal)[:-1] + (len(ids), len(bary_points)))
+    for corner, weights in zip(ids.T, np.asarray(bary_points, dtype=float).T):
+        values = np.take(nodal, corner, axis=-1)
+        for j, weight in enumerate(weights):
+            out[..., j] += weight * values
+    return out
 
-    ``bary_points`` has shape (k, dim): row j is a point in barycentric
-    coordinates of the facet's (sorted) vertices.
-    """
-    bary_points = np.asarray(bary_points, dtype=float)
-    shape = (mesh.num_facets, bary_points.shape[0])
+
+def _tabulate(field, mesh: Mesh, ids, bary_points) -> np.ndarray:
+    """A boundary or source field at barycentric points of the simplices
+    ``ids``, shape (len(ids), k); a closure gets all the points in one call,
+    in no promised order (see the module docstring)."""
+    shape = (len(ids), len(bary_points))
     if field.kind == "constant":
-        values = np.full(shape, field.constant_value)
-    elif field.kind == "per_facet":
-        if field.facet_values.size != mesh.num_facets:
+        return np.full(shape, field.constant_value)
+    if field.kind == "per_facet":
+        if field.facet_values.size != shape[0]:
             raise InvalidArgumentError(
                 f"per_facet field has {field.facet_values.size} values but the "
-                f"mesh has {mesh.num_facets} boundary facets"
+                f"mesh has {shape[0]} boundary facets"
             )
-        values = np.repeat(field.facet_values[:, None], shape[1], axis=1)
-    else:
-        physical = bary_points @ mesh.vertices[mesh.facet_vertices]  # (nf, k, dim)
-        values = _eval_closure(field.closure, physical.reshape(-1, mesh.dim).T).reshape(shape)
+        return np.repeat(field.facet_values[:, None], shape[1], axis=1)
+    coords = interpolate(mesh.vertices.T, ids, bary_points).reshape(mesh.dim, -1)
+    with np.errstate(all="ignore"):
+        values = np.asarray(field.closure(coords), dtype=float)
+    return np.ascontiguousarray(np.broadcast_to(values, coords.shape[1:])).reshape(shape)
+
+
+def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
+    """Values at the barycentric points (k, dim) of every boundary facet's
+    sorted vertices, shape (nf, k)."""
+    values = _tabulate(field, mesh, mesh.facet_vertices, bary_points)
     invalid = ~(np.isfinite(values) & (values >= 0.0))
     if invalid.any():
         facet, j = np.argwhere(invalid)[0]
@@ -122,29 +144,11 @@ def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
 
 
 def eval_source(field: SourceField, mesh: Mesh) -> np.ndarray:
-    """Values at the cell rule points of every cell, shape (nc, nq); a
-    closure gets all the points in one call, in no promised order."""
-    rule_points, _ = cell_rule(mesh.dim)
-    shape = (mesh.num_cells, rule_points.shape[0])
-    if field.kind == "constant":
-        values = np.full(shape, field.constant_value)
-    else:
-        physical = np.zeros((mesh.dim,) + shape[::-1])  # (d, q, c)
-        for k, weights in enumerate(rule_points.T):  # k in order, as an einsum sums
-            corner = np.take(mesh.vertices.T, mesh.cells[:, k], axis=1)  # (d, c)
-            for points, weight in zip(physical.swapaxes(0, 1), weights):
-                points += weight * corner
-        values = _eval_closure(field.closure, physical.reshape(mesh.dim, -1)).reshape(shape[::-1]).T
+    """Values at the cell rule points of every cell, shape (nc, nq)."""
+    values = _tabulate(field, mesh, mesh.cells, cell_rule(mesh.dim)[0])
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("source field evaluated to a non-finite value")
-    return np.ascontiguousarray(values)
-
-
-def _eval_closure(fn, coords: np.ndarray) -> np.ndarray:
-    """fn at all points (dim, k) in one call; see the module docstring."""
-    with np.errstate(all="ignore"):
-        values = np.asarray(fn(coords), dtype=float)
-    return np.broadcast_to(values, coords.shape[1:])
+    return values
 
 
 def _sample_points(mesh: Mesh) -> np.ndarray:
@@ -164,10 +168,19 @@ def boundary_sup_diff(betas, mesh: Mesh) -> np.ndarray:
     per-facet one at one sample per facet, which holds all its values."""
     points = _sample_points(mesh)
     values = [eval_boundary(b, mesh, points if b.kind == "closure" else points[:1]) for b in betas]
-    table = np.zeros((len(betas), len(betas)))
-    for n, m in itertools.combinations(range(len(betas)), 2):
-        # |a - b| == |b - a| exactly, so each unordered pair is measured once
-        table[n, m] = table[m, n] = np.abs(values[n] - values[m]).max()
+    return sup_gaps(values)
+
+
+def sup_gaps(rows) -> np.ndarray:
+    """(N, N) table of max |rows[n] - rows[m]| (rows broadcast against each
+    other), symmetric with a zero diagonal; each unordered pair is measured
+    once, since |a - b| == |b - a| exactly.  A non-finite gap raises."""
+    table = np.zeros((len(rows), len(rows)))
+    with np.errstate(all="ignore"):  # a non-finite gap is raised below
+        for n, m in itertools.combinations(range(len(rows)), 2):
+            table[n, m] = table[m, n] = np.abs(rows[n] - rows[m]).max()
+    if not np.all(np.isfinite(table)):
+        raise InvalidArgumentError("sup gaps must be finite")
     return table
 
 

@@ -22,7 +22,8 @@ SPD for every lambda, beta and n.  The coarsest level (A itself without a
 hierarchy) is inverted by one stacked Cholesky factorisation, with the
 pseudo-inverse for a member whose factorisation fails: CG then reports the
 singular operator as non-convergence.  The budget is 10 iterations per
-unknown.
+unknown.  b is solved for at the scale 2^-e that brings max |b| into [1/2, 1),
+exactly, so any finite load has the bits of its scaled solve times 2^e.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
             raise noted_member(InvalidArgumentError(message), i)
     size = len(boundary)
 
-    with np.errstate(over="ignore"):  # an overflow gives inf, raised below
-        b_norm = float(np.sqrt(np.sum(b * b)))
+    # b / 2^scale is exact, and its b * b can neither overflow nor underflow to 0
+    scale = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    b = np.ldexp(b, -scale)
+    b_norm = float(np.sqrt(np.sum(b * b)))
     if not np.isfinite(b_norm):
         raise NumericBreakdownError("norm of the right-hand side is not finite")
     if b_norm == 0.0:
@@ -119,10 +122,12 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
         true_r = apply(x)
         np.subtract(b[:, None], true_r, out=true_r)
         residuals = np.sqrt(_dots(true_r, true_r, work)) / b_norm
+        x = np.ldexp(x.T, scale, order="C")
+    _check_finite(np.abs(x).max(axis=1), True, "solution is not finite at the load's scale")
 
     converged = bool(np.all(residuals <= tol))
     totals = (int(iterations.sum()), float(residuals.max(initial=0.0)), converged)
-    return x.T.copy(), SolveReport(*totals, iterations.tolist(), residuals.tolist())
+    return x, SolveReport(*totals, iterations.tolist(), residuals.tolist())
 
 
 def _dots(a, b, work) -> np.ndarray:

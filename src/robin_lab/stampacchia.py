@@ -162,7 +162,5 @@ def theorem_constants(d: int, c2: float, phi0: float = 0.0) -> StampacchiaParams
     alpha equals the trace exponent s, delta = s - 1, and the iteration
     starts at level 0; c2 is the composite multiplicative constant.
     """
-    if not c2 >= 0.0:  # NaN included
-        raise InvalidArgumentError(f"composite constant must be >= 0, got {c2}")
     s = trace_exponent(d)
     return StampacchiaParams(c=c2, alpha=s, delta=s - 1.0, phi0=phi0)

@@ -139,9 +139,10 @@ def test_non_finite_field_exits_3_with_one_line(tmp_path, capsys, where):
     cfg = _square_stability_config(str(tmp_path / "o"), beta)
     if where == "f":
         cfg["f"] = spec
-    elif where == "overflow":  # finite data whose solve overflows
-        huge = {"kind": "constant", "value": 1e300}
-        cfg.update({"lambda": 1e300, "f": huge, "beta_sequence": [huge, huge]})
+    elif where == "overflow":  # finite data whose solution overflows: u = f / lambda
+        zero = {"kind": "constant", "value": 0.0}
+        f = {"kind": "constant", "value": 1e300}
+        cfg.update({"lambda": 1e-10, "f": f, "beta_sequence": [zero, zero]})
     path = _write(tmp_path, "c.json", cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would reach stderr
@@ -385,8 +386,9 @@ def test_usage_error_exits_2_with_one_line(capsys, argv):
 
 def test_solve_failure_exits_3(tmp_path):
     cfg = _solve_config(str(tmp_path / "o"))
-    # the inner products of a load this large overflow, whatever the solver
-    cfg["f"] = {"kind": "constant", "value": 1e300}
+    # with beta = 0 the solution is f / lambda, beyond the float range
+    cfg.update({"lambda": 1e-10, "f": {"kind": "constant", "value": 1e300}})
+    cfg["beta_sequence"] = [{"kind": "constant", "value": 0.0}]
     path = _write(tmp_path, "c.json", cfg)
     assert main(["solve", "--config", path]) == EXIT_SOLVE
 

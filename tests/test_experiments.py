@@ -155,6 +155,36 @@ def test_stability_two_constants_against_oracle():
         assert rec.ratio is not None
 
 
+def test_stability_gaps_are_sup_norms_of_row_differences():
+    # the sweep's one pairwise table has the bits of sup_norm on each pair
+    m = build_mesh("square", 8)
+    values = np.random.default_rng(5).uniform(0.0, 2.0, m.num_facets)
+    betas = [
+        BoundaryField.constant(1.0),
+        BoundaryField.per_facet(values),
+        BoundaryField.from_expression("1 + x*y"),
+        BoundaryField.constant(0.0),
+    ]
+    rows = solve_robin(m, 1.0, ONE, betas)
+    records = stability_sweep(m, 1.0, ONE, betas)
+    assert len(records) == 12
+    for rec in records:
+        assert rec.diff_sup_closure == sup_norm(rows[rec.n] - rows[rec.m])
+
+
+@pytest.mark.parametrize("domain,n", [("square", 8), ("cube", 6)])
+@pytest.mark.parametrize("power", [600, -600])
+def test_load_scale_moves_no_bits(domain, n, power):
+    # b * b would overflow (2^600) or underflow to 0 (2^-600); the solve
+    # scales the load by a power of 2 instead, which is exact
+    m = build_mesh(domain, n)
+    betas = [BoundaryField.constant(1.0), BoundaryField.from_expression("1 + x*y")]
+    rows = solve_robin(m, 1.0, ONE, betas)
+    scaled = solve_robin(m, 1.0, SourceField.constant(2.0**power), betas)
+    assert np.all(rows > 0.0)
+    assert np.array_equal(scaled, np.ldexp(rows, power))
+
+
 def test_stability_needs_two_coefficients():
     m = build_mesh("interval", 4)
     with pytest.raises(InvalidArgumentError):
@@ -300,10 +330,10 @@ def test_failing_member_is_named():
     with pytest.raises(NonConvergenceError) as info:
         solve_robin(m, 1e-300, ONE, [good, bad])
     assert info.value.__notes__ == ["solve failed for coefficient index 1"]
-    # a failure of the whole family (here the load's norm overflows) is
-    # named at member 0, the first to meet it
+    # a failure of the whole family (here the solution f / lambda of every
+    # beta = 0 member overflows) is named at member 0, the first to meet it
     with pytest.raises(NumericBreakdownError) as info:
-        solve_robin(m, 1.0, SourceField.constant(1e300), [good, bad])
+        solve_robin(m, 1e-10, SourceField.constant(1e300), [bad, bad])
     assert info.value.__notes__ == ["solve failed for coefficient index 0"]
 
 

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robin_lab.errors import InvalidArgumentError, InvalidCoefficientError
 from robin_lab.fields import (
@@ -14,6 +16,8 @@ from robin_lab.fields import (
     compile_expression,
     eval_boundary,
     eval_source,
+    interpolate,
+    sup_gaps,
 )
 from robin_lab.mesh import build_mesh
 
@@ -201,3 +205,86 @@ def test_expression_missing_coordinate():
     fn = compile_expression("y + 1")
     with pytest.raises(InvalidArgumentError):
         fn(np.array([0.5]))  # 1-d domain has no y
+
+
+_PROPERTY_MESHES = [build_mesh("interval", 5), build_mesh("square", 3), build_mesh("cube", 2)]
+
+
+def _simplices(mesh, kind):
+    return mesh.cells if kind == "cells" else mesh.facet_vertices
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(_PROPERTY_MESHES),
+    st.sampled_from(["cells", "facets"]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_interpolate_reproduces_affine_data(mesh, kind, count, seed):
+    # a P1 interpolant is exact on affine data, at any barycentric point and
+    # for any number of leading axes
+    rng = np.random.default_rng(seed)
+    ids = _simplices(mesh, kind)
+    weights = rng.uniform(0.0, 1.0, (count, ids.shape[1]))
+    weights /= weights.sum(axis=1, keepdims=True)
+    slopes, offsets = rng.uniform(-5.0, 5.0, (2, mesh.dim)), rng.uniform(-5.0, 5.0, (2, 1))
+    nodal = offsets + slopes @ mesh.vertices.T  # two affine fields, (2, nv)
+    points = np.einsum("kj,cjd->dck", weights, mesh.vertices[ids])  # (dim, len(ids), k)
+    exact = offsets[:, :, None] + np.einsum("ad,dck->ack", slopes, points)
+    values = interpolate(nodal, ids, weights)
+    assert values.shape == (2, len(ids), count)
+    assert np.allclose(values, exact, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(_PROPERTY_MESHES),
+    st.sampled_from(["cells", "facets"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_interpolate_at_the_vertices_returns_the_nodal_values(mesh, kind, seed):
+    ids = _simplices(mesh, kind)
+    nodal = np.random.default_rng(seed).standard_normal((3, mesh.num_vertices)) * 1e3
+    values = interpolate(nodal, ids, np.eye(ids.shape[1]))
+    assert np.array_equal(values, nodal[:, ids])
+    assert np.array_equal(interpolate(nodal[0], ids, np.eye(ids.shape[1])), nodal[0, ids])
+
+
+def _gap_rows(seed, shapes):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-3.0, 3.0, (6, k)) * rng.choice([1e-3, 1.0, 1e3]) for k in shapes]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from([1, 4]), min_size=0, max_size=6))
+def test_sup_gaps_equal_a_double_loop(seed, shapes):
+    # rows of shape (nf, 1) (constant and per-facet fields) broadcast against
+    # rows of shape (nf, k) (closures), as in boundary_sup_diff
+    rows = _gap_rows(seed, shapes)
+    table = sup_gaps(rows)
+    brute = np.zeros((len(rows), len(rows)))
+    for n, m in itertools.product(range(len(rows)), repeat=2):
+        if n != m:
+            brute[n, m] = np.abs(rows[n] - rows[m]).max()
+    assert np.array_equal(table, brute)
+    assert np.array_equal(table, table.T) and not np.any(np.diag(table))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.sampled_from([float("inf"), -float("inf"), float("nan"), "overflow"]),
+)
+def test_sup_gaps_refuse_a_non_finite_gap(seed, count, bad):
+    rows = _gap_rows(seed, [4] * count)
+    rng = np.random.default_rng(seed)
+    row, facet, point = rng.integers(count), rng.integers(6), rng.integers(4)
+    if bad == "overflow":  # finite rows whose difference is beyond the float range
+        rows[row][facet, point] = 1.5e308
+        rows[(row + 1) % count][facet, point] = -1.5e308
+    else:
+        rows[row][facet, point] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        sup_gaps(rows)
