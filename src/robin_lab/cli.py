@@ -13,15 +13,16 @@ and per-experiment extras.  Field specs:
     {"kind": "expr", "expr": "x + 2*y"}
 
 Every run writes manifest.json (config echo, version, mesh statistics,
-timings, warnings), one CSV per result table, and one SVG per plot.  CSV
-and SVG bytes are deterministic for identical configs.  Tables are written
-from columns, a block of rows per str.join, with one rule per cell: a string
-as it is and a number with "%.17g" (floats round-trip, integers print digits).
-Plot points are written as "%.3f" would write them, from numpy digits.
+timings, warnings) as one json.dumps(..., sort_keys=True), one CSV per
+result table, and one SVG per plot.  CSV and SVG bytes are deterministic
+for identical configs.  Tables are written from columns, a block of rows
+per str.join, with one rule per cell: a string as it is and a number with
+"%.17g" (floats round-trip, integers print digits).  Plot points are
+written as "%.3f" would write them, from numpy digits.
 
-Exit codes: 0 success, 2 invalid config (an unknown key included) or
-command line, 3 solve failure, 4 unwritable output path.  Every failure
-writes one JSON error line naming the field to stderr.
+Exit codes: 0 success, 2 invalid config (an unknown key, also in a field
+spec or the generator) or command line, 3 solve failure, 4 unwritable output
+path.  Every failure writes one JSON error line naming the field to stderr.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .experiments import (
     theorem0_terms,
 )
 from .fields import BoundaryField, SourceField, check_expression_dimension, is_finite_number
-from .mesh import DOMAINS, Mesh, build_mesh
+from .mesh import DOMAINS, Mesh, build_mesh, is_integer
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
 # the fewest and the most coefficients each experiment takes, in EXPERIMENTS order
@@ -113,11 +114,12 @@ def expand_beta_sequence(raw) -> list:
     if isinstance(raw, dict):
         if raw.get("kind") != "one_over_k":
             raise ConfigError("beta_sequence", f"unknown generator kind {raw.get('kind')!r}")
+        _check_keys(raw, {"kind", "base", "count"}, "beta_sequence")
         base = raw.get("base")
         count = raw.get("count")
         if not is_finite_number(base):
             raise ConfigError("beta_sequence.base", "generator base must be a finite number")
-        if not _is_integer(count) or not 1 <= count <= MAX_GENERATED:
+        if not is_integer(count) or not 1 <= count <= MAX_GENERATED:
             raise ConfigError(
                 "beta_sequence.count",
                 f"generator count must be an integer from 1 to {MAX_GENERATED}, "
@@ -147,9 +149,7 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("config", "top-level JSON value must be an object")
-    unknown = sorted(data.keys() - _KEYS)
-    if unknown:
-        raise ConfigError(unknown[0], "unknown config key")
+    _check_keys(data, _KEYS)
 
     named = data.get("experiment", experiment)
     if experiment is not None and named != experiment:
@@ -226,6 +226,13 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     )
 
 
+def _check_keys(spec: dict, keys, where: str = None) -> None:
+    """ConfigError on the first key of ``spec``, sorted, not in ``keys``, named where.key."""
+    unknown = sorted(spec.keys() - keys)
+    if unknown:
+        raise ConfigError(unknown[0] if where is None else f"{where}.{unknown[0]}", "unknown key")
+
+
 def _choice(value, key: str, choices: tuple) -> str:
     if not isinstance(value, str) or value not in choices:
         raise ConfigError(key, f"must be one of {', '.join(choices)}, got {value!r}")
@@ -236,17 +243,12 @@ def _number(data: dict, key: str):
     """The value of a numeric key, checked against its _NUMERIC_KEYS row."""
     default, integer, bound, inclusive = _NUMERIC_KEYS[key]
     value = data.get(key, default)
-    valid = _is_integer(value) if integer else is_finite_number(value)
+    valid = is_integer(value) if integer else is_finite_number(value)
     if not (valid and (value >= bound if inclusive else value > bound)):
         kind = "an integer" if integer else "a finite number"
         relation = ">=" if inclusive else ">"
         raise ConfigError(key, f"must be {kind} {relation} {bound}, got {value!r}")
     return value if integer else float(value)
-
-
-def _is_integer(value) -> bool:
-    """A JSON integer; booleans are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_field(spec, where: str, cls, mesh: Mesh):
@@ -261,6 +263,7 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
     kind = spec.get("kind")
     try:
         if kind == "constant":
+            _check_keys(spec, {"kind", "value"}, where)
             value = spec.get("value")
             if not is_finite_number(value) or (cls is BoundaryField and value < 0.0):
                 raise ConfigError(
@@ -270,6 +273,7 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
                 )
             return cls.constant(value)
         if kind == "per_facet" and cls is BoundaryField:
+            _check_keys(spec, {"kind", "values"}, where)
             values = spec.get("values")
             if not isinstance(values, list) or len(values) != mesh.num_facets:
                 raise ConfigError(
@@ -284,6 +288,7 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
                 raise ConfigError(where, "per_facet values must be finite numbers >= 0")
             return cls.per_facet(array)
         if kind == "expr":
+            _check_keys(spec, {"kind", "expr"}, where)
             expr = spec.get("expr")
             if not isinstance(expr, str):
                 raise ConfigError(where, "expr field needs an 'expr' string")
@@ -478,31 +483,11 @@ def run(config: RunConfig) -> int:
             emit_svg(xs, ys, os.path.join(out, f"{name}.svg"), xlabel, ylabel, title)
         timings["emit_seconds"] = time.perf_counter() - started  # the manifest holds timings
         with open(os.path.join(out, "manifest.json"), "w", encoding="ascii") as handle:
-            _write_json(manifest, handle)
-            handle.write("\n")
+            handle.write(json.dumps(manifest, sort_keys=True) + "\n")
     except OSError as exc:
         _emit_error("output", f"cannot write results: {exc}")
         return EXIT_OUTPUT
     return EXIT_OK
-
-
-def _write_json(value, handle) -> None:
-    """Writes json.dumps(value, sort_keys=True) a piece at a time: a dict key
-    by key and a list of dicts or lists item by item, so that a large config
-    echo (eight per_facet betas) never becomes one string.  Each piece is
-    one call of the C encoder, which json.dump and an indent would bypass."""
-    if isinstance(value, dict):
-        parts, ends = sorted(value.items()), "{}"
-    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
-        parts, ends = [(None, item) for item in value], "[]"
-    else:
-        handle.write(json.dumps(value))
-        return
-    handle.write(ends[0])
-    for k, (key, item) in enumerate(parts):
-        handle.write(("" if k == 0 else ", ") + ("" if key is None else json.dumps(key) + ": "))
-        _write_json(item, handle)
-    handle.write(ends[1])
 
 
 def _run_experiment(config: RunConfig):

@@ -15,7 +15,9 @@ k values or a scalar, which is broadcast.  ``lambda p: 1.0 + p[0]`` is a
 valid closure on every domain.
 
 Negative and non-finite values are rejected at evaluation time, where the
-evidence is; closures cannot be validated eagerly.
+evidence is; closures cannot be validated eagerly.  `compile_expression`
+checks an expression's syntax tree against one tuple of node types, its
+operators included, besides finite constants and coordinate names.
 
 `interpolate` is the one sampling path: it carries nodal data (vertex
 coordinates for a closure's points, a P1 solution for its level sets) to
@@ -184,8 +186,8 @@ def sup_gaps(rows) -> np.ndarray:
     return table
 
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
-_ALLOWED_UNARY = (ast.UAdd, ast.USub)
+_ALLOWED_NODES = (ast.Expression, ast.Load, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult,
+                  ast.Div, ast.UAdd, ast.USub)
 _COORD_NAMES = ("x", "y", "z")
 # a longer expression can nest deeper than Python's parser and evaluator
 # recurse: a chain of about 1000 unary minus signs already fails
@@ -211,13 +213,7 @@ def compile_expression(expr: str):
     except SyntaxError as exc:
         raise InvalidArgumentError(f"cannot parse field expression {expr!r}: {exc}") from exc
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Expression, ast.Load)):
-            continue
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            continue
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_UNARY):
-            continue
-        if isinstance(node, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.UAdd, ast.USub)):
+        if isinstance(node, _ALLOWED_NODES):  # ast.walk visits each operator too
             continue
         if isinstance(node, ast.Constant) and is_finite_number(node.value):
             continue

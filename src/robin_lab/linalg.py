@@ -55,9 +55,10 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
     ``transfers`` holds the prolongations P of the mesh hierarchy, finest
     first, as `mesh.prolongations` returns them.  Returns ``(X, SolveReport)``
     with member i's solution in row i of X.  Non-convergence is reported,
-    not raised.  A B_i that is not n x n or a non-finite w_i raises
-    :class:`InvalidArgumentError`, a non-finite intermediate value
-    :class:`NumericBreakdownError`, each noted with the member's index.
+    not raised.  An empty ``boundary`` raises :class:`InvalidArgumentError`.
+    A B_i that is not n x n or a non-finite w_i raises it too, and a
+    non-finite intermediate value :class:`NumericBreakdownError`, each
+    noted with the member's index.
     """
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -66,6 +67,8 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
     if not tol > 0.0:  # NaN included
         raise InvalidArgumentError(f"tol must be > 0, got {tol}")
     boundary = [(sp.csr_array((n, n)), 0.0)] if boundary is None else boundary
+    if len(boundary) == 0:
+        raise InvalidArgumentError("boundary holds no (B, w) term: the family is empty")
     for i, (B, w) in enumerate(boundary):
         if B.shape != (n, n) or not np.isfinite(w):
             message = f"boundary term of shape {B.shape}, weight {w}: expected ({n}, {n}), finite"

@@ -83,9 +83,9 @@ class Mesh:
 
     def __post_init__(self):
         dim, n = self.dim, self.n
-        if not (_is_integer(n) and n >= 1):
+        if not (is_integer(n) and n >= 1):
             raise InvalidArgumentError(f"mesh parameter n must be an integer >= 1, got {n!r}")
-        if not (_is_integer(dim) and 1 <= dim <= 3):
+        if not (is_integer(dim) and 1 <= dim <= 3):
             raise InvalidArgumentError(f"mesh dimension must be 1, 2 or 3, got {dim!r}")
         dim, n = int(dim), int(n)
         cell_parts = math.factorial(dim) * n**dim  # n, 2n^2, 6n^3
@@ -179,7 +179,7 @@ def prolongations(mesh: Mesh) -> list:
     return out
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     """A Python or numpy integer; booleans are not integers here."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 

@@ -195,6 +195,7 @@ _INVALID_CONFIGS = {
         },
     ),
     "n-bool": ("n", {"n": True}),
+    "n-float": ("n", {"n": 2.0}),
     "p-infinite": (
         "p",
         {
@@ -217,6 +218,24 @@ _INVALID_CONFIGS = {
     "generator-count-huge": (
         "beta_sequence.count",
         {"beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 10**22}},
+    ),
+    "generator-count-bool": (
+        "beta_sequence.count",
+        {"beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": True}},
+    ),
+    # a misspelt key inside a field spec or the generator is refused as at the top
+    "f-unknown-key": ("f.value", {"f": {"kind": "expr", "expr": "x", "value": 3}}),
+    "beta-unknown-key": (
+        "beta_sequence[0].values",
+        {"beta_sequence": [{"kind": "constant", "value": 1.0, "values": [1.0, 1.0]}]},
+    ),
+    "limit-unknown-key": (
+        "beta_limit.value",
+        {"beta_limit": {"kind": "per_facet", "values": [1.0, 1.0], "value": 1.0}},
+    ),
+    "generator-unknown-key": (
+        "beta_sequence.cuont",
+        {"beta_sequence": {"kind": "one_over_k", "base": 1, "count": 1, "cuont": 5}},
     ),
     # an experiment's surplus coefficients would go unused, unchecked
     "solve-two-betas": ("beta_sequence", {"beta_sequence": [_constant(1.0), _expr("-1")]}),
@@ -443,8 +462,8 @@ def test_manifest_round_trip_reproduces_outputs(tmp_path):
 
 
 def test_manifest_is_one_compact_sorted_encoding(tmp_path):
-    # the manifest is written a dict key or a list item at a time; the
-    # pieces join to what one json.dumps(..., sort_keys=True) gives
+    # the manifest is one json.dumps(..., sort_keys=True) and a newline,
+    # and its config echo is the config as read
     cfg = _solve_config(str(tmp_path / "out"), n=4)
     cfg["experiment"] = "stability"
     cfg["beta_sequence"] = [

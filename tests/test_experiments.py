@@ -337,6 +337,13 @@ def test_failing_member_is_named():
     assert info.value.__notes__ == ["solve failed for coefficient index 0"]
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_empty_family_refused_whatever_the_source(value):
+    m = build_mesh("square", 4)
+    with pytest.raises(InvalidArgumentError, match="empty"):
+        solve_robin(m, 1.0, SourceField.constant(value), [])
+
+
 def test_estimate_constant():
     mk = lambda ratio: StabilityRecord(0, 1, 1.0, 1.0, 1.0, ratio)
     assert estimate_constant([mk(2.5)]) == 2.5

@@ -181,7 +181,9 @@ def test_expression_language():
 
 def test_expression_rejects_unsupported_syntax():
     too_long = ("-" * 2000 + "x", "x" + "+x" * 1000)
-    for bad in ("x**2", "__import__('os')", "max(x, 1)", "x if y else 0", "w + 1", *too_long):
+    operators = ("~x", "not x", "x % 2", "x // 2", "x < 1", "x @ y")  # unary, binary, compare
+    for bad in ("x**2", "__import__('os')", "max(x, 1)", "x if y else 0", "w + 1", *operators,
+                *too_long):
         with pytest.raises(InvalidArgumentError):
             compile_expression(bad)
     with pytest.raises(InvalidArgumentError):

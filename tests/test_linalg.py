@@ -103,6 +103,14 @@ def test_boundary_shape_checked_per_member():
     assert info.value.__notes__ == ["solve failed for coefficient index 0"]
 
 
+@pytest.mark.parametrize("load", [0.0, 1.0])
+def test_empty_family_refused_whatever_the_load(load):
+    # refused before the zero-load return and before the hierarchy's
+    # vstack, so both loads fail alike
+    with pytest.raises(InvalidArgumentError, match="empty"):
+        cg_solve(_identity(5), np.full(5, load), 1e-10, (), [])
+
+
 @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
 def test_nonfinite_weight_refused_per_member(weight):
     # refused before the hierarchy is built, so no floating-point warning
