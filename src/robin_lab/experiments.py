@@ -72,7 +72,7 @@ def solve_robin(
     The family is one batched solve: K + lam M, the load, the multigrid
     transfers and their Galerkin images are built once.  A member that
     fails raises its own exception, with a note naming its coefficient
-    index (0 for a failure of the whole family).
+    index (0 for a failure of the whole family; none for an empty family).
     """
     operator = assemble_operator(mesh, lam, lumped)
     load = assemble_load(mesh, f)
@@ -80,7 +80,7 @@ def solve_robin(
     try:
         solutions, report = cg_solve(operator, load, tol, prolongations(mesh), system.boundary)
     except Exception as exc:  # a failure of the whole family shows first at member 0
-        if not getattr(exc, "__notes__", None):
+        if system.boundary and not getattr(exc, "__notes__", None):
             noted_member(exc, 0)
         raise
     for i, (rel, count) in enumerate(zip(report.member_residuals, report.member_iterations)):

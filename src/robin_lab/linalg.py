@@ -9,13 +9,11 @@ and never through BLAS, so a member's bits depend neither on its place in
 the family nor on the thread count.
 
 The preconditioner is one symmetric V(1,1) multigrid cycle on the hierarchy
-of `mesh.prolongations`, built once per family: P^T A P per level, and the
-distinct B (constant members share B(1)) stacked by rows and imaged by one
-product per level, kron(I, P^T) V P, which gives each block the bits and
-stored order of its own P^T B P.  Each level's images are read sorted (as
-scipy's canonical format orders them) into one CSR holding every member's
-nonempty rows, columns interleaved like the raveled block: an apply is
-A X plus one boundary product scaled by the weights, whatever N is.
+of `mesh.prolongations`, built once per family: per level P^T A P and, for
+each distinct B (constant members share B(1)), P^T B P, read sorted into one
+CSR of every member's nonempty rows with columns interleaved like the
+raveled block, so an apply is A X plus one boundary product scaled by the
+weights, whatever N is.
 Member i is smoothed by Jacobi damped by 1.6 over the Gershgorin bound of
 D^-1 (A + w_i B_i), from the row sums of |A| + |w_i B_i|, so the cycle is
 SPD for every lambda, beta and n.  The coarsest level (A itself without a
@@ -51,6 +49,7 @@ class SolveReport:
 def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), boundary=None):
     """Solve (A + w_i B_i) x_i = b to a relative residual of tol for each
     (B_i, w_i) of ``boundary``; without it, the one member solves A x = b.
+    B_i may be any scipy sparse matrix, and it is never modified.
 
     ``transfers`` holds the prolongations P of the mesh hierarchy, finest
     first, as `mesh.prolongations` returns them.  Returns ``(X, SolveReport)``
@@ -152,41 +151,36 @@ def _multigrid(A, boundary, transfers):
     """The map X -> (A + w_i B_i) X[:, i] on (n, N) blocks, and the cycle."""
     transfers = [(P, P.T.tocsr()) for P in transfers]
     weights = np.array([w for _, w in boundary], dtype=float)
-    # the distinct B (constant members share B(1)), stacked by rows, are imaged
-    # together: kron(I, P^T) V P holds each block's P^T B P, bits and order
-    ids = [id(B) for B, _ in boundary]
-    _, first, member = np.unique(ids, return_index=True, return_inverse=True)
-    V = sp.vstack([boundary[k][0] for k in first], format="csr")
+    distinct = {}  # id(B) -> (its chain, B): constant members share B(1)
+    member = [distinct.setdefault(id(B), (len(distinct), B))[0] for B, _ in boundary]
 
-    def terms(op, V):
-        """The Jacobi scales and, read from V sorted, the boundary terms as one
-        CSR on the raveled (n, N) block: row (k, i) is the k-th nonempty row
-        of B_i, column c N + i is vertex c of member i."""
-        V.sort_indices()
-        n, size, bounds = op.shape[0], len(member), V.indptr[::op.shape[0]]
-        scale = _jacobi_scales(op, V, member * n + np.arange(n)[:, None], weights)
-        lengths = np.diff(V.indptr).reshape(-1, n)[member]
+    def terms(op, images):
+        """The Jacobi scales and the boundary terms as one CSR on the raveled (n, N)
+        block: row (k, i) is B_i's k-th nonempty row, column c N + i is member i's vertex c."""
+        for B in images:  # read sorted, once the coarser images are made from them
+            B.sort_indices()
+        n, size, scale = op.shape[0], len(member), _jacobi_scales(op, images, member, weights)
+        lengths = np.diff([B.indptr for B in images])[member]
         members, rows = np.nonzero(lengths)
         dtype = sp.get_index_dtype(maxval=n * size)
-        cols = np.concatenate([V.indices[bounds[j] : bounds[j + 1]] for j in member])
-        cols = cols.astype(dtype, copy=False) * size
-        cols += np.repeat(np.arange(size, dtype=dtype), np.diff(bounds)[member])
-        indptr = np.zeros(len(rows) + 1, dtype)
-        np.cumsum(lengths[members, rows], out=indptr[1:])
-        data = np.concatenate([V.data[bounds[j] : bounds[j + 1]] for j in member])
+        cols = np.concatenate([images[k].indices for k in member]).astype(dtype, copy=False) * size
+        cols += np.repeat(np.arange(size, dtype=dtype), [images[k].nnz for k in member])
+        indptr = np.cumsum(np.append(0, lengths[members, rows]), dtype=dtype)
+        data = np.concatenate([images[k].data for k in member])
         S = sp.csr_array((data, cols, indptr), shape=(len(rows), n * size))
         return scale, S, rows * size + members, weights[members]
 
-    ops, levels = [A], []
+    ops, levels, images = [A], [], [sp.csr_array(B) for _, B in distinct.values()]
+    # B itself if it is canonical CSR, else a sorted copy: no B is sorted in place
+    images = [B if B.has_canonical_format else B.sorted_indices() for B in images]
     for P, Pt in transfers:
         ops.append(Pt @ ops[-1] @ P)
-        V, fine = _repeated(Pt, len(first)) @ V @ P, V
+        images, fine = [Pt @ B @ P for B in images], images
         levels.append(terms(ops[-2], fine))
     if ops[-1].shape[0] > MAX_DENSE:
         raise InvalidArgumentError(f"coarsest level above {MAX_DENSE} unknowns: pass the hierarchy")
-    if not transfers:  # the coarsest level is applied only when it is the finest
-        levels.append(terms(A, V))
-    blocks = V.toarray().reshape(len(first), *ops[-1].shape)[member]
+    levels.append(terms(ops[-1], images))  # applied only when the coarsest is the finest
+    blocks = np.array([B.toarray() for B in images])[member]
     coarsest = _inverses(ops[-1].toarray() + blocks * weights[:, None, None])
     xs = [np.empty((op.shape[0], len(member))) for op in ops[:-1]]
 
@@ -217,31 +211,13 @@ def _cycle(r, hierarchy, level=0):
     return x
 
 
-def _repeated(M, count) -> sp.csr_array:
-    """kron(I_count, M) in CSR, each row in M's stored order."""
-    if count == 1:
-        return M
-    dtype = sp.get_index_dtype(maxval=count * max(M.nnz, *M.shape))
-    step = np.arange(count, dtype=dtype)[:, None]
-    indptr = np.append((M.indptr[:-1] + M.nnz * step).ravel(), dtype(count * M.nnz))
-    indices = (M.indices + M.shape[1] * step).ravel()
-    shape = (count * M.shape[0], count * M.shape[1])
-    return sp.csr_array((np.tile(M.data, count), indices, indptr), shape=shape)
-
-
-def _jacobi_scales(A, V, blocks, weights) -> np.ndarray:
+def _jacobi_scales(A, images, member, weights) -> np.ndarray:
     """omega_i / diag(A + w_i B_i) as an (n, N) block, omega_i = 1.6 over the
-    Gershgorin bound of D^-1 (A + w_i B_i); V stacks the distinct B by rows,
-    blocks[a, i] is the row of V that holds row a of B_i."""
-    n = A.shape[0]
-    # V's blocks side by side on the diagonal: its diagonal is theirs
-    shift = np.repeat(np.arange(0, V.shape[0], n, dtype=V.indices.dtype), np.diff(V.indptr[::n]))
-    diag = sp.csr_array((V.data, V.indices + shift, V.indptr), shape=(V.shape[0],) * 2).diagonal()
-    # row sums of |B| and |A|: no row of an assembled or Galerkin operator is empty
-    sums = sp.csr_array((np.abs(V.data), V.indices, V.indptr), shape=V.shape) @ np.ones(n)
-    diag, sums = diag[blocks], sums[blocks]
-    diag *= weights
+    Gershgorin bound of D^-1 (A + w_i B_i), B_i = images[member[i]]."""
+    diag = np.take(np.stack([B.diagonal() for B in images], axis=1), member, axis=1) * weights
     diag += A.diagonal()[:, None]
+    # row sums of |B| and |A|: no row of an assembled or Galerkin operator is empty
+    sums = np.take(np.stack([abs(B) @ np.ones(B.shape[1]) for B in images], axis=1), member, axis=1)
     sums *= np.abs(weights)
     sums += np.add.reduceat(np.abs(A.data), A.indptr[:-1])[:, None]
     diag[~(diag > 0.0)] = 1.0  # A is not PD; CG reports it

@@ -340,8 +340,10 @@ def test_failing_member_is_named():
 @pytest.mark.parametrize("value", [0.0, 1.0])
 def test_empty_family_refused_whatever_the_source(value):
     m = build_mesh("square", 4)
-    with pytest.raises(InvalidArgumentError, match="empty"):
+    with pytest.raises(InvalidArgumentError, match="empty") as info:
         solve_robin(m, 1.0, SourceField.constant(value), [])
+    # no member to name: the family has none
+    assert getattr(info.value, "__notes__", []) == []
 
 
 def test_estimate_constant():

@@ -105,8 +105,8 @@ def test_boundary_shape_checked_per_member():
 
 @pytest.mark.parametrize("load", [0.0, 1.0])
 def test_empty_family_refused_whatever_the_load(load):
-    # refused before the zero-load return and before the hierarchy's
-    # vstack, so both loads fail alike
+    # refused before the zero-load return and before the hierarchy is
+    # built, so both loads fail alike
     with pytest.raises(InvalidArgumentError, match="empty"):
         cg_solve(_identity(5), np.full(5, load), 1e-10, (), [])
 
@@ -124,31 +124,74 @@ def test_nonfinite_weight_refused_per_member(weight):
 def test_apply_makes_one_boundary_product_per_level(monkeypatch):
     # every member's B sits in one CSR per level, so an apply costs two
     # sparse products (A and the boundary terms) whatever the number of
-    # distinct B; at the finest level each column has the bits of
-    # A x_i + (B_i x_i) w_i
+    # distinct B; at every level each column has the bits of
+    # A_l x_i + (B_l x_i) w_i, with B_l the member's own chain P^T B P
     m = build_mesh("cube", 8)
     A = assemble_operator(m, 1.0)
-    transfers = prolongations(m)
-    sizes = [A.shape[0]] + [P.shape[1] for P in transfers[:-1]]
+    transfers = [(P, P.T.tocsr()) for P in prolongations(m)]
     rng = np.random.default_rng(5)
+    mass = lambda values: assemble_boundary_mass(m, BoundaryField.per_facet(values))
+    families = [
+        [(mass(rng.uniform(0.5, 2.0, m.num_facets)), w) for w in rng.uniform(0.5, 2.0, size)]
+        for size in (2, 9)
+    ]
+    # one B(1) under two weights, and two B whose beta vanishes on some
+    # facets, so that some of their rows are empty
+    unit = assemble_boundary_mass(m, BoundaryField.constant(1.0))
+    holes = [rng.uniform(0.5, 2.0, m.num_facets) for _ in range(2)]
+    holes[0][: m.num_facets // 2] = 0.0
+    holes[1][rng.random(m.num_facets) < 0.5] = 0.0
+    families.append([(unit, 0.5), (mass(holes[0]), 1.0), (unit, 3.0), (mass(holes[1]), 1.0)])
     counts = []
-    for size in (2, 9):
-        betas = [BoundaryField.per_facet(rng.uniform(0.5, 2.0, m.num_facets)) for _ in range(size)]
-        weights = rng.uniform(0.5, 2.0, size)
-        boundary = [(assemble_boundary_mass(m, beta), w) for beta, w in zip(betas, weights)]
-        apply, _ = _multigrid(A, boundary, transfers)
-        x = rng.standard_normal((A.shape[0], size))
-        y = apply(x)
-        for i, (B, w) in enumerate(boundary):
-            assert np.array_equal(y[:, i], (A @ x[:, [i]] + (B @ x[:, [i]]) * w)[:, 0])
+    for boundary in families:
+        apply, _ = _multigrid(A, boundary, [P for P, _ in transfers])
+        ops, chains = [A], [[B for B, _ in boundary]]
+        for P, Pt in transfers[:-1]:
+            ops.append(Pt @ ops[-1] @ P)
+            chains.append([Pt @ B @ P for B in chains[-1]])
+        for level, (op, chain) in enumerate(zip(ops, chains)):
+            x = rng.standard_normal((op.shape[0], len(boundary)))
+            y = apply(x, level)
+            for i, (B, (_, w)) in enumerate(zip(chain, boundary)):
+                expected = op @ x[:, [i]] + (B.sorted_indices() @ x[:, [i]]) * w
+                assert np.array_equal(y[:, i], expected[:, 0])
         calls = []
         matmul = sp.csr_array.__matmul__
         with monkeypatch.context() as patch:
             patch.setattr(sp.csr_array, "__matmul__", lambda a, b: calls.append(a) or matmul(a, b))
-            for level, n in enumerate(sizes):
-                apply(rng.standard_normal((n, size)), level)
+            for level, op in enumerate(ops):
+                apply(rng.standard_normal((op.shape[0], len(boundary))), level)
         counts.append(len(calls))
-    assert counts == [2 * len(sizes)] * 2
+    assert counts == [2 * len(ops)] * len(families)
+
+
+def _reversed_rows(B):
+    """B in CSR with each row's entries stored in reverse (unsorted) order."""
+    order = np.concatenate([np.arange(b - 1, a - 1, -1) for a, b in zip(B.indptr, B.indptr[1:])])
+    return sp.csr_array((B.data[order], B.indices[order], B.indptr), shape=B.shape)
+
+
+@pytest.mark.parametrize(
+    "store",
+    [sp.coo_array, sp.lil_array, _reversed_rows, lambda B: B],
+    ids=["coo", "lil", "unsorted", "csr"],
+)
+def test_storage_of_B_leaves_the_bits(store):
+    # the hierarchy images a sorted CSR copy of each B, so how the caller
+    # stores B moves no bit of the solution, and the caller's B is untouched
+    m = build_mesh("cube", 8)
+    A = assemble_operator(m, 1.0)
+    b = assemble_load(m, SourceField.constant(1.0))
+    beta = BoundaryField.per_facet(np.random.default_rng(7).uniform(0.5, 2.0, m.num_facets))
+    B = assemble_boundary_mass(m, beta)
+    stored = store(B)
+    before = stored.tocoo(copy=True)  # the entries in their stored order
+    canonical, _ = cg_solve(A, b, 1e-10, prolongations(m), [(B, 1.0), (B, 2.0)])
+    x, _ = cg_solve(A, b, 1e-10, prolongations(m), [(stored, 1.0), (stored, 2.0)])
+    assert x.tobytes() == canonical.tobytes()
+    after = stored.tocoo()
+    assert all(np.array_equal(u, v) for u, v in zip(before.coords, after.coords))
+    assert np.array_equal(before.data, after.data)
 
 
 def test_hierarchy_freed_without_the_cycle_collector():
