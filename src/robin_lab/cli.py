@@ -51,26 +51,30 @@ from .fields import BoundaryField, SourceField, check_expression_dimension, is_f
 from .mesh import DOMAINS, Mesh, build_mesh, is_integer
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
+# stability's N coefficients make N^2 pair rows: at interval n = 2, N = 400, 800, 1000 peaked
+# at 126, 346, 511 MB RSS with 14, 57, 90 MB of CSV, near the 0.45 GB MAX_CELLS allows
+MAX_STABILITY = 1000
 # the fewest and the most coefficients each experiment takes, in EXPERIMENTS order
-_BETA_COUNTS = dict(zip(EXPERIMENTS, [(1, 1), (2, np.inf), (1, np.inf), (2, 2), (1, 1)]))
+_BETA_COUNTS = dict(zip(EXPERIMENTS, [(1, 1), (2, MAX_STABILITY), (1, np.inf), (2, 2), (1, 1)]))
 
 # the one_over_k generator expands to at most this many coefficients
 MAX_GENERATED = 10_000
 _BLOCK = 4096  # CSV rows or plot points formatted at a time, to bound peak memory
 
-# numeric key -> (default, None when required; integer; lower bound;
-# whether the bound itself is allowed)
+# float key -> (default, None when required; lower bound; whether the bound
+# itself is allowed); the integer n is checked by the Mesh it builds
 _NUMERIC_KEYS = {
-    "n": (None, True, 1, True),
-    "lambda": (None, False, 0.0, False),
-    "p": (4.0, False, 1.0, True),
-    "c2": (0.0, False, 0.0, True),
-    "tol": (1e-10, False, 0.0, False),
+    "lambda": (None, 0.0, False),
+    "p": (4.0, 1.0, True),
+    "c2": (0.0, 0.0, True),
+    "tol": (1e-10, 0.0, False),
 }
+# field spec kind -> the one key besides "kind" that holds its data
+_FIELD_PAYLOADS = {"constant": "value", "per_facet": "values", "expr": "expr"}
 # every key a config may carry; any other exits 2
 _KEYS = {
     *_NUMERIC_KEYS,
-    "experiment", "domain", "lumped", "output_dir", "f", "beta_sequence", "beta_limit",
+    "n", "experiment", "domain", "lumped", "output_dir", "f", "beta_sequence", "beta_limit",
 }
 
 EXIT_OK = 0
@@ -178,13 +182,14 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     beta_specs = expand_beta_sequence(data.get("beta_sequence"))
     fewest, most = _BETA_COUNTS[experiment]
     if not fewest <= len(beta_specs) <= most:
-        many = f"exactly {most}" if most == fewest else f"at least {fewest}"
+        many = f"at least {fewest}" if most == np.inf else f"from {fewest} to {most}"
+        many = f"exactly {most}" if most == fewest else many
         raise ConfigError("beta_sequence", f"{experiment} runs take {many} coefficient(s)")
 
     started = time.perf_counter()
     try:
-        mesh = build_mesh(domain, numbers["n"])
-    except InvalidArgumentError as exc:  # above MAX_CELLS
+        mesh = build_mesh(domain, data.get("n"))
+    except InvalidArgumentError as exc:  # not an integer >= 1, or above MAX_CELLS
         raise ConfigError("n", str(exc)) from exc
     mesh_seconds = time.perf_counter() - started
 
@@ -239,16 +244,14 @@ def _choice(value, key: str, choices: tuple) -> str:
     return value
 
 
-def _number(data: dict, key: str):
+def _number(data: dict, key: str) -> float:
     """The value of a numeric key, checked against its _NUMERIC_KEYS row."""
-    default, integer, bound, inclusive = _NUMERIC_KEYS[key]
+    default, bound, inclusive = _NUMERIC_KEYS[key]
     value = data.get(key, default)
-    valid = is_integer(value) if integer else is_finite_number(value)
-    if not (valid and (value >= bound if inclusive else value > bound)):
-        kind = "an integer" if integer else "a finite number"
+    if not (is_finite_number(value) and (value >= bound if inclusive else value > bound)):
         relation = ">=" if inclusive else ">"
-        raise ConfigError(key, f"must be {kind} {relation} {bound}, got {value!r}")
-    return value if integer else float(value)
+        raise ConfigError(key, f"must be a finite number {relation} {bound}, got {value!r}")
+    return float(value)
 
 
 def _parse_field(spec, where: str, cls, mesh: Mesh):
@@ -261,43 +264,40 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
     if not isinstance(spec, dict):
         raise ConfigError(where, "field spec must be an object")
     kind = spec.get("kind")
+    key = isinstance(kind, str) and _FIELD_PAYLOADS.get(kind)  # a list kind is unhashable
+    if not key or (kind == "per_facet" and cls is not BoundaryField):
+        raise ConfigError(where, f"unsupported field kind {kind!r}")
+    _check_keys(spec, {"kind", key}, where)
+    payload = spec.get(key)
     try:
         if kind == "constant":
-            _check_keys(spec, {"kind", "value"}, where)
-            value = spec.get("value")
-            if not is_finite_number(value) or (cls is BoundaryField and value < 0.0):
+            if not is_finite_number(payload) or (cls is BoundaryField and payload < 0.0):
                 raise ConfigError(
                     where,
                     f"constant field needs a finite 'value' (>= 0 on the boundary), "
-                    f"got {value!r}",
+                    f"got {payload!r}",
                 )
-            return cls.constant(value)
-        if kind == "per_facet" and cls is BoundaryField:
-            _check_keys(spec, {"kind", "values"}, where)
-            values = spec.get("values")
-            if not isinstance(values, list) or len(values) != mesh.num_facets:
+            return cls.constant(payload)
+        if kind == "per_facet":
+            if not isinstance(payload, list) or len(payload) != mesh.num_facets:
                 raise ConfigError(
                     where,
                     f"per_facet field needs a 'values' list with one value for "
                     f"each of the mesh's {mesh.num_facets} boundary facets",
                 )
-            exact = set(map(type, values)) <= {int, float}  # bool is not an int here
-            array = np.array(values if exact else [np.nan], dtype=float)  # an int may overflow
+            exact = set(map(type, payload)) <= {int, float}  # bool is not an int here
+            array = np.array(payload if exact else [np.nan], dtype=float)  # an int may overflow
             # an int just above the float maximum rounds to it, so compare exactly too
-            if not ((array >= 0.0) & (array < np.inf)).all() or max(values) > sys.float_info.max:
+            if not ((array >= 0.0) & (array < np.inf)).all() or max(payload) > sys.float_info.max:
                 raise ConfigError(where, "per_facet values must be finite numbers >= 0")
             return cls.per_facet(array)
-        if kind == "expr":
-            _check_keys(spec, {"kind", "expr"}, where)
-            expr = spec.get("expr")
-            if not isinstance(expr, str):
-                raise ConfigError(where, "expr field needs an 'expr' string")
-            built = cls.from_expression(expr)  # reports syntax errors first
-            check_expression_dimension(expr, mesh.dim)
-            return built
+        if not isinstance(payload, str):
+            raise ConfigError(where, "expr field needs an 'expr' string")
+        built = cls.from_expression(payload)  # reports syntax errors first
+        check_expression_dimension(payload, mesh.dim)
+        return built
     except (ValueError, OverflowError) as exc:  # a bad expression, an int overflowing
         raise ConfigError(where, str(exc)) from exc
-    raise ConfigError(where, f"unsupported field kind {kind!r}")
 
 
 def emit_csv(header, columns, path) -> None:

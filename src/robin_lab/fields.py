@@ -46,13 +46,27 @@ from .quadrature import cell_rule, facet_rule
 
 
 @dataclass(frozen=True, eq=False)
-class BoundaryField:
-    """Nonnegative scalar coefficient on the boundary."""
+class _Field:
+    """A field's kind and data; a closure is built from a function or an expression."""
 
     kind: str
     constant_value: float = None
-    facet_values: np.ndarray = None
     closure: object = None
+
+    @classmethod
+    def from_function(cls, fn):
+        return cls(kind="closure", closure=fn)
+
+    @classmethod
+    def from_expression(cls, expr: str):
+        return cls.from_function(compile_expression(expr))
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryField(_Field):
+    """Nonnegative scalar coefficient on the boundary."""
+
+    facet_values: np.ndarray = None
 
     @classmethod
     def constant(cls, value: float) -> "BoundaryField":
@@ -66,22 +80,10 @@ class BoundaryField:
         arr.setflags(write=False)
         return cls(kind="per_facet", facet_values=arr)
 
-    @classmethod
-    def from_function(cls, fn) -> "BoundaryField":
-        return cls(kind="closure", closure=fn)
-
-    @classmethod
-    def from_expression(cls, expr: str) -> "BoundaryField":
-        return cls.from_function(compile_expression(expr))
-
 
 @dataclass(frozen=True, eq=False)
-class SourceField:
+class SourceField(_Field):
     """Scalar source term on the domain."""
-
-    kind: str
-    constant_value: float = None
-    closure: object = None
 
     @classmethod
     def constant(cls, value: float) -> "SourceField":
@@ -89,14 +91,6 @@ class SourceField:
         if not np.isfinite(value):
             raise InvalidArgumentError(f"source constant must be finite, got {value}")
         return cls(kind="constant", constant_value=value)
-
-    @classmethod
-    def from_function(cls, fn) -> "SourceField":
-        return cls(kind="closure", closure=fn)
-
-    @classmethod
-    def from_expression(cls, expr: str) -> "SourceField":
-        return cls.from_function(compile_expression(expr))
 
 
 def interpolate(nodal, ids, bary_points) -> np.ndarray:
@@ -194,6 +188,18 @@ _COORD_NAMES = ("x", "y", "z")
 _MAX_EXPRESSION_CHARS = 500
 
 
+def _parse_expression(expr: str) -> ast.Expression:
+    """The syntax tree of an expression; InvalidArgumentError if too long or unparsable."""
+    if len(expr) > _MAX_EXPRESSION_CHARS:
+        raise InvalidArgumentError(
+            f"field expression is longer than {_MAX_EXPRESSION_CHARS} characters"
+        )
+    try:
+        return ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise InvalidArgumentError(f"cannot parse field expression {expr!r}: {exc}") from exc
+
+
 def compile_expression(expr: str):
     """Compile a coordinate expression (x, y, z, + - * /, constants).
 
@@ -204,14 +210,7 @@ def compile_expression(expr: str):
     square) fails at evaluation, or earlier through
     `check_expression_dimension`.
     """
-    if len(expr) > _MAX_EXPRESSION_CHARS:
-        raise InvalidArgumentError(
-            f"field expression is longer than {_MAX_EXPRESSION_CHARS} characters"
-        )
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise InvalidArgumentError(f"cannot parse field expression {expr!r}: {exc}") from exc
+    tree = _parse_expression(expr)
     for node in ast.walk(tree):
         if isinstance(node, _ALLOWED_NODES):  # ast.walk visits each operator too
             continue
@@ -259,9 +258,8 @@ def is_finite_number(value) -> bool:
 
 def check_expression_dimension(expr: str, dim: int) -> None:
     """Reject an expression that names a coordinate a dim-dimensional domain
-    lacks (``y`` or ``z`` on the interval, ``z`` on the square)."""
-    tree = ast.parse(expr, mode="eval")
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    lacks (``y`` or ``z`` on the interval, ``z`` on the square) or does not parse."""
+    names = {n.id for n in ast.walk(_parse_expression(expr)) if isinstance(n, ast.Name)}
     missing = sorted(names - set(_COORD_NAMES[:dim]))
     if missing:
         raise InvalidArgumentError(

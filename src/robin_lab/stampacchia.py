@@ -104,10 +104,7 @@ def stampacchia_gap(params: StampacchiaParams) -> float:
 
 def fit_minimal_c(samples: PhiSamples, alpha: float, delta: float) -> float:
     """Smallest c with phi(h) <= c (h-k)^(-alpha) phi(k)^delta on the grid."""
-    if not alpha > 0.0:  # NaN included
-        raise InvalidArgumentError(f"alpha must be > 0, got {alpha}")
-    if not delta > 1.0:
-        raise InvalidArgumentError(f"delta must be > 1, got {delta}")
+    StampacchiaParams(c=0.0, alpha=alpha, delta=delta)  # refuses alpha <= 0 or delta <= 1
     if samples.ks.size < 2:
         raise InvalidArgumentError("need at least two samples to fit c")
     ks, phi = samples.ks, samples.values

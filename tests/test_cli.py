@@ -162,6 +162,9 @@ def _constant(value):
     return {"kind": "constant", "value": value}
 
 
+# a change that removes the key from the config
+_DROP = object()
+
 # (field named in the error, changes to the interval solve config)
 _INVALID_CONFIGS = {
     "y-on-interval": ("f", {"f": _expr("1 + y")}),
@@ -196,6 +199,8 @@ _INVALID_CONFIGS = {
     ),
     "n-bool": ("n", {"n": True}),
     "n-float": ("n", {"n": 2.0}),
+    "n-missing": ("n", {"n": _DROP}),
+    "n-string": ("n", {"n": "8"}),
     "p-infinite": (
         "p",
         {
@@ -223,6 +228,10 @@ _INVALID_CONFIGS = {
         "beta_sequence.count",
         {"beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": True}},
     ),
+    # a kind that is not a string, or not one the field takes
+    "f-kind-list": ("f", {"f": {"kind": [1]}}),
+    "beta-kind-object": ("beta_sequence[0]", {"beta_sequence": [{"kind": {}}]}),
+    "f-per-facet": ("f", {"f": {"kind": "per_facet", "values": [1.0, 1.0]}}),
     # a misspelt key inside a field spec or the generator is refused as at the top
     "f-unknown-key": ("f.value", {"f": {"kind": "expr", "expr": "x", "value": 3}}),
     "beta-unknown-key": (
@@ -247,6 +256,13 @@ _INVALID_CONFIGS = {
         "beta_sequence",
         {"experiment": "theorem0", "beta_sequence": [_constant(1.0), _constant(2.0)]},
     ),
+    "stability-above-cap": (
+        "beta_sequence",
+        {
+            "experiment": "stability",
+            "beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 1001},
+        },
+    ),
     "stampacchia-three-betas": (
         "beta_sequence",
         {
@@ -263,6 +279,7 @@ _INVALID_CONFIGS = {
 def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, case):
     where, changes = _INVALID_CONFIGS[case]
     cfg = {**_solve_config(str(tmp_path / "o")), **changes}
+    cfg = {key: value for key, value in cfg.items() if value is not _DROP}
     path = _write(tmp_path, "c.json", cfg)
     assert main([cfg["experiment"], "--config", path]) == EXIT_CONFIG
     assert _single_error_line(capsys)["field"] == where
@@ -543,6 +560,13 @@ def test_convergence_with_explicit_list_needs_limit(tmp_path):
     }
     with pytest.raises(ConfigError, match="beta_limit"):
         parse_config(cfg)
+
+
+def test_stability_takes_up_to_the_cap():
+    cfg = _solve_config("unused", n=2)
+    cfg["experiment"] = "stability"
+    cfg["beta_sequence"] = {"kind": "one_over_k", "base": 1.0, "count": 1000}
+    assert len(parse_config(cfg).betas) == 1000
 
 
 def test_stampacchia_requires_cube():

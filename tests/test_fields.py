@@ -13,6 +13,7 @@ from robin_lab.fields import (
     _sample_points,
     boundary_sup,
     boundary_sup_diff,
+    check_expression_dimension,
     compile_expression,
     eval_boundary,
     eval_source,
@@ -207,6 +208,13 @@ def test_expression_missing_coordinate():
     fn = compile_expression("y + 1")
     with pytest.raises(InvalidArgumentError):
         fn(np.array([0.5]))  # 1-d domain has no y
+
+
+@pytest.mark.parametrize("expr, dim", [("1 +", 2), ("-" * 3000 + "x", 3)], ids=["syntax", "deep"])
+def test_dimension_check_refuses_what_does_not_parse(expr, dim):
+    # as compile_expression does, not with SyntaxError or RecursionError
+    with pytest.raises(InvalidArgumentError):
+        check_expression_dimension(expr, dim)
 
 
 _PROPERTY_MESHES = [build_mesh("interval", 5), build_mesh("square", 3), build_mesh("cube", 2)]
