@@ -8,7 +8,9 @@ grid box, and with its vertices in path order each has the same G G^T,
 so one block serves every cell and no per-cell geometry is computed.
 B is the boundary mass matrix weighted by the coefficient beta,
 integrated with facet quadrature (exact for per-facet beta).  The load
-integrates the source against the P1 basis with cell quadrature.
+integrates the source against the P1 basis with cell quadrature, adding
+one block of `fields.BLOCK` cells at a time in cell order: the bits of one
+scatter over every cell, with no cells x points array held.
 
 Each matrix is a ``scipy.sparse.csr_array`` with int32 indices and no
 stored zeros: K + lambda*M is written in CSR order from the stencil the
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, noted_member
-from .fields import BoundaryField, SourceField, boundary_sup, eval_boundary, eval_source
+from .fields import BLOCK, BoundaryField, SourceField, boundary_sup, eval_boundary, eval_source
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
@@ -98,9 +100,12 @@ def assemble_boundary_mass(mesh: Mesh, beta: BoundaryField) -> sp.csr_array:
 def assemble_load(mesh: Mesh, f: SourceField) -> np.ndarray:
     """Load vector F_i = sum_cells int_cell f phi_i (exact for constant f)."""
     rule_points, weights = cell_rule(mesh.dim)
-    f_vals = eval_source(f, mesh)  # (nc, nq)
-    local = mesh.cell_measure * (f_vals @ (weights[:, None] * rule_points))
-    return np.bincount(mesh.cells.ravel(), local.ravel(), minlength=mesh.num_vertices)
+    table = weights[:, None] * rule_points
+    load = np.zeros(mesh.num_vertices)
+    for start in range(0, mesh.num_cells, BLOCK):
+        cells = mesh.cells[start:start + BLOCK]
+        np.add.at(load, cells, mesh.cell_measure * (eval_source(f, mesh, cells) @ table))
+    return load
 
 
 def assemble_operator(mesh: Mesh, lam: float, lumped: bool = False) -> sp.csr_array:

@@ -52,13 +52,17 @@ from .mesh import DOMAINS, Mesh, build_mesh, is_integer
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
 # stability's N coefficients make N^2 pair rows: at interval n = 2, N = 400, 800, 1000 peaked
-# at 126, 346, 511 MB RSS with 14, 57, 90 MB of CSV, near the 0.45 GB MAX_CELLS allows
+# at 126, 346, 511 MB RSS with 14, 57, 90 MB of CSV, near the 0.5 GB MAX_CELLS allows
 MAX_STABILITY = 1000
 # the fewest and the most coefficients each experiment takes, in EXPERIMENTS order
 _BETA_COUNTS = dict(zip(EXPERIMENTS, [(1, 1), (2, MAX_STABILITY), (1, np.inf), (2, 2), (1, 1)]))
 
 # the one_over_k generator expands to at most this many coefficients
 MAX_GENERATED = 10_000
+# a family's solve adds about 125 B of peak RSS per (coefficient, vertex) on the
+# cube (convergence at n = 16 and 24 with 10 to 250 coefficients; 88 B on the
+# square), so a run's coefficients x vertices are capped near 0.45 GB
+MAX_MEMBER_VERTICES = 3_600_000
 _BLOCK = 4096  # CSV rows or plot points formatted at a time, to bound peak memory
 
 # float key -> (default, None when required; lower bound; whether the bound
@@ -192,6 +196,12 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     except InvalidArgumentError as exc:  # not an integer >= 1, or above MAX_CELLS
         raise ConfigError("n", str(exc)) from exc
     mesh_seconds = time.perf_counter() - started
+    if len(beta_specs) * mesh.num_vertices > MAX_MEMBER_VERTICES:
+        raise ConfigError(
+            "beta_sequence",
+            f"{len(beta_specs)} coefficient(s) on {mesh.num_vertices} vertices: a run "
+            f"holds at most {MAX_MEMBER_VERTICES} coefficient-vertices",
+        )
 
     f = _parse_field(data.get("f"), "f", SourceField, mesh)
     betas = [

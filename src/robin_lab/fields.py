@@ -9,10 +9,11 @@ domain boundary.  Three representations are supported:
   differences of two such fields are exact (no quadrature error);
 * ``closure`` - an arbitrary callable of the coordinates.
 
-A closure receives every evaluation point at once as an array ``p`` of
-shape (dim, k), so ``p[i]`` holds coordinate i of all k points; it returns
-k values or a scalar, which is broadcast.  ``lambda p: 1.0 + p[0]`` is a
-valid closure on every domain.
+A closure receives the points of one block of at most `BLOCK` simplices
+per call as an array ``p`` of shape (dim, k), so ``p[i]`` holds coordinate
+i of those k points; it returns k values or a scalar, which is broadcast.
+``lambda p: 1.0 + p[0]`` is a valid closure on every domain.  A block's
+points are the only coordinates and closure temporaries alive at a time.
 
 Negative and non-finite values are rejected at evaluation time, where the
 evidence is; closures cannot be validated eagerly.  `compile_expression`
@@ -43,6 +44,8 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidCoefficientError
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
+
+BLOCK = 2**14  # simplices per closure call, bounding point temporaries; 2^12 and 2^16 are slower
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +110,8 @@ def interpolate(nodal, ids, bary_points) -> np.ndarray:
 
 def _tabulate(field, mesh: Mesh, ids, bary_points) -> np.ndarray:
     """A boundary or source field at barycentric points of the simplices
-    ``ids``, shape (len(ids), k); a closure gets all the points in one call,
-    in no promised order (see the module docstring)."""
+    ``ids``, shape (len(ids), k); a closure gets one block's points per
+    call, in no promised order (see the module docstring)."""
     shape = (len(ids), len(bary_points))
     if field.kind == "constant":
         return np.full(shape, field.constant_value)
@@ -119,10 +122,13 @@ def _tabulate(field, mesh: Mesh, ids, bary_points) -> np.ndarray:
                 f"mesh has {shape[0]} boundary facets"
             )
         return np.repeat(field.facet_values[:, None], shape[1], axis=1)
-    coords = interpolate(mesh.vertices.T, ids, bary_points).reshape(mesh.dim, -1)
-    with np.errstate(all="ignore"):
-        values = np.asarray(field.closure(coords), dtype=float)
-    return np.ascontiguousarray(np.broadcast_to(values, coords.shape[1:])).reshape(shape)
+    out = np.empty(shape)
+    for start in range(0, shape[0], BLOCK):
+        points = interpolate(mesh.vertices.T, ids[start:start + BLOCK], bary_points)
+        with np.errstate(all="ignore"):
+            values = np.asarray(field.closure(points.reshape(mesh.dim, -1)), dtype=float)
+        out[start:start + BLOCK] = np.broadcast_to(values, (points[0].size,)).reshape(-1, shape[1])
+    return out
 
 
 def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
@@ -139,9 +145,10 @@ def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
     return values
 
 
-def eval_source(field: SourceField, mesh: Mesh) -> np.ndarray:
-    """Values at the cell rule points of every cell, shape (nc, nq)."""
-    values = _tabulate(field, mesh, mesh.cells, cell_rule(mesh.dim)[0])
+def eval_source(field: SourceField, mesh: Mesh, cells=None) -> np.ndarray:
+    """Values at the cell rule points of ``cells`` (rows of vertex ids, by
+    default every cell), shape (len(cells), nq)."""
+    values = _tabulate(field, mesh, mesh.cells if cells is None else cells, cell_rule(mesh.dim)[0])
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("source field evaluated to a non-finite value")
     return values

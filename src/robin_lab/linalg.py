@@ -216,8 +216,10 @@ def _jacobi_scales(A, images, member, weights) -> np.ndarray:
     Gershgorin bound of D^-1 (A + w_i B_i), B_i = images[member[i]]."""
     diag = np.take(np.stack([B.diagonal() for B in images], axis=1), member, axis=1) * weights
     diag += A.diagonal()[:, None]
-    # row sums of |B| and |A|: no row of an assembled or Galerkin operator is empty
-    sums = np.take(np.stack([abs(B) @ np.ones(B.shape[1]) for B in images], axis=1), member, axis=1)
+    # row sums of |B| by row id, in abs(B) @ 1's order, and of |A|, no row of which is empty
+    sums = [np.bincount(np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)), np.abs(B.data),
+                        minlength=B.shape[0]) for B in images]  # int64 for a B with no entries
+    sums = np.take(np.stack(sums, axis=1, dtype=float), member, axis=1)
     sums *= np.abs(weights)
     sums += np.add.reduceat(np.abs(A.data), A.indptr[:-1])[:, None]
     diag[~(diag > 0.0)] = 1.0  # A is not PD; CG reports it

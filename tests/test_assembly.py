@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -16,8 +17,9 @@ from robin_lab.assembly import (
     assemble_system,
 )
 from robin_lab.errors import InvalidArgumentError
-from robin_lab.fields import BoundaryField, SourceField
+from robin_lab.fields import BLOCK, BoundaryField, SourceField, eval_source, interpolate
 from robin_lab.mesh import build_mesh, kuhn_paths, prolongations
+from robin_lab.quadrature import cell_rule
 
 from oracles import assemble_by_cells, simplex_geometry
 
@@ -102,6 +104,76 @@ def test_constant_load_equals_mass_action(domain):
     F = assemble_load(m, SourceField.constant(c))
     M = assemble_mass(m)
     assert np.max(np.abs(F - c * (M @ np.ones(m.num_vertices)))) < 1e-12
+
+
+def _sizes_around(cells):
+    """(domain, n) of the meshes with the most cells at or below ``cells``
+    and the fewest above it: n, 2 n^2 and 6 n^3 cells."""
+    square, cube = math.isqrt(cells // 2), round((cells / 6) ** (1 / 3))
+    cube -= 6 * cube**3 > cells
+    return [("interval", cells), ("interval", cells + 1), ("square", square),
+            ("square", square + 1), ("cube", cube), ("cube", cube + 1)]
+
+
+# on both sides of one and of two sampling blocks (square n = 90/91, 128/129,
+# cube n = 13/14, 17/18 for 2^14-cell blocks)
+_BLOCK_SIZES = _sizes_around(BLOCK) + _sizes_around(2 * BLOCK)
+_BLOCK_EXPRESSIONS = {1: "{c} * x * x - x / 3", 2: "{c} * x * y - y / 7 + 2",
+                      3: "{c} * x * y * z - z / 3 + y"}
+_block_mesh = functools.cache(build_mesh)
+
+
+def _whole_mesh_load(mesh, f):
+    """The source at every cell's rule points and the load, each from one
+    array over every cell: the reference the blocked path must match bit for bit."""
+    rule_points, weights = cell_rule(mesh.dim)
+    coords = interpolate(mesh.vertices.T, mesh.cells, rule_points).reshape(mesh.dim, -1)
+    if f.kind == "constant":
+        values = np.full((mesh.num_cells, len(weights)), f.constant_value)
+    else:
+        values = np.broadcast_to(f.closure(coords), coords.shape[1:]).reshape(mesh.num_cells, -1)
+    local = mesh.cell_measure * (values @ (weights[:, None] * rule_points))
+    load = np.bincount(mesh.cells.ravel(), local.ravel(), minlength=mesh.num_vertices)
+    return coords, values, load
+
+
+def test_block_sizes_straddle_the_blocks():
+    counts = [_block_mesh(*size).num_cells for size in _BLOCK_SIZES]
+    for edge, group in ((BLOCK, counts[:6]), (2 * BLOCK, counts[6:])):
+        assert all(below <= edge < above for below, above in zip(group[::2], group[1::2]))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(_BLOCK_SIZES),
+    st.booleans(),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+def test_blocked_sampling_and_load_equal_the_whole_mesh_formula(size, expression, c):
+    mesh = _block_mesh(*size)
+    if not expression:
+        f = SourceField.constant(c)
+        coords, values, load = _whole_mesh_load(mesh, f)
+        assert np.array_equal(eval_source(f, mesh), values)
+        assert np.array_equal(assemble_load(mesh, f), load)
+        return
+    evaluate = SourceField.from_expression(_BLOCK_EXPRESSIONS[mesh.dim].format(c=c)).closure
+    seen = []
+
+    def recording(p):
+        seen.append(np.array(p))
+        return evaluate(p)
+
+    f = SourceField.from_function(recording)
+    coords, values, load = _whole_mesh_load(mesh, SourceField.from_function(evaluate))
+    points_per_cell = len(cell_rule(mesh.dim)[1])
+    for sample, reference in ((lambda: eval_source(f, mesh), values),
+                              (lambda: assemble_load(mesh, f), load)):
+        seen.clear()
+        assert np.array_equal(sample(), reference)
+        # at most one block per call, and every (cell, point) once, in cell order
+        assert max(p.shape[1] for p in seen) <= BLOCK * points_per_cell
+        assert np.array_equal(np.concatenate(seen, axis=1), coords)
 
 
 def _member_matrix(operator, mesh, beta):

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -567,6 +568,47 @@ def test_stability_takes_up_to_the_cap():
     cfg["experiment"] = "stability"
     cfg["beta_sequence"] = {"kind": "one_over_k", "base": 1.0, "count": 1000}
     assert len(parse_config(cfg).betas) == 1000
+
+
+def test_family_beyond_the_memory_cap_exits_2_before_assembly(tmp_path, capsys, monkeypatch):
+    # 10 000 coefficients at cube n = 16 would need about 6 GB; the config is
+    # refused once the mesh (4913 vertices) is known, before anything is solved
+    def never(*args, **kwargs):
+        raise AssertionError("a refused family reached its experiment")
+
+    monkeypatch.setattr(cli, "convergence_study", never)
+    cfg = {
+        "domain": "cube",
+        "n": 16,
+        "lambda": 1.0,
+        "f": {"kind": "expr", "expr": "x * y"},
+        "beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": cli.MAX_GENERATED},
+        "experiment": "convergence",
+        "output_dir": str(tmp_path / "o"),
+    }
+    path = _write(tmp_path, "c.json", cfg)
+    tracemalloc.start()
+    try:
+        code = main(["convergence", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert _single_error_line(capsys)["field"] == "beta_sequence"
+    assert peak < 16 * 2**20
+    assert not (tmp_path / "o").exists()
+
+
+def test_family_cap_counts_coefficients_times_vertices():
+    cfg = _solve_config("unused", n=16)
+    cfg.update(domain="cube", experiment="convergence")
+    most = cli.MAX_MEMBER_VERTICES // 17**3
+    cfg["beta_sequence"] = {"kind": "one_over_k", "base": 1.0, "count": most}
+    assert len(parse_config(cfg).betas) == most
+    cfg["beta_sequence"]["count"] = most + 1
+    with pytest.raises(ConfigError, match="coefficient-vertices") as caught:
+        parse_config(cfg)
+    assert caught.value.field_name == "beta_sequence"
 
 
 def test_stampacchia_requires_cube():
