@@ -16,9 +16,9 @@ Every run writes manifest.json (config echo, version, mesh statistics,
 timings, warnings) as one json.dumps(..., sort_keys=True), one CSV per
 result table, and one SVG per plot.  CSV and SVG bytes are deterministic
 for identical configs.  Tables are written from columns, a block of rows
-per str.join, with one rule per cell: a string as it is and a number with
-"%.17g" (floats round-trip, integers print digits).  Plot points are
-written as "%.3f" would write them, from numpy digits.
+per str.join, with one rule per cell: a string as it is, None as "", and a
+number with "%.17g" (floats round-trip, integers print digits).  Plot
+points are written as "%.3f" would write them, from numpy digits.
 
 Exit codes: 0 success, 2 invalid config (an unknown key, also in a field
 spec or the generator) or command line, 3 solve failure, 4 unwritable output
@@ -52,7 +52,7 @@ from .mesh import DOMAINS, Mesh, build_mesh, is_integer
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
 # stability's N coefficients make N^2 pair rows: at interval n = 2, N = 400, 800, 1000 peaked
-# at 126, 346, 511 MB RSS with 14, 57, 90 MB of CSV, near the 0.5 GB MAX_CELLS allows
+# at 110, 291, 428 MB RSS with 14, 56, 88 MB of CSV, below the 0.6 GB MAX_CELLS allows
 MAX_STABILITY = 1000
 # the fewest and the most coefficients each experiment takes, in EXPERIMENTS order
 _BETA_COUNTS = dict(zip(EXPERIMENTS, [(1, 1), (2, MAX_STABILITY), (1, np.inf), (2, 2), (1, 1)]))
@@ -313,9 +313,9 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
 def emit_csv(header, columns, path) -> None:
     """Write a table from its equally long columns, _BLOCK rows at a time.
 
-    A string as it is, a number with "%.17g" (an integer array with str).  In
-    a block of an array each distinct value, by its bits, is formatted once,
-    and the block's cells are joined with "," and "\\n" in one str.join.
+    A string as it is, None as "", a number with "%.17g" (an integer array
+    with str).  In a block of an array each distinct value, by its bits, is
+    formatted once; the block's cells are joined by "," and "\\n" at once.
     """
     lengths = [len(column) for column in columns]
     if len(set(lengths)) > 1:
@@ -331,8 +331,8 @@ def emit_csv(header, columns, path) -> None:
 
 
 def _cells(block) -> list:
-    if not isinstance(block, np.ndarray):
-        return [c if isinstance(c, str) else "%.17g" % c for c in block]
+    if not isinstance(block, np.ndarray):  # None is an absent cell
+        return [c if isinstance(c, str) else "" if c is None else "%.17g" % c for c in block]
     if block.dtype.kind in "iu":
         return list(map(str, block.tolist()))
     bits, index = np.unique(block.view(np.int64), return_inverse=True)
@@ -524,13 +524,8 @@ def _run_experiment(config: RunConfig):
         records = stability_sweep(mesh, lam, f, betas, lumped, tol)
         c_hat = estimate_constant(records)
         header = ["n", "m", "diff_sup", "un_bd_sup", "beta_diff", "ratio"]
-        rows = [
-            [r.n, r.m, r.diff_sup_closure, r.un_sup_boundary, r.beta_diff_sup,
-             "" if r.ratio is None else r.ratio]  # an uninformative pair has no ratio
-            for r in records
-        ]
-        rows.append(["C_hat", c_hat, "", "", "", ""])
-        tables["stability"] = (header, list(zip(*rows)))
+        # the records are the rows; an uninformative pair has no ratio
+        tables["stability"] = (header, [*zip(*records, ("C_hat", c_hat, None, None, None, None))])
         ratios = [r.ratio for r in records if r.ratio is not None]
         plots["stability"] = (
             range(len(ratios)),
@@ -559,10 +554,9 @@ def _run_experiment(config: RunConfig):
         u_a, u_b = solve_robin(mesh, lam, f, betas, lumped, tol)
         report = level_set_pipeline(u_a - u_b, mesh, c2=config.c2)
         tables["stampacchia"] = (["k", "phi"], [report.samples.ks, report.samples.values])
-        vanish = "" if report.vanish_point is None else report.vanish_point
         tables["stampacchia_report"] = (
             ["hypothesis_ok", "predicted_gap", "vanish_point", "conclusion_ok"],
-            [[str(report.hypothesis_ok).lower()], [report.predicted_gap], [vanish],
+            [[str(report.hypothesis_ok).lower()], [report.predicted_gap], [report.vanish_point],
              [str(report.conclusion_ok).lower()]],
         )
         plots["stampacchia"] = (

@@ -5,21 +5,21 @@ f and differ only in the boundary coefficient, into one (len(betas),
 num_vertices) array of nodal rows; every experiment reduces its rows.
 `stability_sweep` tabulates, for every ordered pair (n, m), the sup-norm
 solution gap against the product of the boundary sup of u_n and the sup
-difference of the coefficients (one `fields.sup_gaps` table each, every
-unordered pair measured once); `estimate_constant` extracts the smallest
-constant consistent with all informative pairs.  `convergence_study`
-compares a coefficient sequence against its limit problem on the same
-mesh, which isolates coefficient dependence from discretization error.
-`level_set_pipeline` turns a solution difference into a sampled boundary
-level-set curve and runs the decay check on it; the resulting sup-norm
-bound is read as the predicted gap itself (thresholds arbitrarily close to
-it from above carry empty level sets).
+difference of the coefficients (one `fields.sup_gaps` table each), all
+pairs at once as arrays, into one `StabilityRecord` tuple per pair;
+`estimate_constant` extracts the smallest constant consistent with all
+informative pairs.  `convergence_study` compares a coefficient sequence
+against its limit problem on the same mesh, which isolates coefficient
+dependence from discretization error.  `level_set_pipeline` turns a
+solution difference into a sampled boundary level-set curve and runs the
+decay check on it; the resulting sup-norm bound is read as the predicted
+gap itself (thresholds arbitrarily close to it from above carry empty
+level sets).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,13 +42,12 @@ from .stampacchia import (
     verify_decay,
 )
 
-# pairs with a coefficient gap at or below this relative floor carry no
-# information about the stability constant
+# a pair (n, m) is informative, and has a ratio, when its coefficient gap exceeds
+# this floor times 1 + sup beta_n and gap * (boundary sup of u_n) does not round to 0
 _RATIO_FLOOR = 1e-14
 
 
-@dataclass
-class StabilityRecord:
+class StabilityRecord(NamedTuple):
     """One ordered pair (n, m) of the stability experiment."""
 
     n: int
@@ -56,7 +55,7 @@ class StabilityRecord:
     diff_sup_closure: float
     un_sup_boundary: float
     beta_diff_sup: float
-    ratio: float  # or None when the denominator is degenerate
+    ratio: float  # None when the pair is uninformative
 
 
 def solve_robin(
@@ -99,21 +98,20 @@ def stability_sweep(
     lumped: bool = False,
     tol: float = 1e-10,
 ):
-    """One StabilityRecord per ordered pair of coefficients (n != m)."""
+    """One StabilityRecord per ordered pair of coefficients (n != m), in
+    ``itertools.permutations`` order; only an informative pair has a ratio."""
     if len(betas) < 2:
         raise InvalidArgumentError("stability sweep needs at least two coefficients")
     solutions = solve_robin(mesh, lam, f, betas, lumped, tol)
-    sups = [boundary_sup(beta, mesh) for beta in betas]
+    sups = np.array([boundary_sup(beta, mesh) for beta in betas])
     boundary = boundary_vertex_indices(mesh)
-    un_bds = [sup_norm(u[boundary]) for u in solutions]
-    diffs, beta_diffs = sup_gaps(solutions), boundary_sup_diff(betas, mesh)
-    records = []
-    for n, m in itertools.permutations(range(len(betas)), 2):
-        diff, beta_diff = float(diffs[n, m]), float(beta_diffs[n, m])
-        informative = beta_diff > _RATIO_FLOOR * (1.0 + sups[n]) and un_bds[n] > 0.0
-        ratio = diff / (un_bds[n] * beta_diff) if informative else None
-        records.append(StabilityRecord(n, m, diff, un_bds[n], beta_diff, ratio))
-    return records
+    n, m = np.nonzero(~np.eye(len(betas), dtype=bool))  # row-major: permutations order
+    un_bd = np.array([sup_norm(u[boundary]) for u in solutions])[n]
+    diff, beta_diff = sup_gaps(solutions)[n, m], boundary_sup_diff(betas, mesh)[n, m]
+    informative = (beta_diff > _RATIO_FLOOR * (1.0 + sups[n])) & (un_bd * beta_diff > 0.0)
+    with np.errstate(all="ignore"):  # an uninformative pair's quotient is dropped
+        ratio = np.where(informative, diff / (un_bd * beta_diff), None)
+    return list(map(StabilityRecord, *(c.tolist() for c in (n, m, diff, un_bd, beta_diff, ratio))))
 
 
 def estimate_constant(records) -> float:

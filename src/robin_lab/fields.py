@@ -28,14 +28,13 @@ Sup norms are approximated by maxima over a per-facet sample set
 consisting of the facet vertices plus the facet quadrature nodes, so
 piecewise-linear and per-facet data are resolved exactly and closures are
 sampled up to the corners.  `sup_gaps` is the one pairwise loop: the sup of
-|row_n - row_m| for every pair of a family's tabulated coefficients or
-nodal solutions.
+|row_n - row_m| for every pair of a family's coefficient tables or nodal
+solutions, one row against all later rows at a time.
 """
 
 from __future__ import annotations
 
 import ast
-import itertools
 import sys
 from dataclasses import dataclass
 
@@ -175,13 +174,14 @@ def boundary_sup_diff(betas, mesh: Mesh) -> np.ndarray:
 
 
 def sup_gaps(rows) -> np.ndarray:
-    """(N, N) table of max |rows[n] - rows[m]| (rows broadcast against each
-    other), symmetric with a zero diagonal; each unordered pair is measured
+    """(N, N) table of max |rows[n] - rows[m]| (the rows broadcast to one
+    array), symmetric with a zero diagonal: each n against every m > n at
     once, since |a - b| == |b - a| exactly.  A non-finite gap raises."""
+    rows = np.asarray([row.ravel() for row in np.broadcast_arrays(*rows)])
     table = np.zeros((len(rows), len(rows)))
     with np.errstate(all="ignore"):  # a non-finite gap is raised below
-        for n, m in itertools.combinations(range(len(rows)), 2):
-            table[n, m] = table[m, n] = np.abs(rows[n] - rows[m]).max()
+        for n in range(len(rows) - 1):
+            table[n, n + 1 :] = table[n + 1 :, n] = np.abs(rows[n + 1 :] - rows[n]).max(axis=1)
     if not np.all(np.isfinite(table)):
         raise InvalidArgumentError("sup gaps must be finite")
     return table

@@ -35,9 +35,9 @@ from .errors import InvalidArgumentError
 # domain name -> dimension
 DOMAINS = {"interval": 1, "square": 2, "cube": 3}
 
-# a CLI solve on the cube with an expression source peaks at about 129 B per cell
-# (peak RSS from n = 32 to 48; 237 B while the load held cells x points arrays),
-# so this caps it near 0.5 GB, 20x cube n = 32
+# a CLI solve on the cube with an expression source peaks at about 160 B per cell
+# (peak RSS 246 MB at n = 64 and 466 MB at n = 80, MB = 2^20 B), so this caps it
+# near 0.6 GB, 20x cube n = 32
 MAX_CELLS = 4_000_000
 
 # grid axes of the vertex numbering, slowest first: the square numbers its

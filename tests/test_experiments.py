@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robin_lab.analysis import level_set_measure, sup_norm
@@ -20,7 +22,7 @@ from robin_lab.experiments import (
     theorem0_terms,
     StabilityRecord,
 )
-from robin_lab.fields import BoundaryField, SourceField
+from robin_lab.fields import BoundaryField, SourceField, boundary_sup, boundary_sup_diff
 from robin_lab.linalg import cg_solve
 from robin_lab.mesh import boundary_vertex_indices, build_mesh, prolongations
 
@@ -185,6 +187,18 @@ def test_load_scale_moves_no_bits(domain, n, power):
     assert np.array_equal(scaled, np.ldexp(rows, power))
 
 
+def test_underflowing_denominator_is_uninformative():
+    # u_n near 3e-321 times a 1e-11 gap rounds to 0: such a pair has no ratio,
+    # and a family of only such pairs has no constant
+    m = build_mesh("interval", 4)
+    betas = [BoundaryField.constant(1.0), BoundaryField.constant(1.0 + 1e-11)]
+    records = stability_sweep(m, 1.0, SourceField.constant(1e-320), betas)
+    assert all(r.un_sup_boundary > 0.0 and r.beta_diff_sup > 1e-12 for r in records)
+    assert [r.ratio for r in records] == [None, None]
+    with pytest.raises(NoInformativePairsError):
+        estimate_constant(records)
+
+
 def test_stability_needs_two_coefficients():
     m = build_mesh("interval", 4)
     with pytest.raises(InvalidArgumentError):
@@ -319,6 +333,69 @@ def test_mixed_family_rows_equal_lone_solves(domain, kinds):
     family = solve_robin(m, 1.0, ONE, betas)
     for row, beta in zip(family, betas):
         assert np.array_equal(row, _solve(m, beta=beta))
+
+
+def _reference_sweep(mesh, f, betas):
+    """The sweep as a loop over ordered pairs, one pair's reductions at a time."""
+    rows = solve_robin(mesh, 1.0, f, betas)
+    boundary = boundary_vertex_indices(mesh)
+    records = []
+    for n, m in itertools.permutations(range(len(betas)), 2):
+        diff, un_bd = sup_norm(rows[n] - rows[m]), sup_norm(rows[n][boundary])
+        beta_diff = float(boundary_sup_diff([betas[n], betas[m]], mesh)[0, 1])
+        informative = beta_diff > 1e-14 * (1.0 + boundary_sup(betas[n], mesh)) and un_bd > 0.0
+        ratio = diff / (un_bd * beta_diff) if informative else None
+        records.append((n, m, diff, un_bd, beta_diff, ratio))
+    return records
+
+
+def _bits(record):
+    """A record's ints as they are, its floats by their bits, None as None."""
+    return [v if v is None or type(v) is int else float(v).hex() for v in record]
+
+
+_SWEEP_MESHES = {
+    (d, n): build_mesh(d, n) for d, ns in [("square", range(4, 9)), ("cube", (3, 4))] for n in ns
+}
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(sorted(_SWEEP_MESHES)),
+    st.booleans(),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("constant"), st.sampled_from([0.0, 1e-14, 0.5, 2.0])),
+            st.tuples(st.just("facet"), st.integers(0, 2)),
+            st.tuples(st.just("expr"), st.integers(0, len(_EXPRESSIONS) - 1)),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+@example(("cube", 3), False, [("constant", 0.0), ("constant", 1e-14), ("facet", 0), ("facet", 0),
+                              ("expr", 0), ("constant", 0.0)])
+def test_stability_sweep_equals_a_per_pair_loop(key, zero_source, kinds):
+    # repeated constants and per-facet fields drawn from three levels (ties
+    # within and across members, equal members from one seed) make zero and
+    # tied gaps, and 0 against 1e-14 a gap exactly at the informative floor;
+    # with f = 0 every u_n vanishes and no pair is informative
+    m = _SWEEP_MESHES[key]
+    f = SourceField.constant(0.0) if zero_source else ONE
+    betas = []
+    for kind, value in kinds:
+        if kind == "constant":
+            betas.append(BoundaryField.constant(value))
+        elif kind == "facet":
+            levels = np.random.default_rng(value).choice([0.5, 1.0, 2.0], m.num_facets)
+            betas.append(BoundaryField.per_facet(levels))
+        else:
+            betas.append(BoundaryField.from_expression(_EXPRESSIONS[value]))
+    records = stability_sweep(m, 1.0, f, betas)
+    assert all(type(r) is StabilityRecord for r in records)
+    assert [_bits(r) for r in records] == [_bits(r) for r in _reference_sweep(m, f, betas)]
+    if zero_source:
+        assert all(r.ratio is None for r in records)
 
 
 def test_failing_member_is_named():

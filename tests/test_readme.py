@@ -1,9 +1,15 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and the
+limits it states are the code's constants."""
 
 import re
 from pathlib import Path
 
+from robin_lab import cli, fields, mesh
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+# `NAME` = 10 000, 1000, 3.6·10⁶ or 2¹⁴
+_STATED = re.compile(r"`([A-Z_]+)`\s*=\s*(\d+(?:[ .]\d+)*)(·10)?([⁰¹²³⁴⁵⁶⁷⁸⁹]*)")
 
 
 def test_readme_python_example_runs(capsys):
@@ -11,3 +17,30 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     assert "sup norm:" in capsys.readouterr().out
+
+
+def _stated_limits(text: str) -> dict:
+    """Each upper-case `NAME` = number in the text, as {name: [values in order]}."""
+    stated = {}
+    for name, digits, decimal, power in _STATED.findall(text):
+        value = float(digits.replace(" ", ""))
+        if power:
+            power = int(power.translate(_SUPERSCRIPTS))
+            value = value * 10**power if decimal else value**power
+        stated.setdefault(name, []).append(value)
+    return stated
+
+
+def test_readme_limits_equal_the_code():
+    # a constant changed without its README line fails here
+    text = README.read_text(encoding="utf-8")
+    assert _stated_limits(text) == {
+        "MAX_GENERATED": [cli.MAX_GENERATED],
+        "MAX_STABILITY": [cli.MAX_STABILITY],
+        "MAX_MEMBER_VERTICES": [cli.MAX_MEMBER_VERTICES],
+        "MAX_CELLS": [mesh.MAX_CELLS],
+        "BLOCK": [fields.BLOCK],
+    }
+    # CSV rows and SVG points are both written _BLOCK at a time
+    blocks = re.findall(r"(\d+) (?:rows|points) at a time", text)
+    assert len(blocks) == 2 and {int(b) for b in blocks} == {cli._BLOCK}

@@ -13,6 +13,10 @@ import sys
 from pathlib import Path
 
 import robin_lab as rl
+# loaded before any tracer is installed: the tracer restores only the modules
+# that were loaded when it was installed, so a CLI module first imported under
+# one tracer would keep that tracer's wrappers for the next
+import robin_lab.cli  # noqa: F401
 from robin_lab import fields
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -89,3 +93,25 @@ def test_traced_solve_run_charges_both_writers_to_emit(tmp_path, monkeypatch):
     metrics = tracer.metrics()
     assert metrics["cli.emit_calls"] == 2
     assert metrics["cli.emit_s"] > 0
+
+
+def test_traced_stability_run_counts_the_records(tmp_path, monkeypatch):
+    # the tracer's sweep hook counts stability_sweep's records and those
+    # whose ratio is None; the repeated 1.5 makes its two pairs uninformative
+    tracing = _load_tracing(monkeypatch)
+    config = {
+        "experiment": "stability",
+        "domain": "cube",
+        "n": 4,
+        "lambda": 1.0,
+        "f": {"kind": "constant", "value": 1.0},
+        "beta_sequence": [{"kind": "constant", "value": v} for v in [1.5, 1.5, 2.0]],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    tracer, code, _, _ = tracing.trace_cli(["stability", "--config", str(path)])
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["experiments.pairs"] == 6
+    assert metrics["experiments.uninformative_pairs"] == 2
