@@ -69,11 +69,12 @@ def _cells(mesh: Mesh, stiffness: bool, lam: float, lumped: bool) -> sp.csr_arra
     for p, k, l in np.ndindex(steps.shape):  # vertex k of path p lies at one place in every box
         box = tuple(slice(c, c + n) for c in np.unravel_index(ids[p, k], (n + 1,) * d))
         acc[(np.searchsorted(offsets, steps[p, k, l]),) + box] += block[k, l]
-    data = acc.reshape(len(offsets), nv).T
-    stored = data != 0.0
+    stored = acc.reshape(len(offsets), nv).T != 0.0
+    data = acc.reshape(len(offsets), nv).T[stored]
+    del acc  # freed before the columns are gathered
     cols = np.arange(nv, dtype=np.int32)[:, None] + offsets.astype(np.int32)
     indptr = np.pad(np.count_nonzero(stored, axis=1).cumsum(dtype=np.int32), (1, 0))
-    return sp.csr_array((data[stored], cols[stored], indptr), shape=(nv, nv))
+    return sp.csr_array((data, cols[stored], indptr), shape=(nv, nv))
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_array:

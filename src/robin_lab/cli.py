@@ -52,15 +52,15 @@ from .mesh import DOMAINS, Mesh, build_mesh, is_integer
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
 # stability's N coefficients make N^2 pair rows: at interval n = 2, N = 400, 800, 1000 peaked
-# at 110, 291, 428 MB RSS with 14, 56, 88 MB of CSV, below the 0.6 GB MAX_CELLS allows
+# at 110, 291, 428 MB RSS with 14, 56, 88 MB of CSV, below the 0.5 GB MAX_CELLS allows
 MAX_STABILITY = 1000
 # the fewest and the most coefficients each experiment takes, in EXPERIMENTS order
 _BETA_COUNTS = dict(zip(EXPERIMENTS, [(1, 1), (2, MAX_STABILITY), (1, np.inf), (2, 2), (1, 1)]))
 
 # the one_over_k generator expands to at most this many coefficients
 MAX_GENERATED = 10_000
-# a family's solve adds about 125 B of peak RSS per (coefficient, vertex) on the
-# cube (convergence at n = 16 and 24 with 10 to 250 coefficients; 88 B on the
+# a family's solve adds 113-125 B of peak RSS per (coefficient, vertex) on the cube
+# (convergence at n = 24 and 16 with 10 to 200 or 250 coefficients; 88 B on the
 # square), so a run's coefficients x vertices are capped near 0.45 GB
 MAX_MEMBER_VERTICES = 3_600_000
 _BLOCK = 4096  # CSV rows or plot points formatted at a time, to bound peak memory

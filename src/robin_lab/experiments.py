@@ -42,8 +42,8 @@ from .stampacchia import (
     verify_decay,
 )
 
-# a pair (n, m) is informative, and has a ratio, when its coefficient gap exceeds
-# this floor times 1 + sup beta_n and gap * (boundary sup of u_n) does not round to 0
+# a pair (n, m) is informative, and has a ratio, when its coefficient gap exceeds this floor
+# times 1 + sup beta_n and the boundary sup of u_n and gap * that sup are normal floats
 _RATIO_FLOOR = 1e-14
 
 
@@ -108,7 +108,9 @@ def stability_sweep(
     n, m = np.nonzero(~np.eye(len(betas), dtype=bool))  # row-major: permutations order
     un_bd = np.array([sup_norm(u[boundary]) for u in solutions])[n]
     diff, beta_diff = sup_gaps(solutions)[n, m], boundary_sup_diff(betas, mesh)[n, m]
-    informative = (beta_diff > _RATIO_FLOOR * (1.0 + sups[n])) & (un_bd * beta_diff > 0.0)
+    tiny = np.finfo(float).tiny
+    informative = (beta_diff > _RATIO_FLOOR * (1.0 + sups[n])) & (un_bd >= tiny)
+    informative &= un_bd * beta_diff >= tiny
     with np.errstate(all="ignore"):  # an uninformative pair's quotient is dropped
         ratio = np.where(informative, diff / (un_bd * beta_diff), None)
     return list(map(StabilityRecord, *(c.tolist() for c in (n, m, diff, un_bd, beta_diff, ratio))))

@@ -35,9 +35,10 @@ from .errors import InvalidArgumentError
 # domain name -> dimension
 DOMAINS = {"interval": 1, "square": 2, "cube": 3}
 
-# a CLI solve on the cube with an expression source peaks at about 160 B per cell
-# (peak RSS 246 MB at n = 64 and 466 MB at n = 80, MB = 2^20 B), so this caps it
-# near 0.6 GB, 20x cube n = 32
+# a CLI solve on the cube with an expression source peaks at about 105 B per cell at
+# even n and 130 B at odd n, whose transfers do not nest (peak RSS 185 MB at n = 64,
+# 309 MB at n = 80 and 489 MB at n = 87, MB = 2^20 B), so this caps it near 0.5 GB,
+# 20x cube n = 32; it keeps every vertex index, and so the int32 cells, below 2^31
 MAX_CELLS = 4_000_000
 
 # grid axes of the vertex numbering, slowest first: the square numbers its
@@ -93,11 +94,12 @@ class Mesh:
             raise InvalidArgumentError(
                 f"the {dim}-dimensional mesh with n = {n} has more than {MAX_CELLS} cells"
             )
-        grid = _grid(dim, n)
+        grid = _grid(dim, n, np.int32)
         # the boxes' low corners: the vertices with no coordinate n, in vertex order
-        boxes = np.arange((n + 1) ** dim).reshape((n + 1,) * dim)[(slice(n),) * dim].ravel()
+        boxes = np.arange((n + 1) ** dim, dtype=np.int32).reshape((n + 1,) * dim)
+        boxes = boxes[(slice(n),) * dim].ravel()
         paths = kuhn_paths(dim)
-        cells = (boxes[:, None, None] + _index(paths, n + 1)).reshape(-1, dim + 1)
+        cells = (boxes[:, None, None] + _index(paths, n + 1).astype(np.int32)).reshape(-1, dim + 1)
         # Kuhn end-face rule: every face but the two without an end vertex of the
         # path holds both ends, which differ in every coordinate, so only these
         # can be boundary facets.  On box c with step axes a_1 ... a_d, the face
@@ -156,26 +158,13 @@ def prolongations(mesh: Mesh) -> list:
     the weights are 1 - t(1), t(1) - t(2), ..., t(d) on the path from the
     box's low corner that steps along the axes in that order.  For odd n
     the meshes do not nest and the same formula interpolates.  The corners'
-    indices grow along the path, so the int32 CSR arrays are written directly.
+    indices grow along the path, so the exact-size int32 CSR arrays are written
+    directly, from int32 temporaries (int64 once n (m + 1) reaches 2^31).
     """
-    dim, n = mesh.dim, mesh.n
-    out = []
+    out, n = [], mesh.n
     while n > 3:
-        m = -(-n // 2)
-        grid = _grid(dim, n)
-        # in coarse grid units a fine vertex sits at grid * m / n = low + local / n
-        low = np.minimum(grid * m // n, m - 1)
-        local = grid * m - low * n  # n t, integers in [0, n]
-        axes = np.argsort(-local, axis=1, kind="stable")
-        weights = -np.diff(np.take_along_axis(local, axes, axis=1), prepend=n, append=0) / n
-        strides = _index(np.eye(dim, dtype=np.int64), m + 1)[axes]  # of the path's steps
-        cols = _index(low, m + 1)[:, None] + np.pad(strides.cumsum(axis=1), ((0, 0), (1, 0)))
-        indptr = np.arange(0, (dim + 1) * len(grid) + 1, dim + 1, dtype=np.int32)
-        cols = cols.ravel().astype(np.int32)
-        P = sp.csr_array((weights.ravel(), cols, indptr), shape=(len(grid), (m + 1) ** dim))
-        P.eliminate_zeros()
-        out.append(P)
-        n = m
+        out.append(_prolongation(mesh.dim, n))
+        n = -(-n // 2)
     return out
 
 
@@ -184,10 +173,10 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _grid(dim: int, n: int) -> np.ndarray:
+def _grid(dim: int, n: int, dtype) -> np.ndarray:
     """Integer coordinates 0..n of the grid's vertices in vertex order, shape ((n+1)^dim, dim)."""
-    grid = np.empty(((n + 1) ** dim, dim), dtype=np.int64)
-    grid[:, _AXIS_ORDER[dim]] = np.indices((n + 1,) * dim).reshape(dim, -1).T
+    grid = np.empty(((n + 1) ** dim, dim), dtype=dtype)
+    grid[:, _AXIS_ORDER[dim]] = np.indices((n + 1,) * dim, dtype=dtype).reshape(dim, -1).T
     return grid
 
 
@@ -196,3 +185,25 @@ def _index(points: np.ndarray, side: int) -> np.ndarray:
     on a grid of ``side`` vertices per axis."""
     axes = _AXIS_ORDER[points.shape[-1]]
     return np.ravel_multi_index(tuple(points[..., a] for a in axes), (side,) * len(axes))
+
+
+def _prolongation(dim: int, n: int) -> sp.csr_array:
+    """The interpolation matrix from the mesh at m = ceil(n/2) to the one at n."""
+    m = -(-n // 2)
+    grid = _grid(dim, n, sp.get_index_dtype(maxval=n * (m + 1)))
+    # in coarse grid units a fine vertex sits at grid * m / n = low + local / n
+    low = np.minimum(grid * m // n, m - 1)
+    local = grid * m - low * n  # n t, integers in [0, n]
+    axes = np.argsort(-local, axis=1, kind="stable")
+    # n, the sorted n t and 0, whose differences are the weights
+    ends = np.pad(np.take_along_axis(local, axes, axis=1), ((0, 0), (1, 1)), constant_values=(n, 0))
+    strides = _index(np.eye(dim, dtype=int), m + 1).astype(np.int32)[axes]  # of the path's steps
+    del grid, local, axes  # each temporary is freed once used, before the floats are made
+    cols = np.pad(strides.cumsum(axis=1, dtype=np.int32), ((0, 0), (1, 0)))
+    cols += _index(low, m + 1).astype(np.int32, copy=False)[:, None]
+    del strides, low
+    weights = np.subtract(ends[:, :-1], ends[:, 1:], dtype=float) / n
+    del ends
+    stored = weights != 0.0
+    indptr = np.pad(np.count_nonzero(stored, axis=1).cumsum(dtype=np.int32), (1, 0))
+    return sp.csr_array((weights[stored], cols[stored], indptr), shape=(len(cols), (m + 1) ** dim))

@@ -155,6 +155,30 @@ def test_non_finite_field_exits_3_with_one_line(tmp_path, capsys, where):
         assert "coefficient index 1" in error["message"]
 
 
+@pytest.mark.parametrize("f", [1.0, 1e-310])
+def test_subnormal_denominator_leaves_no_ratio(tmp_path, capsys, f):
+    # at f = 1e-310 the boundary sup of u_n is subnormal (about 3e-311), and
+    # so is gap * sup: a ratio from it would hold a few significant bits
+    cfg = {
+        "domain": "interval",
+        "n": 4,
+        "lambda": 1.0,
+        "f": {"kind": "constant", "value": f},
+        "beta_sequence": [{"kind": "constant", "value": v} for v in (1.0, 1.0 + 1e-11)],
+        "experiment": "stability",
+        "output_dir": str(tmp_path / "o"),
+    }
+    code = main(["stability", "--config", _write(tmp_path, "c.json", cfg)])
+    if f == 1.0:
+        assert code == EXIT_OK
+        c_hat = (tmp_path / "o" / "stability.csv").read_text().splitlines()[-1].split(",")
+        assert c_hat[0] == "C_hat" and float(c_hat[1]) == pytest.approx(0.68279, rel=1e-5)
+        return
+    assert code == EXIT_SOLVE
+    assert _single_error_line(capsys)["field"] == "solve"
+    assert not (tmp_path / "o" / "stability.csv").exists()
+
+
 def _expr(text):
     return {"kind": "expr", "expr": text}
 

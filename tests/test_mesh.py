@@ -244,3 +244,26 @@ def test_prolongations_equal_corner_oracle(dim, n):
         assert P.has_canonical_format
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(P, name), getattr(Q, name)), name
+
+
+@pytest.mark.parametrize("n", [65_534, 65_535, 70_001])
+def test_prolongations_past_int32_products_equal_corner_oracle(n):
+    # on the interval the transfers are built from int64 temporaries once
+    # n (m + 1) reaches 2^31, from n = 65 535 on, and at n = 70 001 grid * m
+    # itself passes 2^31; the int64 oracle agrees on either side, and the
+    # stored indices are int32
+    chain, oracle = prolongations(Mesh(1, n)), prolongations_by_corners(Mesh(1, n))
+    assert len(chain) == len(oracle)
+    for P, Q in zip(chain, oracle):
+        assert P.indices.dtype == P.indptr.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(P, name), getattr(Q, name)), name
+
+
+@pytest.mark.parametrize("domain,n", [("interval", 64), ("square", 64), ("cube", 17)])
+def test_prolongations_own_exact_size_arrays(domain, n):
+    # no transfer keeps a view of a larger array after its zeros are dropped
+    for P in prolongations(build_mesh(domain, n)):
+        for name in ("data", "indices", "indptr"):
+            array = getattr(P, name)
+            assert array.base is None or array.base.size == array.size, name
