@@ -52,7 +52,7 @@ from .mesh import DOMAINS, Mesh, build_mesh, is_integer
 
 EXPERIMENTS = ("solve", "stability", "convergence", "stampacchia", "theorem0")
 # stability's N coefficients make N^2 pair rows: at interval n = 2, N = 400, 800, 1000 peaked
-# at 110, 291, 428 MB RSS with 14, 56, 88 MB of CSV, below the 0.5 GB MAX_CELLS allows
+# at 110, 291, 428 MB RSS with 14, 56, 88 MB of CSV, below the 0.55 GB MAX_CELLS allows
 MAX_STABILITY = 1000
 # the fewest and the most coefficients each experiment takes, in EXPERIMENTS order
 _BETA_COUNTS = dict(zip(EXPERIMENTS, [(1, 1), (2, MAX_STABILITY), (1, np.inf), (2, 2), (1, 1)]))

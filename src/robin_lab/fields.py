@@ -121,9 +121,9 @@ def _tabulate(field, mesh: Mesh, ids, bary_points) -> np.ndarray:
                 f"mesh has {shape[0]} boundary facets"
             )
         return np.repeat(field.facet_values[:, None], shape[1], axis=1)
-    out, coords = np.empty(shape), np.ascontiguousarray(mesh.vertices.T)  # gathered unstrided
+    out = np.empty(shape)
     for start in range(0, shape[0], BLOCK):
-        points = interpolate(coords, ids[start:start + BLOCK], bary_points)
+        points = interpolate(mesh.vertices.T, ids[start:start + BLOCK], bary_points)
         with np.errstate(all="ignore"):
             values = np.asarray(field.closure(points.reshape(mesh.dim, -1)), dtype=float)
         out[start:start + BLOCK] = np.broadcast_to(values, (points[0].size,)).reshape(-1, shape[1])

@@ -10,10 +10,10 @@ the family nor on the thread count.
 
 The preconditioner is one symmetric V(1,1) multigrid cycle on the hierarchy
 of `mesh.prolongations`, built once per family: per level P^T A P and, for
-each distinct B (constant members share B(1)), P^T B P, made by row blocks
-with the one product's bits and read sorted into one CSR of every member's
-nonempty rows with columns interleaved like the raveled block, so an apply
-is A X plus one boundary product scaled by the weights, whatever N is.
+each distinct B (constant members share B(1)), P^T B P, read sorted into one
+CSR of every member's nonempty rows with columns interleaved like the
+raveled block, so an apply is A X plus one boundary product scaled by the
+weights, whatever N is.
 Member i is smoothed by Jacobi damped by 1.6 over the Gershgorin bound of
 D^-1 (A + w_i B_i), from the row sums of |A| + |w_i B_i|, so the cycle is
 SPD for every lambda, beta and n.  The coarsest level (A itself without a
@@ -175,8 +175,8 @@ def _multigrid(A, boundary, transfers):
     # B itself if it is canonical CSR, else a sorted copy: no B is sorted in place
     images = [B if B.has_canonical_format else B.sorted_indices() for B in images]
     for P, Pt in transfers:
-        ops.append(_galerkin(Pt, ops[-1], P))
-        images, fine = [_galerkin(Pt, B, P) for B in images], images
+        ops.append(Pt @ ops[-1] @ P)
+        images, fine = [Pt @ B @ P for B in images], images
         levels.append(terms(ops[-2], fine))
     if ops[-1].shape[0] > MAX_DENSE:
         raise InvalidArgumentError(f"coarsest level above {MAX_DENSE} unknowns: pass the hierarchy")
@@ -212,22 +212,6 @@ def _cycle(r, hierarchy, level=0):
     return x
 
 
-def _rows(M):
-    """M's blocks of `fields.BLOCK` rows: views of its data and indices, and their indptr."""
-    for start in range(0, M.shape[0], BLOCK):
-        ptr = M.indptr[start:start + BLOCK + 1]
-        yield M.data[ptr[0]:ptr[-1]], M.indices[ptr[0]:ptr[-1]], ptr - ptr[0]
-
-
-def _galerkin(Pt, M, P) -> sp.csr_array:
-    """Pt @ M @ P stacked from Pt's row blocks: row i of (Pt @ M) @ P depends only on
-    row i of Pt, so it keeps its bits and stored order; one block's Pt @ M is held at a time."""
-    if Pt.shape[0] <= BLOCK:  # one block: nothing to split or stack
-        return Pt @ M @ P
-    blocks = (sp.csr_array(rows, shape=(len(rows[2]) - 1, M.shape[0])) for rows in _rows(Pt))
-    return sp.vstack([rows @ M @ P for rows in blocks], format="csr")
-
-
 def _jacobi_scales(A, images, member, weights) -> np.ndarray:
     """omega_i / diag(A + w_i B_i) as an (n, N) block, omega_i = 1.6 over the
     Gershgorin bound of D^-1 (A + w_i B_i), B_i = images[member[i]]."""
@@ -238,8 +222,10 @@ def _jacobi_scales(A, images, member, weights) -> np.ndarray:
                         minlength=B.shape[0]) for B in images]  # int64 for a B with no entries
     sums = np.take(np.stack(sums, axis=1, dtype=float), member, axis=1)
     sums *= np.abs(weights)
-    sums += np.concatenate([np.add.reduceat(np.abs(data), ptr[:-1])
-                            for data, _, ptr in _rows(A)])[:, None]  # |A| a block at a time
+    for start in range(0, A.shape[0], BLOCK):  # |A| a block of rows at a time, never all of it
+        ptr = A.indptr[start:start + BLOCK + 1]
+        row_sums = np.add.reduceat(np.abs(A.data[ptr[0]:ptr[-1]]), ptr[:-1] - ptr[0])
+        sums[start:start + BLOCK] += row_sums[:, None]
     diag[~(diag > 0.0)] = 1.0  # A is not PD; CG reports it
     return np.divide(1.6 / np.max(sums / diag, axis=0), diag, out=diag)
 

@@ -36,8 +36,8 @@ from .errors import InvalidArgumentError
 DOMAINS = {"interval": 1, "square": 2, "cube": 3}
 
 # a CLI solve on the cube with an expression source peaks at about 105 B per cell at
-# even n and 130 B at odd n, whose transfers do not nest (peak RSS 185 MB at n = 64,
-# 309 MB at n = 80 and 489 MB at n = 87, MB = 2^20 B), so this caps it near 0.5 GB,
+# even n and 140 B at odd n, whose transfers do not nest (peak RSS 188 MB at n = 64,
+# 311 MB at n = 80 and 518 MB at n = 87, MB = 2^20 B), so this caps it near 0.55 GB,
 # 20x cube n = 32; it keeps every vertex index, and so the int32 cells, below 2^31
 MAX_CELLS = 4_000_000
 
@@ -111,7 +111,8 @@ class Mesh:
         cell, end = np.divmod(np.flatnonzero(ends), 2)
         # path order is vertex order, so each facet's vertices are already sorted
         facet_vertices = cells[cell[:, None], end[:, None] + np.arange(dim)]
-        arrays = {"vertices": grid / n, "cells": cells, "facet_vertices": facet_vertices}
+        vertices = np.divide(grid.T, n, order="C").T  # coordinate-major: .T is contiguous
+        arrays = {"vertices": vertices, "cells": cells, "facet_vertices": facet_vertices}
         for arr in arrays.values():
             arr.setflags(write=False)
         # d! equal cells split each grid box of side 1/n, and (d-1)! facets each box

@@ -20,7 +20,7 @@ from robin_lab.assembly import (
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.fields import BoundaryField, SourceField
 from robin_lab import linalg
-from robin_lab.linalg import _galerkin, _multigrid, cg_solve
+from robin_lab.linalg import _multigrid, cg_solve
 from robin_lab.mesh import build_mesh, prolongations
 
 
@@ -286,27 +286,17 @@ def test_bits_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
-@pytest.mark.parametrize(
-    "domain,n,block",
-    [("square", 255, None), ("square", 256, None), ("cube", 32, 1000), ("cube", 33, 1000)],
-)
-def test_blocked_galerkin_images_equal_one_product(monkeypatch, domain, n, block):
-    # row i of (Pt @ M) @ P depends only on row i of Pt, so the stacked row
-    # blocks store the one product's bits in its order, for A and for a
-    # per-facet B down the whole chain; each image is made from the previous
-    # one as the hierarchy makes it, unsorted.  The square's finest image
-    # spans two blocks of fields.BLOCK rows; the cube's takes 1000-row blocks
-    if block is not None:
+def test_blocked_row_sums_of_a_keep_the_bits(monkeypatch):
+    # _jacobi_scales sums the rows of |A| a block at a time; several blocks,
+    # the last one ragged, give the scales of one block of every row
+    m = build_mesh("square", 64)  # 4225 rows
+    A, beta = assemble_operator(m, 1.0), BoundaryField.per_facet(np.linspace(0.5, 2.0, 256))
+    images, member = [assemble_boundary_mass(m, beta)], np.zeros(3, dtype=int)
+    scales = []
+    for block in (4225, 1000, 4096):
         monkeypatch.setattr(linalg, "BLOCK", block)
-    m = build_mesh(domain, n)
-    beta = BoundaryField.per_facet(np.random.default_rng(n).uniform(0.5, 2.0, m.num_facets))
-    for M in (assemble_operator(m, 1.0), assemble_boundary_mass(m, beta)):
-        for P in prolongations(m):
-            Pt = P.T.tocsr()
-            M, image = Pt @ M @ P, _galerkin(Pt, M, P)
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(image, name), getattr(M, name)), name
-                assert getattr(image, name).dtype == getattr(M, name).dtype
+        scales.append(linalg._jacobi_scales(A, images, member, np.array([0.5, 1.0, 3.0])))
+    assert all(np.array_equal(s, scales[0]) for s in scales[1:])
 
 
 def _multigrid_setup(m):
@@ -325,8 +315,8 @@ def test_setup_peak_stays_near_what_it_keeps(make, budget):
     # at square n = 256 each set-up step's traced peak stays within a small
     # multiple of what it keeps: the operator frees its accumulator before it
     # gathers the columns, the transfers are built from int32 temporaries
-    # freed once used, and the Galerkin images and the |A| row sums go by row
-    # blocks (the one-shot forms peaked at 2.0, 3.0 and 1.7 times)
+    # freed once used, and the |A| row sums go by row blocks (the one-shot
+    # forms peaked at 2.0, 3.0 and 1.7 times)
     step = make(build_mesh("square", 256))
     tracemalloc.start()
     try:
