@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedDimensionError
-from .fields import SourceField, eval_source, interpolate
+from .fields import SourceField, interpolate, source_blocks
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
@@ -50,12 +50,14 @@ def lp_norm(f: SourceField, p: float, mesh: Mesh) -> float:
     if not p >= 1.0:  # NaN included
         raise InvalidArgumentError(f"p must be >= 1, got {p}")
     _, weights = cell_rule(mesh.dim)
-    values = eval_source(f, mesh)
+    sums, nonzero = [], False
     with np.errstate(over="ignore"):  # an overflow is reported below, naming p
-        powers = np.abs(values) ** p
-        integral = mesh.cell_measure * float(np.sum(powers @ weights))
+        for _, values in source_blocks(f, mesh):
+            sums.append(np.abs(values) ** p @ weights)
+            nonzero = nonzero or values.any()
+        integral = mesh.cell_measure * float(np.sum(np.concatenate(sums)))
     # a subnormal integral has lost digits: refused like an underflow to 0
-    if not np.isfinite(integral) or (integral < np.finfo(float).tiny and values.any()):
+    if not np.isfinite(integral) or (integral < np.finfo(float).tiny and nonzero):
         raise InvalidArgumentError(f"int |f|^p = {integral:g} at p = {p:g}: beyond float range")
     return integral ** (1.0 / p)
 

@@ -9,7 +9,7 @@ so one block serves every cell and no per-cell geometry is computed.
 B is the boundary mass matrix weighted by the coefficient beta,
 integrated with facet quadrature (exact for per-facet beta).  The load
 integrates the source against the P1 basis with cell quadrature, adding
-one block of `fields.BLOCK` cells at a time in cell order: the bits of one
+each block of `fields.source_blocks` in cell order: the bits of one
 scatter over every cell, with no cells x points array held.
 
 Each matrix is a ``scipy.sparse.csr_array`` with int32 indices and no
@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, noted_member
-from .fields import BLOCK, BoundaryField, SourceField, boundary_sup, eval_boundary, eval_source
+from .fields import BoundaryField, SourceField, boundary_sup, eval_boundary, source_blocks
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
@@ -103,9 +103,8 @@ def assemble_load(mesh: Mesh, f: SourceField) -> np.ndarray:
     rule_points, weights = cell_rule(mesh.dim)
     table = weights[:, None] * rule_points
     load = np.zeros(mesh.num_vertices)
-    for start in range(0, mesh.num_cells, BLOCK):
-        cells = mesh.cells[start:start + BLOCK]
-        np.add.at(load, cells, mesh.cell_measure * (eval_source(f, mesh, cells) @ table))
+    for cells, values in source_blocks(f, mesh):
+        np.add.at(load, cells, mesh.cell_measure * (values @ table))
     return load
 
 

@@ -196,10 +196,11 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     except InvalidArgumentError as exc:  # not an integer >= 1, or above MAX_CELLS
         raise ConfigError("n", str(exc)) from exc
     mesh_seconds = time.perf_counter() - started
-    if len(beta_specs) * mesh.num_vertices > MAX_MEMBER_VERTICES:
+    members = len(beta_specs) + (experiment == "convergence")  # and the limit problem
+    if members * mesh.num_vertices > MAX_MEMBER_VERTICES:
         raise ConfigError(
             "beta_sequence",
-            f"{len(beta_specs)} coefficient(s) on {mesh.num_vertices} vertices: a run "
+            f"{members} coefficient(s) on {mesh.num_vertices} vertices: a run "
             f"holds at most {MAX_MEMBER_VERTICES} coefficient-vertices",
         )
 
@@ -371,45 +372,33 @@ def emit_svg(xs, ys, path, xlabel: str = "", ylabel: str = "", title: str = "") 
     def py(y):
         return _SVG_H - _SVG_MARGIN - (y - y_min) / (y_max - y_min) * inner_h
 
+    def line(x1, y1, x2, y2):
+        return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="black"/>'
+
+    def text(x, y, anchor, size, label, transform=""):  # x and y as written
+        return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="monospace" '
+                f'font-size="{size}"{transform}>{label}</text>')
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W / 2:.2f}" y="24" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">{title}</text>',
+        text(f"{_SVG_W / 2:.2f}", "24", "middle", 14, title),
+        line(_SVG_MARGIN, py(y_min), _SVG_W - _SVG_MARGIN, py(y_min))
+        + line(_SVG_MARGIN, py(y_min), _SVG_MARGIN, _SVG_MARGIN),
     ]
-    axis = (
-        f'<line x1="{_SVG_MARGIN:.2f}" y1="{py(y_min):.2f}" x2="{_SVG_W - _SVG_MARGIN:.2f}" '
-        f'y2="{py(y_min):.2f}" stroke="black"/>'
-        f'<line x1="{_SVG_MARGIN:.2f}" y1="{py(y_min):.2f}" x2="{_SVG_MARGIN:.2f}" '
-        f'y2="{_SVG_MARGIN:.2f}" stroke="black"/>'
-    )
-    parts.append(axis)
-
     n_ticks = 5
     for i in range(n_ticks + 1):
         tx = x_min + (x_max - x_min) * i / n_ticks
         ty = y_min + (y_max - y_min) * i / n_ticks
         xp, yp = px(tx), py(ty)
-        parts.append(
-            f'<line x1="{xp:.2f}" y1="{py(y_min):.2f}" x2="{xp:.2f}" '
-            f'y2="{py(y_min) + 6:.2f}" stroke="black"/>'
-            f'<text x="{xp:.2f}" y="{py(y_min) + 20:.2f}" text-anchor="middle" '
-            f'font-family="monospace" font-size="10">{tx:.6g}</text>'
-        )
-        parts.append(
-            f'<line x1="{_SVG_MARGIN - 6:.2f}" y1="{yp:.2f}" x2="{_SVG_MARGIN:.2f}" '
-            f'y2="{yp:.2f}" stroke="black"/>'
-            f'<text x="{_SVG_MARGIN - 10:.2f}" y="{yp + 3:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="10">{ty:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{_SVG_W / 2:.2f}" y="{_SVG_H - 12:.2f}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{xlabel}</text>'
-        f'<text x="16" y="{_SVG_H / 2:.2f}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 16 {_SVG_H / 2:.2f})">{ylabel}</text>'
-    )
+        parts.append(line(xp, py(y_min), xp, py(y_min) + 6)
+                     + text(f"{xp:.2f}", f"{py(y_min) + 20:.2f}", "middle", 10, f"{tx:.6g}"))
+        parts.append(line(_SVG_MARGIN - 6, yp, _SVG_MARGIN, yp)
+                     + text(f"{_SVG_MARGIN - 10:.2f}", f"{yp + 3:.2f}", "end", 10, f"{ty:.6g}"))
+    parts.append(text(f"{_SVG_W / 2:.2f}", f"{_SVG_H - 12:.2f}", "middle", 12, xlabel)
+                 + text("16", f"{_SVG_H / 2:.2f}", "middle", 12, ylabel,
+                        f' transform="rotate(-90 16 {_SVG_H / 2:.2f})"'))
     coords = np.column_stack([px(xs), py(ys)]).ravel()
     points = " ".join(map(_points, np.split(coords, range(2 * _BLOCK, coords.size, 2 * _BLOCK))))
     parts.append(

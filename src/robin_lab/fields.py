@@ -9,11 +9,13 @@ domain boundary.  Three representations are supported:
   differences of two such fields are exact (no quadrature error);
 * ``closure`` - an arbitrary callable of the coordinates.
 
-A closure receives the points of one block of at most `BLOCK` simplices
-per call as an array ``p`` of shape (dim, k), so ``p[i]`` holds coordinate
-i of those k points; it returns k values or a scalar, which is broadcast.
-``lambda p: 1.0 + p[0]`` is a valid closure on every domain.  A block's
-points are the only coordinates and closure temporaries alive at a time.
+Every field is sampled by one walk over blocks of at most `BLOCK` facets
+or cells, in order: `eval_boundary` gathers the facet blocks into one
+table, and `source_blocks` yields the cell blocks, so no table of a source
+over every cell is held.  A closure gets one block's points per call as an
+array ``p`` of shape (dim, k), ``p[i]`` holding coordinate i of those k
+points, and returns k values or a scalar, which is broadcast:
+``lambda p: 1.0 + p[0]`` is a valid closure on every domain.
 
 Negative and non-finite values are rejected at evaluation time, where the
 evidence is; closures cannot be validated eagerly.  `compile_expression`
@@ -44,7 +46,7 @@ from .errors import InvalidArgumentError, InvalidCoefficientError
 from .mesh import Mesh
 from .quadrature import cell_rule, facet_rule
 
-BLOCK = 2**14  # simplices per closure call, bounding point temporaries; 2^12 and 2^16 are slower
+BLOCK = 2**14  # simplices per block of the walk, bounding temporaries; 2^12 and 2^16 are slower
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,33 +109,35 @@ def interpolate(nodal, ids, bary_points) -> np.ndarray:
     return out
 
 
-def _tabulate(field, mesh: Mesh, ids, bary_points) -> np.ndarray:
-    """A boundary or source field at barycentric points of the simplices
-    ``ids``, shape (len(ids), k); a closure gets one block's points per
-    call, in no promised order (see the module docstring)."""
-    shape = (len(ids), len(bary_points))
-    if field.kind == "constant":
-        return np.full(shape, field.constant_value)
-    if field.kind == "per_facet":
-        if field.facet_values.size != shape[0]:
-            raise InvalidArgumentError(
-                f"per_facet field has {field.facet_values.size} values but the "
-                f"mesh has {shape[0]} boundary facets"
-            )
-        return np.repeat(field.facet_values[:, None], shape[1], axis=1)
-    out = np.empty(shape)
-    for start in range(0, shape[0], BLOCK):
-        points = interpolate(mesh.vertices.T, ids[start:start + BLOCK], bary_points)
-        with np.errstate(all="ignore"):
-            values = np.asarray(field.closure(points.reshape(mesh.dim, -1)), dtype=float)
-        out[start:start + BLOCK] = np.broadcast_to(values, (points[0].size,)).reshape(-1, shape[1])
-    return out
+def _tabulate(field, mesh: Mesh, ids, bary_points):
+    """The one block walk: (block, values) for each block of at most `BLOCK` rows
+    of ``ids`` in order, values being the field at the barycentric points of the
+    block's simplices, shape (len(block), k); a closure is called once per block."""
+    if field.kind == "per_facet" and field.facet_values.size != len(ids):
+        raise InvalidArgumentError(
+            f"per_facet field has {field.facet_values.size} values but the "
+            f"mesh has {len(ids)} boundary facets"
+        )
+    for start in range(0, len(ids), BLOCK):
+        block = ids[start:start + BLOCK]
+        if field.kind == "constant":
+            values = np.full((len(block), len(bary_points)), field.constant_value)
+        elif field.kind == "per_facet":
+            values = field.facet_values[start:start + BLOCK, None].repeat(len(bary_points), axis=1)
+        else:
+            points = interpolate(mesh.vertices.T, block, bary_points)
+            with np.errstate(all="ignore"):
+                values = np.asarray(field.closure(points.reshape(mesh.dim, -1)), dtype=float)
+            # copied, so a scalar gives a contiguous block, with the bits of any other
+            values = np.array(np.broadcast_to(values, (points[0].size,))).reshape(points[0].shape)
+        yield block, values
 
 
 def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
     """Values at the barycentric points (k, dim) of every boundary facet's
     sorted vertices, shape (nf, k)."""
-    values = _tabulate(field, mesh, mesh.facet_vertices, bary_points)
+    blocks = _tabulate(field, mesh, mesh.facet_vertices, bary_points)
+    values = np.concatenate([values for _, values in blocks])
     invalid = ~(np.isfinite(values) & (values >= 0.0))
     if invalid.any():
         facet, j = np.argwhere(invalid)[0]
@@ -144,13 +148,13 @@ def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
     return values
 
 
-def eval_source(field: SourceField, mesh: Mesh, cells=None) -> np.ndarray:
-    """Values at the cell rule points of ``cells`` (rows of vertex ids, by
-    default every cell), shape (len(cells), nq)."""
-    values = _tabulate(field, mesh, mesh.cells if cells is None else cells, cell_rule(mesh.dim)[0])
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError("source field evaluated to a non-finite value")
-    return values
+def source_blocks(field: SourceField, mesh: Mesh):
+    """(cells, values) for each block of at most `BLOCK` cells, in cell order:
+    the source at the cells' rule points, shape (len(cells), nq)."""
+    for cells, values in _tabulate(field, mesh, mesh.cells, cell_rule(mesh.dim)[0]):
+        if not np.all(np.isfinite(values)):
+            raise InvalidArgumentError("source field evaluated to a non-finite value")
+        yield cells, values
 
 
 def _sample_points(mesh: Mesh) -> np.ndarray:

@@ -35,10 +35,10 @@ from .errors import InvalidArgumentError
 # domain name -> dimension
 DOMAINS = {"interval": 1, "square": 2, "cube": 3}
 
-# a CLI solve on the cube with an expression source peaks at about 105 B per cell at
-# even n and 140 B at odd n, whose transfers do not nest (peak RSS 188 MB at n = 64,
-# 311 MB at n = 80 and 518 MB at n = 87, MB = 2^20 B), so this caps it near 0.55 GB,
-# 20x cube n = 32; it keeps every vertex index, and so the int32 cells, below 2^31
+# with an expression source on the cube, stampacchia (two betas) peaks highest: about 122 B
+# per cell at even n, 142 B at odd n, whose transfers do not nest (358 / 446 / 537 MB RSS at
+# n = 80 / 86 / 87, MB = 2^20 B; solve and theorem0 309 / 380 / 527 MB), near 0.55 GB at the
+# cap; larger families add to it (MAX_MEMBER_VERTICES). Vertex indices, so int32 cells, < 2^31
 MAX_CELLS = 4_000_000
 
 # grid axes of the vertex numbering, slowest first: the square numbers its

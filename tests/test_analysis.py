@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from robin_lab.errors import InvalidArgumentError, UnsupportedDimensionError
 from robin_lab.experiments import level_set_pipeline
 from robin_lab.fields import SourceField
 from robin_lab.mesh import boundary_vertex_indices, build_mesh
+from robin_lab.quadrature import cell_rule
 
 
 @pytest.mark.parametrize("d,q,s", [(3, 6.0, 4.0), (4, 4.0, 3.0), (6, 3.0, 2.5)])
@@ -72,6 +75,22 @@ def test_lp_norm_zero_and_guards():
     # at p = 1060 the integral of 0.5^p is subnormal and has lost digits
     with pytest.raises(InvalidArgumentError, match="p = 1060"):
         lp_norm(SourceField.constant(0.5), 1060.0, m)
+
+
+def test_lp_norm_peak_memory_stays_below_a_whole_source_table():
+    # the source is sampled one block of cells at a time, so the norm never
+    # holds a (cells, points) table of f: at cube n = 32 one such table is
+    # 6 MiB, and |f| and |f|^p built from it alongside would take 18 MiB
+    m = build_mesh("cube", 32)
+    f = SourceField.from_expression("1 + x*y - z/3")
+    table = m.num_cells * len(cell_rule(m.dim)[1]) * 8
+    tracemalloc.start()
+    try:
+        lp_norm(f, 2.0, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table
 
 
 def test_level_set_constant_cases():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robin_lab.analysis import lp_norm
 from robin_lab.assembly import (
     _scatter,
     assemble_boundary_mass,
@@ -17,7 +18,7 @@ from robin_lab.assembly import (
     assemble_system,
 )
 from robin_lab.errors import InvalidArgumentError
-from robin_lab.fields import BLOCK, BoundaryField, SourceField, eval_source, interpolate
+from robin_lab.fields import BLOCK, BoundaryField, SourceField, interpolate, source_blocks
 from robin_lab.mesh import build_mesh, kuhn_paths, prolongations
 from robin_lab.quadrature import cell_rule
 
@@ -123,9 +124,11 @@ _BLOCK_EXPRESSIONS = {1: "{c} * x * x - x / 3", 2: "{c} * x * y - y / 7 + 2",
 _block_mesh = functools.cache(build_mesh)
 
 
-def _whole_mesh_load(mesh, f):
-    """The source at every cell's rule points and the load, each from one
-    array over every cell: the reference the blocked path must match bit for bit."""
+def _whole_mesh_load(mesh, f, p):
+    """The source at every cell's rule points, the load and the L^p norm, each
+    from one array over every cell: the reference the blocked path must match
+    bit for bit.  The norm is None where `lp_norm` refuses it: a nonzero
+    source whose integral of |f|^p is subnormal or underflows to 0."""
     rule_points, weights = cell_rule(mesh.dim)
     coords = interpolate(mesh.vertices.T, mesh.cells, rule_points).reshape(mesh.dim, -1)
     if f.kind == "constant":
@@ -134,7 +137,18 @@ def _whole_mesh_load(mesh, f):
         values = np.broadcast_to(f.closure(coords), coords.shape[1:]).reshape(mesh.num_cells, -1)
     local = mesh.cell_measure * (values @ (weights[:, None] * rule_points))
     load = np.bincount(mesh.cells.ravel(), local.ravel(), minlength=mesh.num_vertices)
-    return coords, values, load
+    integral = mesh.cell_measure * float(np.sum(np.abs(values) ** p @ weights))
+    norm = None if integral < np.finfo(float).tiny and values.any() else integral ** (1 / p)
+    return coords, values, load, norm
+
+
+def _source_table(f, mesh):
+    """The source at every cell's rule points, gathered from blocks of at
+    most BLOCK cells that come in cell order."""
+    blocks = list(source_blocks(f, mesh))
+    assert max(len(cells) for cells, _ in blocks) <= BLOCK
+    assert np.array_equal(np.concatenate([cells for cells, _ in blocks]), mesh.cells)
+    return np.concatenate([values for _, values in blocks])
 
 
 def test_block_sizes_straddle_the_blocks():
@@ -148,14 +162,20 @@ def test_block_sizes_straddle_the_blocks():
     st.sampled_from(_BLOCK_SIZES),
     st.booleans(),
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.0, 2.0, 4.0, 7.5]),
 )
-def test_blocked_sampling_and_load_equal_the_whole_mesh_formula(size, expression, c):
+def test_blocked_sampling_and_load_equal_the_whole_mesh_formula(size, expression, c, exponent):
     mesh = _block_mesh(*size)
     if not expression:
         f = SourceField.constant(c)
-        coords, values, load = _whole_mesh_load(mesh, f)
-        assert np.array_equal(eval_source(f, mesh), values)
+        coords, values, load, norm = _whole_mesh_load(mesh, f, exponent)
+        assert np.array_equal(_source_table(f, mesh), values)
         assert np.array_equal(assemble_load(mesh, f), load)
+        if norm is None:
+            with pytest.raises(InvalidArgumentError, match="beyond float range"):
+                lp_norm(f, exponent, mesh)
+        else:
+            assert float.hex(lp_norm(f, exponent, mesh)) == float.hex(norm)
         return
     evaluate = SourceField.from_expression(_BLOCK_EXPRESSIONS[mesh.dim].format(c=c)).closure
     seen = []
@@ -165,15 +185,26 @@ def test_blocked_sampling_and_load_equal_the_whole_mesh_formula(size, expression
         return evaluate(p)
 
     f = SourceField.from_function(recording)
-    coords, values, load = _whole_mesh_load(mesh, SourceField.from_function(evaluate))
+    reference = SourceField.from_function(evaluate)
+    coords, values, load, norm = _whole_mesh_load(mesh, reference, exponent)
     points_per_cell = len(cell_rule(mesh.dim)[1])
-    for sample, reference in ((lambda: eval_source(f, mesh), values),
-                              (lambda: assemble_load(mesh, f), load)):
+    for sample, reference in ((lambda: _source_table(f, mesh), values),
+                              (lambda: assemble_load(mesh, f), load),
+                              (lambda: lp_norm(f, exponent, mesh), norm)):
         seen.clear()
         assert np.array_equal(sample(), reference)
         # at most one block per call, and every (cell, point) once, in cell order
         assert max(p.shape[1] for p in seen) <= BLOCK * points_per_cell
         assert np.array_equal(np.concatenate(seen, axis=1), coords)
+
+
+@pytest.mark.parametrize("cells", [BLOCK + 1, 2 * BLOCK + 1])
+def test_scalar_closure_load_equals_the_constant_load(cells):
+    # a closure's scalar fills a contiguous block like a constant's, so even a
+    # last block of one cell takes the same matrix product and gives the same bits
+    mesh = _block_mesh("interval", cells)
+    scalar, constant = SourceField.from_function(lambda p: 3.0), SourceField.constant(3.0)
+    assert np.array_equal(assemble_load(mesh, scalar), assemble_load(mesh, constant))
 
 
 def _member_matrix(operator, mesh, beta):

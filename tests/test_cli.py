@@ -624,15 +624,17 @@ def test_family_beyond_the_memory_cap_exits_2_before_assembly(tmp_path, capsys, 
 
 
 def test_family_cap_counts_coefficients_times_vertices():
+    # a convergence run also solves its limit problem, so that counts as a member
     cfg = _solve_config("unused", n=16)
     cfg.update(domain="cube", experiment="convergence")
-    most = cli.MAX_MEMBER_VERTICES // 17**3
-    cfg["beta_sequence"] = {"kind": "one_over_k", "base": 1.0, "count": most}
-    assert len(parse_config(cfg).betas) == most
-    cfg["beta_sequence"]["count"] = most + 1
-    with pytest.raises(ConfigError, match="coefficient-vertices") as caught:
-        parse_config(cfg)
-    assert caught.value.field_name == "beta_sequence"
+    for n, most in ((16, cli.MAX_MEMBER_VERTICES // 17**3 - 1), (32, 99)):
+        cfg["n"] = n
+        cfg["beta_sequence"] = {"kind": "one_over_k", "base": 1.0, "count": most}
+        assert len(parse_config(cfg).betas) == most
+        cfg["beta_sequence"]["count"] = most + 1
+        with pytest.raises(ConfigError, match="coefficient-vertices") as caught:
+            parse_config(cfg)
+        assert caught.value.field_name == "beta_sequence"
 
 
 def test_stampacchia_requires_cube():

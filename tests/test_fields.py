@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robin_lab import fields
 from robin_lab.errors import InvalidArgumentError, InvalidCoefficientError
 from robin_lab.fields import (
     BoundaryField,
@@ -16,8 +17,8 @@ from robin_lab.fields import (
     check_expression_dimension,
     compile_expression,
     eval_boundary,
-    eval_source,
     interpolate,
+    source_blocks,
     sup_gaps,
 )
 from robin_lab.mesh import build_mesh
@@ -32,10 +33,16 @@ def test_eval_constant():
     assert np.all(values == 1.0)
 
 
-def test_eval_per_facet_lookup():
+def test_eval_per_facet_lookup(monkeypatch):
     m = build_mesh("interval", 2)
     field = BoundaryField.per_facet([0.5, 2.0])
     assert eval_boundary(field, m, np.ones((1, 1))).tolist() == [[0.5], [2.0]]
+    # walked in blocks of 3 facets, the last one ragged, each keeps its own value
+    monkeypatch.setattr(fields, "BLOCK", 3)
+    m = build_mesh("square", 2)  # 8 facets
+    values = np.arange(m.num_facets) / 2.0
+    table = eval_boundary(BoundaryField.per_facet(values), m, np.eye(2))
+    assert np.array_equal(table, np.repeat(values[:, None], 2, axis=1))
 
 
 @pytest.mark.parametrize("count", [7, 9])
@@ -145,14 +152,22 @@ def test_per_facet_shape_validation():
         BoundaryField.per_facet([[1.0, 2.0]])
 
 
+def _source_table(f, mesh):
+    """The source at every cell's rule points, gathered from its blocks,
+    which must come in cell order."""
+    blocks = list(source_blocks(f, mesh))
+    assert np.array_equal(np.concatenate([cells for cells, _ in blocks]), mesh.cells)
+    return np.concatenate([values for _, values in blocks])
+
+
 def test_source_eval():
     # two triangles; the cell rule's points are the edge midpoints
     m = build_mesh("square", 1)
-    assert np.all(eval_source(SourceField.constant(2.0), m) == np.full((2, 3), 2.0))
+    assert np.all(_source_table(SourceField.constant(2.0), m) == np.full((2, 3), 2.0))
     f = SourceField.from_function(lambda p: p[0] + p[1])
-    assert eval_source(f, m).tolist() == [[0.5, 1.5, 1.0], [0.5, 1.5, 1.0]]
+    assert _source_table(f, m).tolist() == [[0.5, 1.5, 1.0], [0.5, 1.5, 1.0]]
     with pytest.raises(InvalidArgumentError):
-        eval_source(SourceField.from_function(lambda p: float("nan")), m)
+        _source_table(SourceField.from_function(lambda p: float("nan")), m)
     with pytest.raises(InvalidArgumentError):
         SourceField.constant(float("inf"))
 
@@ -168,7 +183,7 @@ def test_source_points_equal_einsum_oracle(domain, n):
         SourceField.from_expression(expr),
         SourceField.from_function(lambda p: (p[0] - 0.3) * p[-1] * p[-1] + 1.0),
     ):
-        assert np.array_equal(eval_source(f, m), f.closure(coords))
+        assert np.array_equal(_source_table(f, m), f.closure(coords))
 
 
 def test_expression_language():
@@ -198,7 +213,7 @@ def test_expression_evaluates_arrays_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgumentError):
-            eval_source(SourceField.from_function(fn), build_mesh("square", 1))
+            _source_table(SourceField.from_function(fn), build_mesh("square", 1))
     assert np.allclose(
         compile_expression("x + 2*y")(np.array([[0.5, 1.0], [0.25, 0.0]])), [1.0, 1.0]
     )
