@@ -62,7 +62,7 @@ def _cells(mesh: Mesh, stiffness: bool, lam: float, lumped: bool) -> sp.csr_arra
     grads = -np.diff(np.pad(np.eye(d), ((1, 1), (0, 0))), axis=0)  # on the path along x, y, z
     laplacian = grads @ grads.T * (n**2 if stiffness else 0)
     block = (laplacian + lam * pattern) * mesh.cell_measure
-    ids = mesh.cells[: math.factorial(d)]  # the paths of the box at vertex 0
+    ids = mesh.cell_rows(0, math.factorial(d))  # the paths of the box at vertex 0
     steps = ids[:, None, :] - ids[:, :, None]  # (path, k, l): column minus row
     offsets = np.unique(steps)
     acc = np.zeros((len(offsets),) + (n + 1,) * d)
@@ -104,7 +104,8 @@ def assemble_load(mesh: Mesh, f: SourceField) -> np.ndarray:
     table = weights[:, None] * rule_points
     load = np.zeros(mesh.num_vertices)
     for cells, values in source_blocks(f, mesh):
-        np.add.at(load, cells, mesh.cell_measure * (values @ table))
+        # raveled, in the same order: numpy's one-dimensional fast path
+        np.add.at(load, cells.ravel(), (mesh.cell_measure * (values @ table)).ravel())
     return load
 
 

@@ -59,9 +59,9 @@ _BETA_COUNTS = dict(zip(EXPERIMENTS, [(1, 1), (2, MAX_STABILITY), (1, np.inf), (
 
 # the one_over_k generator expands to at most this many coefficients
 MAX_GENERATED = 10_000
-# a family's solve adds 113-125 B of peak RSS per (coefficient, vertex) on the cube
-# (convergence at n = 24 and 16 with 10 to 200 or 250 coefficients; 88 B on the
-# square), so a run's coefficients x vertices are capped near 0.45 GB
+# a family's solve adds 113-125 B of peak RSS per (coefficient, vertex) on the cube (convergence
+# at n = 24 and 16 with 10 to 200 or 250 coefficients; 84 B on the square): near 0.42 GB at the
+# cap, and a run inside both caps peaks near 0.65 GB (stability, 5 expression betas, cube n = 87)
 MAX_MEMBER_VERTICES = 3_600_000
 _BLOCK = 4096  # CSV rows or plot points formatted at a time, to bound peak memory
 

@@ -11,8 +11,10 @@ domain boundary.  Three representations are supported:
 
 Every field is sampled by one walk over blocks of at most `BLOCK` facets
 or cells, in order: `eval_boundary` gathers the facet blocks into one
-table, and `source_blocks` yields the cell blocks, so no table of a source
-over every cell is held.  A closure gets one block's points per call as an
+table, and `source_blocks` yields the cell blocks, generated by
+`Mesh.cell_rows`, so no table of a source over every cell, and no array of
+every cell or vertex, is held.  A closure gets one block's points per call,
+placed from the coordinates of the vertex range the block touches, as an
 array ``p`` of shape (dim, k), ``p[i]`` holding coordinate i of those k
 points, and returns k values or a scalar, which is broadcast:
 ``lambda p: 1.0 + p[0]`` is a valid closure on every domain.
@@ -109,23 +111,27 @@ def interpolate(nodal, ids, bary_points) -> np.ndarray:
     return out
 
 
-def _tabulate(field, mesh: Mesh, ids, bary_points):
-    """The one block walk: (block, values) for each block of at most `BLOCK` rows
-    of ``ids`` in order, values being the field at the barycentric points of the
-    block's simplices, shape (len(block), k); a closure is called once per block."""
-    if field.kind == "per_facet" and field.facet_values.size != len(ids):
+def _tabulate(field, mesh: Mesh, source, bary_points):
+    """The one block walk over a (count, rows) source, ``rows(start, stop)`` being the
+    vertex ids of simplices start..stop - 1: (block, values) for each block of at most
+    `BLOCK` of them in order, values being the field at their barycentric points, shape
+    (len(block), k); a closure is called once per block, on points placed from the
+    coordinates of the block's vertex range."""
+    count, rows = source
+    if field.kind == "per_facet" and field.facet_values.size != count:
         raise InvalidArgumentError(
             f"per_facet field has {field.facet_values.size} values but the "
-            f"mesh has {len(ids)} boundary facets"
+            f"mesh has {count} boundary facets"
         )
-    for start in range(0, len(ids), BLOCK):
-        block = ids[start:start + BLOCK]
+    for start in range(0, count, BLOCK):
+        block = rows(start, min(start + BLOCK, count))
         if field.kind == "constant":
             values = np.full((len(block), len(bary_points)), field.constant_value)
         elif field.kind == "per_facet":
             values = field.facet_values[start:start + BLOCK, None].repeat(len(bary_points), axis=1)
         else:
-            points = interpolate(mesh.vertices.T, block, bary_points)
+            low = block.min()
+            points = interpolate(mesh.coordinates(low, block.max() + 1), block - low, bary_points)
             with np.errstate(all="ignore"):
                 values = np.asarray(field.closure(points.reshape(mesh.dim, -1)), dtype=float)
             # copied, so a scalar gives a contiguous block, with the bits of any other
@@ -136,7 +142,8 @@ def _tabulate(field, mesh: Mesh, ids, bary_points):
 def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
     """Values at the barycentric points (k, dim) of every boundary facet's
     sorted vertices, shape (nf, k)."""
-    blocks = _tabulate(field, mesh, mesh.facet_vertices, bary_points)
+    facets = (mesh.num_facets, lambda start, stop: mesh.facet_vertices[start:stop])
+    blocks = _tabulate(field, mesh, facets, bary_points)
     values = np.concatenate([values for _, values in blocks])
     invalid = ~(np.isfinite(values) & (values >= 0.0))
     if invalid.any():
@@ -151,7 +158,8 @@ def eval_boundary(field: BoundaryField, mesh: Mesh, bary_points) -> np.ndarray:
 def source_blocks(field: SourceField, mesh: Mesh):
     """(cells, values) for each block of at most `BLOCK` cells, in cell order:
     the source at the cells' rule points, shape (len(cells), nq)."""
-    for cells, values in _tabulate(field, mesh, mesh.cells, cell_rule(mesh.dim)[0]):
+    source = (mesh.num_cells, mesh.cell_rows)
+    for cells, values in _tabulate(field, mesh, source, cell_rule(mesh.dim)[0]):
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("source field evaluated to a non-finite value")
         yield cells, values

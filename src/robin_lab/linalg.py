@@ -180,7 +180,8 @@ def _multigrid(A, boundary, transfers):
         levels.append(terms(ops[-2], fine))
     if ops[-1].shape[0] > MAX_DENSE:
         raise InvalidArgumentError(f"coarsest level above {MAX_DENSE} unknowns: pass the hierarchy")
-    levels.append(terms(ops[-1], images))  # applied only when the coarsest is the finest
+    if not transfers:  # the coarsest level is the finest, the one level apply reads
+        levels.append(terms(A, images))
     blocks = np.array([B.toarray() for B in images])[member]
     coarsest = _inverses(ops[-1].toarray() + blocks * weights[:, None, None])
     xs = [np.empty((op.shape[0], len(member))) for op in ops[:-1]]

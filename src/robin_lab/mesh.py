@@ -15,6 +15,9 @@ single float rounded once:
 * cube: six tetrahedra per grid cube, sharing its main diagonal: 6n^3
   cells of volume 1/(6n^3) and 12n^2 boundary triangles.
 
+A mesh stores only its boundary facets and scalars: its cells and vertex
+coordinates, closed forms of (dim, n), are generated for a range of cells
+(`Mesh.cell_rows`) or vertices (`Mesh.coordinates`) when needed.
 `prolongations` interpolates from the mesh at ceil(n/2) to the one at n
 (nested for even n) in closed form, for the solver's multigrid cycle.
 A mesh is immutable (its arrays are read-only) and safe to share across threads.
@@ -35,9 +38,9 @@ from .errors import InvalidArgumentError
 # domain name -> dimension
 DOMAINS = {"interval": 1, "square": 2, "cube": 3}
 
-# with an expression source on the cube, stampacchia (two betas) peaks highest: about 122 B
-# per cell at even n, 142 B at odd n, whose transfers do not nest (358 / 446 / 537 MB RSS at
-# n = 80 / 86 / 87, MB = 2^20 B; solve and theorem0 309 / 380 / 527 MB), near 0.55 GB at the
+# with an expression source on the cube, stampacchia (two betas) peaks highest: about 102 B
+# per cell at even n, 121 B at odd n, whose transfers do not nest (299 / 372 / 456 MB RSS at
+# n = 80 / 86 / 87, MB = 2^20 B; solve and theorem0 249 / 308 / 428 MB), near 0.45 GB at the
 # cap; larger families add to it (MAX_MEMBER_VERTICES). Vertex indices, so int32 cells, < 2^31
 MAX_CELLS = 4_000_000
 
@@ -63,7 +66,8 @@ class Mesh:
     Vertices are numbered by grid position (``_AXIS_ORDER``).  Cells are
     box-major and path-minor: boxes in the order of their low corner's
     vertex index, then the d! paths in `kuhn_paths` order.  Each cell lists
-    its vertices in path order, which assembly relies on.
+    its vertices in path order, which assembly relies on.  The mesh stores
+    neither: `cell_rows` and `coordinates` generate any range of them.
     A boundary facet is a face (d of a cell's d + 1 vertices) whose vertices
     all lie on one face of the box.  Row i of ``facet_vertices`` holds the
     sorted vertex indices of facet i (a single vertex in 1D), and a
@@ -76,9 +80,8 @@ class Mesh:
     dim: int
     n: int
     h: float = field(init=False)
-    vertices: np.ndarray = field(init=False)  # (num_vertices, dim)
-    cells: np.ndarray = field(init=False)  # (num_cells, dim + 1), vertex indices
     facet_vertices: np.ndarray = field(init=False)  # (num_facets, dim)
+    _paths: np.ndarray = field(init=False, repr=False)  # (d!, d + 1) offsets from a box corner
     cell_measure: float = field(init=False)  # of every cell
     facet_measure: float = field(init=False)  # of every boundary facet
 
@@ -94,45 +97,55 @@ class Mesh:
             raise InvalidArgumentError(
                 f"the {dim}-dimensional mesh with n = {n} has more than {MAX_CELLS} cells"
             )
-        grid = _grid(dim, n, np.int32)
-        # the boxes' low corners: the vertices with no coordinate n, in vertex order
-        boxes = np.arange((n + 1) ** dim, dtype=np.int32).reshape((n + 1,) * dim)
-        boxes = boxes[(slice(n),) * dim].ravel()
-        paths = kuhn_paths(dim)
-        cells = (boxes[:, None, None] + _index(paths, n + 1).astype(np.int32)).reshape(-1, dim + 1)
         # Kuhn end-face rule: every face but the two without an end vertex of the
         # path holds both ends, which differ in every coordinate, so only these
         # can be boundary facets.  On box c with step axes a_1 ... a_d, the face
         # without the last vertex lies on x_{a_d} = 0 iff c[a_d] = 0, and the
         # face without the first on x_{a_1} = 1 iff c[a_1] = n - 1.
+        paths = kuhn_paths(dim)
         axes = np.diff(paths, axis=1).argmax(axis=2)  # (d!, d): each path's step axes
-        corner = grid[boxes]
-        ends = np.stack([corner[:, axes[:, -1]] == 0, corner[:, axes[:, 0]] == n - 1], axis=2)
-        cell, end = np.divmod(np.flatnonzero(ends), 2)
+        corner = dict(zip(_AXIS_ORDER[dim], np.ix_(*[np.arange(n)] * dim)))  # by grid axis
+        ends = np.empty((n,) * dim + (len(paths), 2), dtype=bool)  # (boxes..., path, end)
+        for p, (first, last) in enumerate(axes[:, [0, -1]]):
+            ends[..., p, 0], ends[..., p, 1] = corner[last] == 0, corner[first] == n - 1
+        box, face = np.divmod(np.flatnonzero(ends), 2 * len(paths))
         # path order is vertex order, so each facet's vertices are already sorted
-        facet_vertices = cells[cell[:, None], end[:, None] + np.arange(dim)]
-        vertices = np.divide(grid.T, n, order="C").T  # coordinate-major: .T is contiguous
-        arrays = {"vertices": vertices, "cells": cells, "facet_vertices": facet_vertices}
-        for arr in arrays.values():
-            arr.setflags(write=False)
+        offsets = _frozen(_index(paths, n + 1).astype(np.int32))
+        faces = np.stack([offsets[:, :-1], offsets[:, 1:]], axis=1).reshape(-1, dim)
+        facet_vertices = _frozen(_corners(box.astype(np.int32), dim, n)[:, None] + faces[face])
         # d! equal cells split each grid box of side 1/n, and (d-1)! facets each box
         # face; in 1D, 1/(0! n^0) = 1 is the counting measure on the endpoints
         facet_parts = math.factorial(dim - 1) * n ** (dim - 1)
         measures = {"cell_measure": 1.0 / cell_parts, "facet_measure": 1.0 / facet_parts}
+        arrays = {"facet_vertices": facet_vertices, "_paths": offsets}
         for name, value in dict(arrays, **measures, dim=dim, n=n, h=1.0 / n).items():
             object.__setattr__(self, name, value)
 
-    @property
-    def num_vertices(self) -> int:
-        return self.vertices.shape[0]
+    def cell_rows(self, start: int, stop: int) -> np.ndarray:
+        """Vertex indices of cells start..stop - 1, shape (stop - start, dim + 1),
+        int32: the d! paths of every box they lie in, cut to the range."""
+        parts = len(self._paths)
+        first = start // parts
+        corners = _corners(np.arange(first, -(-stop // parts), dtype=np.int32), self.dim, self.n)
+        rows = (corners[:, None] + self._paths.ravel()).reshape(-1, self.dim + 1)
+        return rows[start - first * parts : stop - first * parts]
 
-    @property
-    def num_cells(self) -> int:
-        return self.cells.shape[0]
+    def coordinates(self, start: int, stop: int) -> np.ndarray:
+        """Coordinates of vertices start..stop - 1, contiguous, shape (dim, stop - start):
+        cut from the grid lines along the fastest axis that hold them."""
+        side, order = self.n + 1, _AXIS_ORDER[self.dim]
+        first, last = start // side, -(-stop // side)
+        values = np.arange(side) / self.n
+        *lead, _ = np.unravel_index(np.arange(first, last) * side, (side,) * self.dim)
+        grid = [np.repeat(values[index], side) for index in lead] + [np.tile(values, last - first)]
+        return np.stack(grid)[np.argsort(order), start - first * side : stop - first * side]
 
-    @property
-    def num_facets(self) -> int:
-        return self.facet_vertices.shape[0]
+    # the whole arrays, read-only, built on access (``vertices.T`` is contiguous)
+    cells = property(lambda self: _frozen(self.cell_rows(0, self.num_cells)))
+    vertices = property(lambda self: _frozen(self.coordinates(0, self.num_vertices)).T)
+    num_vertices = property(lambda self: (self.n + 1) ** self.dim)
+    num_cells = property(lambda self: math.factorial(self.dim) * self.n**self.dim)
+    num_facets = property(lambda self: len(self.facet_vertices))
 
 
 def build_mesh(domain: str, n: int) -> Mesh:
@@ -179,6 +192,18 @@ def _grid(dim: int, n: int, dtype) -> np.ndarray:
     grid = np.empty(((n + 1) ** dim, dim), dtype=dtype)
     grid[:, _AXIS_ORDER[dim]] = np.indices((n + 1,) * dim, dtype=dtype).reshape(dim, -1).T
     return grid
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _corners(boxes: np.ndarray, dim: int, n: int) -> np.ndarray:
+    """Vertex indices of the low corners of boxes numbered in vertex order, in their
+    dtype: box sum c_k n^k has the corner sum c_k (n + 1)^k, c_0 on the fastest axis."""
+    return boxes + sum(boxes // n**k * (n + 1) ** (k - 1) for k in range(1, dim))
 
 
 def _index(points: np.ndarray, side: int) -> np.ndarray:

@@ -22,6 +22,10 @@ from its own vertex coordinates, and `assemble_by_cells` assembles
 K + lam*M from them cell by cell, independently of the Kuhn reference
 blocks the package tiles.
 
+`cells_by_formula` lists the cells box-major and path-minor from the
+vertices' grid positions, looked up like the transfers' corners below:
+the order the package's range generator `Mesh.cell_rows` must reproduce.
+
 `prolongations_by_corners` builds the multigrid transfers from each fine
 vertex's coarse simplex corners as grid points, looked up in the coarse
 mesh's vertices and converted from COO, and `cell_points_by_einsum` places
@@ -46,7 +50,7 @@ import scipy.sparse as sp
 
 from robin_lab.cli import _cells
 from robin_lab.errors import InvalidArgumentError
-from robin_lab.mesh import Mesh
+from robin_lab.mesh import Mesh, kuhn_paths
 from robin_lab.quadrature import cell_rule
 
 
@@ -170,6 +174,17 @@ def assemble_by_cells(mesh, lam, lumped, stiffness=True):
     out = sp.coo_array((data, (rows.ravel(), cols.ravel())), shape=shape).tocsr()
     out.eliminate_zeros()
     return out
+
+
+def cells_by_formula(mesh):
+    """Every cell's vertex indices: the boxes in the order of their low
+    corner's vertex index, each with the d! `kuhn_paths` from that corner."""
+    grid = np.rint(mesh.vertices * mesh.n).astype(np.int64)
+    index = np.empty((mesh.n + 1,) * mesh.dim, dtype=np.int64)
+    index[tuple(grid.T)] = np.arange(len(grid))
+    corners = grid[(grid < mesh.n).all(axis=1)]
+    positions = corners[:, None, None, :] + kuhn_paths(mesh.dim)  # (boxes, d!, d + 1, d)
+    return index[tuple(np.moveaxis(positions, -1, 0))].reshape(-1, mesh.dim + 1)
 
 
 def prolongations_by_corners(mesh):

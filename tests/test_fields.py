@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robin_lab import fields
+from robin_lab.assembly import assemble_load
 from robin_lab.errors import InvalidArgumentError, InvalidCoefficientError
 from robin_lab.fields import (
     BoundaryField,
@@ -22,8 +23,9 @@ from robin_lab.fields import (
     sup_gaps,
 )
 from robin_lab.mesh import build_mesh
+from robin_lab.quadrature import facet_rule
 
-from oracles import cell_points_by_einsum
+from oracles import cell_points_by_einsum, cells_by_formula
 
 
 def test_eval_constant():
@@ -158,6 +160,37 @@ def _source_table(f, mesh):
     blocks = list(source_blocks(f, mesh))
     assert np.array_equal(np.concatenate([cells for cells, _ in blocks]), mesh.cells)
     return np.concatenate([values for _, values in blocks])
+
+
+@pytest.mark.parametrize("block", [7, fields.BLOCK])
+@pytest.mark.parametrize("n", [3, 14])
+def test_cell_blocks_starting_mid_box_concatenate_to_the_cells(monkeypatch, block, n):
+    # neither 7 nor 2^14 is a multiple of the cube's 6 paths, so blocks start
+    # inside a box (at n = 14 the second block of 2^14 cells does); each block's
+    # coordinates, cut from its vertex range, are the vertices' bits
+    m = build_mesh("cube", n)
+    vertices = m.vertices
+    monkeypatch.setattr(fields, "BLOCK", block)
+    blocks = [ids for ids, _ in source_blocks(SourceField.constant(1.0), m)]
+    assert max(map(len, blocks)) <= block
+    assert np.array_equal(np.concatenate(blocks), cells_by_formula(m))
+    for ids in blocks:
+        low = ids.min()
+        coords = m.coordinates(low, ids.max() + 1)
+        assert coords.flags.c_contiguous
+        assert coords[:, ids - low].tobytes() == np.moveaxis(vertices[ids], -1, 0).tobytes()
+
+
+@pytest.mark.parametrize("domain,n", [("interval", 50), ("square", 7), ("cube", 5)])
+def test_small_blocks_keep_the_bits_of_one_block(monkeypatch, domain, n):
+    # at 2^14 each mesh is one block of cells and one of facets
+    m = build_mesh(domain, n)
+    f = SourceField.from_expression("1 + x*x/3 - x/7")
+    beta = BoundaryField.from_expression("2 + x - x*x/5")
+    points = facet_rule(m.dim)[0]
+    whole = assemble_load(m, f).tobytes(), eval_boundary(beta, m, points).tobytes()
+    monkeypatch.setattr(fields, "BLOCK", 7)
+    assert (assemble_load(m, f).tobytes(), eval_boundary(beta, m, points).tobytes()) == whole
 
 
 def test_source_eval():

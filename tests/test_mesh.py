@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from robin_lab.errors import InvalidArgumentError
 from robin_lab.mesh import Mesh, boundary_vertex_indices, build_mesh, prolongations
 
-from oracles import boundary_facets_by_count, prolongations_by_corners
+from oracles import boundary_facets_by_count, cells_by_formula, prolongations_by_corners
 
 FAMILIES = [
     ("interval", 1, 2.0),
@@ -160,6 +161,30 @@ def test_mesh_is_immutable():
         m.vertices[0, 0] = 9.9
     for arr in (m.cells, m.facet_vertices):
         assert not arr.flags.writeable
+
+
+def test_mesh_keeps_no_per_cell_or_per_vertex_array():
+    # cells and coordinates are generated when needed, so at cube n = 40 the
+    # mesh keeps its facet rows and a few scalars, not 6.1 MB of cells and
+    # 1.65 MB of coordinates
+    Mesh(3, 2)  # first-call allocations are not the mesh's
+    tracemalloc.start()
+    try:
+        m = Mesh(3, 40)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= m.facet_vertices.nbytes + 2**14
+
+
+@pytest.mark.parametrize("dim,n", [(1, 5), (2, 6), (3, 3), (3, 14)])
+def test_cell_rows_of_any_range_follow_the_formula(dim, n):
+    m = Mesh(dim, n)
+    cells = cells_by_formula(m)
+    assert np.array_equal(m.cells, cells) and m.cells.dtype == np.int32
+    last = m.num_cells
+    for start, stop in [(0, 1), (1, 2), (4, min(11, last)), (5, last), (last - 1, last)]:
+        assert np.array_equal(m.cell_rows(start, stop), cells[start:stop])
 
 
 def _oracle_facets(m):
