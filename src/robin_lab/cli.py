@@ -6,7 +6,8 @@ The JSON config holds the domain (interval, square, cube), the mesh
 parameter n, lambda, the source spec, a boundary coefficient sequence
 (either a list of field specs or the generator
 ``{"kind": "one_over_k", "base": b, "count": c}`` meaning b + 1/(k+1)),
-and per-experiment extras.  Field specs:
+and per-experiment extras.  A run solves its coefficient family once, the
+limit problem last for convergence, and reduces the rows.  Field specs:
 
     {"kind": "constant", "value": v}
     {"kind": "per_facet", "values": [...]}
@@ -491,17 +492,18 @@ def run(config: RunConfig) -> int:
 
 def _run_experiment(config: RunConfig):
     """Returns (tables, plots, summary) for the configured experiment."""
-    mesh, f, betas = config.mesh, config.f, config.betas
-    lam, lumped, tol = config.lam, config.lumped, config.tol
+    mesh, betas = config.mesh, config.betas
     tables, plots, summary = {}, {}, {}
+    family = [*betas, config.beta_limit] if config.experiment == "convergence" else betas
+    solutions = solve_robin(mesh, config.lam, config.f, family, config.lumped, config.tol)
 
     if config.experiment == "solve":
-        (u,) = solve_robin(mesh, lam, f, betas, lumped, tol)
+        u, coordinates = solutions[0], mesh.coordinates(0, mesh.num_vertices)
         index = np.arange(mesh.num_vertices)
         header = ["vertex_index", *"xyz"[: mesh.dim], "value"]
-        tables["solution"] = (header, [index, *mesh.vertices.T, u])
+        tables["solution"] = (header, [index, *coordinates, u])
         plots["solution"] = (
-            mesh.vertices[:, 0] if mesh.dim == 1 else index,
+            coordinates[0] if mesh.dim == 1 else index,
             u,
             "x" if mesh.dim == 1 else "vertex index",
             "value",
@@ -510,7 +512,7 @@ def _run_experiment(config: RunConfig):
         summary["sup_norm"] = sup_norm(u)
 
     elif config.experiment == "stability":
-        records = stability_sweep(mesh, lam, f, betas, lumped, tol)
+        records = stability_sweep(mesh, betas, solutions)
         c_hat = estimate_constant(records)
         header = ["n", "m", "diff_sup", "un_bd_sup", "beta_diff", "ratio"]
         # the records are the rows; an uninformative pair has no ratio
@@ -527,7 +529,7 @@ def _run_experiment(config: RunConfig):
         summary["records"] = len(records)
 
     elif config.experiment == "convergence":
-        errs = convergence_study(mesh, lam, f, betas, config.beta_limit, lumped, tol)
+        errs = convergence_study(solutions)
         ns = range(len(errs))
         tables["convergence"] = (["n", "sup_err"], [ns, errs])
         plots["convergence"] = (
@@ -540,7 +542,7 @@ def _run_experiment(config: RunConfig):
         summary["final_sup_err"] = errs[-1]
 
     elif config.experiment == "stampacchia":
-        u_a, u_b = solve_robin(mesh, lam, f, betas, lumped, tol)
+        u_a, u_b = solutions
         report = level_set_pipeline(u_a - u_b, mesh, c2=config.c2)
         tables["stampacchia"] = (["k", "phi"], [report.samples.ks, report.samples.values])
         tables["stampacchia_report"] = (
@@ -559,8 +561,7 @@ def _run_experiment(config: RunConfig):
         summary["conclusion_ok"] = report.conclusion_ok
 
     else:  # theorem0
-        (u,) = solve_robin(mesh, lam, f, betas, lumped, tol)
-        sup_u, f_norm = theorem0_terms(u, mesh, f, config.p)
+        sup_u, f_norm = theorem0_terms(solutions[0], mesh, config.f, config.p)
         ratio = sup_u / f_norm
         tables["theorem0"] = (
             ["p", "sup_u", "f_norm", "ratio"],

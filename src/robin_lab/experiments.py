@@ -2,19 +2,20 @@
 
 `solve_robin` solves a family of problems that share the mesh, lambda and
 f and differ only in the boundary coefficient, into one (len(betas),
-num_vertices) array of nodal rows; every experiment reduces its rows.
+num_vertices) array of nodal rows; a run solves its family once, and the
+experiments take the solved rows.
 `stability_sweep` tabulates, for every ordered pair (n, m), the sup-norm
 solution gap against the product of the boundary sup of u_n and the sup
 difference of the coefficients (one `fields.sup_gaps` table each), all
 pairs at once as arrays, into one `StabilityRecord` tuple per pair;
 `estimate_constant` extracts the smallest constant consistent with all
-informative pairs.  `convergence_study` compares a coefficient sequence
-against its limit problem on the same mesh, which isolates coefficient
-dependence from discretization error.  `level_set_pipeline` turns a
-solution difference into a sampled boundary level-set curve and runs the
-decay check on it; the resulting sup-norm bound is read as the predicted
-gap itself (thresholds arbitrarily close to it from above carry empty
-level sets).
+informative pairs.  `convergence_study` compares the rows of a coefficient
+sequence against the last row, its limit problem's, on the same mesh, which
+isolates coefficient dependence from discretization error.
+`level_set_pipeline` turns a solution difference into a sampled boundary
+level-set curve and runs the decay check on it; the resulting sup-norm
+bound is read as the predicted gap itself (thresholds arbitrarily close to
+it from above carry empty level sets).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     NoInformativePairsError,
     noted_member,
 )
-from .fields import BoundaryField, SourceField, boundary_sup, boundary_sup_diff, sup_gaps
+from .fields import SourceField, boundary_sup, boundary_sup_diff, sup_gaps
 from .linalg import cg_solve
 from .mesh import Mesh, boundary_vertex_indices, prolongations
 from .stampacchia import (
@@ -90,19 +91,13 @@ def solve_robin(
     return solutions
 
 
-def stability_sweep(
-    mesh: Mesh,
-    lam: float,
-    f: SourceField,
-    betas,
-    lumped: bool = False,
-    tol: float = 1e-10,
-):
-    """One StabilityRecord per ordered pair of coefficients (n != m), in
-    ``itertools.permutations`` order; only an informative pair has a ratio."""
-    if len(betas) < 2:
-        raise InvalidArgumentError("stability sweep needs at least two coefficients")
-    solutions = solve_robin(mesh, lam, f, betas, lumped, tol)
+def stability_sweep(mesh: Mesh, betas, solutions):
+    """One StabilityRecord per ordered pair (n != m) of betas, in ``itertools.permutations``
+    order, from the rows `solve_robin` returns for them; only an informative pair has a ratio."""
+    solutions, shape = np.asarray(solutions, dtype=float), (len(betas), mesh.num_vertices)
+    if shape[0] < 2 or solutions.shape != shape:
+        wanted = f"two or more coefficients and solutions of shape {shape}"
+        raise InvalidArgumentError(f"stability sweep needs {wanted}, got {solutions.shape}")
     sups = np.array([boundary_sup(beta, mesh) for beta in betas])
     boundary = boundary_vertex_indices(mesh)
     n, m = np.nonzero(~np.eye(len(betas), dtype=bool))  # row-major: permutations order
@@ -126,18 +121,13 @@ def estimate_constant(records) -> float:
     return max(ratios)
 
 
-def convergence_study(
-    mesh: Mesh,
-    lam: float,
-    f: SourceField,
-    betas,
-    beta_limit: BoundaryField,
-    lumped: bool = False,
-    tol: float = 1e-10,
-):
-    """Sup-norm gaps to the limit solution, in sequence order."""
-    *solutions, limit = solve_robin(mesh, lam, f, [*betas, beta_limit], lumped, tol)
-    return [sup_norm(u - limit) for u in solutions]
+def convergence_study(solutions):
+    """Sup-norm gaps of each row to the last, the limit problem's, in sequence order."""
+    solutions = np.asarray(solutions, dtype=float)
+    if solutions.ndim != 2 or len(solutions) < 2:
+        raise InvalidArgumentError(f"convergence study needs 2 or more rows, got {solutions.shape}")
+    *rows, limit = solutions
+    return [sup_norm(u - limit) for u in rows]
 
 
 def theorem0_terms(u, mesh: Mesh, f: SourceField, p: float) -> tuple:

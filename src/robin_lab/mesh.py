@@ -17,7 +17,8 @@ single float rounded once:
 
 A mesh stores only its boundary facets and scalars: its cells and vertex
 coordinates, closed forms of (dim, n), are generated for a range of cells
-(`Mesh.cell_rows`) or vertices (`Mesh.coordinates`) when needed.
+(`Mesh.cell_rows`) or vertices (`Mesh.coordinates`) when needed; the whole
+arrays are the ranges from 0 to `num_cells` or `num_vertices`.
 `prolongations` interpolates from the mesh at ceil(n/2) to the one at n
 (nested for even n) in closed form, for the solver's multigrid cycle.
 A mesh is immutable (its arrays are read-only) and safe to share across threads.
@@ -140,9 +141,6 @@ class Mesh:
         grid = [np.repeat(values[index], side) for index in lead] + [np.tile(values, last - first)]
         return np.stack(grid)[np.argsort(order), start - first * side : stop - first * side]
 
-    # the whole arrays, read-only, built on access (``vertices.T`` is contiguous)
-    cells = property(lambda self: _frozen(self.cell_rows(0, self.num_cells)))
-    vertices = property(lambda self: _frozen(self.coordinates(0, self.num_vertices)).T)
     num_vertices = property(lambda self: (self.n + 1) ** self.dim)
     num_cells = property(lambda self: math.factorial(self.dim) * self.n**self.dim)
     num_facets = property(lambda self: len(self.facet_vertices))

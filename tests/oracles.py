@@ -54,6 +54,18 @@ from robin_lab.mesh import Mesh, kuhn_paths
 from robin_lab.quadrature import cell_rule
 
 
+def all_cells(mesh):
+    """Every cell's vertex indices, shape (num_cells, dim + 1): the one range
+    from 0 to num_cells."""
+    return mesh.cell_rows(0, mesh.num_cells)
+
+
+def all_vertices(mesh):
+    """Every vertex's coordinates, shape (num_vertices, dim): the one range
+    from 0 to num_vertices, vertex-major."""
+    return mesh.coordinates(0, mesh.num_vertices).T
+
+
 def analytic_interval_solution(lam: float, beta: float, f_const: float):
     """Closed-form 1D solution for constant data, same beta at both ends."""
     if lam <= 0.0:
@@ -118,11 +130,11 @@ def boundary_facets_by_count(mesh):
     ``np.unique``, so meshes of benchmark size take milliseconds."""
     dim = mesh.dim
     combos = list(itertools.combinations(range(dim + 1), dim))
-    faces = np.sort(mesh.cells[:, combos], axis=2).reshape(-1, dim)
+    faces = np.sort(all_cells(mesh)[:, combos], axis=2).reshape(-1, dim)
     keys = np.ravel_multi_index(faces.T, (mesh.num_vertices,) * dim)
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     facet_vertices = faces[counts[inverse] == 1]
-    pts = mesh.vertices[facet_vertices]  # (nf, dim, dim)
+    pts = all_vertices(mesh)[facet_vertices]  # (nf, dim, dim)
     if dim == 1:
         measures = np.ones(len(facet_vertices))  # counting measure on the endpoints
     elif dim == 2:
@@ -163,12 +175,13 @@ def assemble_by_cells(mesh, lam, lumped, stiffness=True):
     from its own coordinates, in one COO -> CSR conversion with zero
     entries dropped."""
     d, nc = mesh.dim, mesh.num_cells
-    grads, det = simplex_geometry(mesh.vertices, mesh.cells)
+    cells = all_cells(mesh)
+    grads, det = simplex_geometry(all_vertices(mesh), cells)
     pattern = np.eye(d + 1) / (d + 1) if lumped else (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2))
     gram = np.einsum("akc,bkc->cab", grads, grads) if stiffness else 0.0
     blocks = (gram + lam * pattern) * (np.abs(det) / math.factorial(d))[:, None, None]
-    rows = np.repeat(mesh.cells, d + 1, axis=1)
-    cols = np.tile(mesh.cells, (1, d + 1))
+    rows = np.repeat(cells, d + 1, axis=1)
+    cols = np.tile(cells, (1, d + 1))
     data = np.broadcast_to(blocks, (nc, d + 1, d + 1)).ravel()
     shape = (mesh.num_vertices,) * 2
     out = sp.coo_array((data, (rows.ravel(), cols.ravel())), shape=shape).tocsr()
@@ -179,7 +192,7 @@ def assemble_by_cells(mesh, lam, lumped, stiffness=True):
 def cells_by_formula(mesh):
     """Every cell's vertex indices: the boxes in the order of their low
     corner's vertex index, each with the d! `kuhn_paths` from that corner."""
-    grid = np.rint(mesh.vertices * mesh.n).astype(np.int64)
+    grid = np.rint(all_vertices(mesh) * mesh.n).astype(np.int64)
     index = np.empty((mesh.n + 1,) * mesh.dim, dtype=np.int64)
     index[tuple(grid.T)] = np.arange(len(grid))
     corners = grid[(grid < mesh.n).all(axis=1)]
@@ -199,8 +212,8 @@ def prolongations_by_corners(mesh):
     out = []
     while n > 3:
         m = -(-n // 2)
-        grid = np.rint(Mesh(dim, n).vertices * n).astype(np.int64)
-        coarse = np.rint(Mesh(dim, m).vertices * m).astype(np.int64)
+        grid = np.rint(all_vertices(Mesh(dim, n)) * n).astype(np.int64)
+        coarse = np.rint(all_vertices(Mesh(dim, m)) * m).astype(np.int64)
         index = np.empty((m + 1,) * dim, dtype=np.int64)
         index[tuple(coarse.T)] = np.arange(len(coarse))
         # in coarse grid units a fine vertex sits at grid * m / n = low + local / n
@@ -223,7 +236,7 @@ def cell_points_by_einsum(mesh):
     """The cell rule points of every cell in physical coordinates, shape
     (nc, nq, dim): the barycentric rule rows times the cell's vertices."""
     rule_points, _ = cell_rule(mesh.dim)
-    return np.einsum("qk,ckd->cqd", rule_points, mesh.vertices[mesh.cells])
+    return np.einsum("qk,ckd->cqd", rule_points, all_vertices(mesh)[all_cells(mesh)])
 
 
 def csv_cell_by_cell(header, columns) -> str:

@@ -16,7 +16,7 @@ from robin_lab.cli import main as cli_main
 from robin_lab.stampacchia import PhiSamples, StampacchiaParams, fit_minimal_c
 from robin_lab.stampacchia import stampacchia_gap, verify_decay
 
-from oracles import analytic_interval_solution, robin_square_series
+from oracles import all_vertices, analytic_interval_solution, robin_square_series
 
 ONE = rl.SourceField.constant(1.0)
 
@@ -45,14 +45,16 @@ def sweep_betas():
 @pytest.fixture(scope="module")
 def sweep8(cube8, sweep_betas):
     started = time.perf_counter()
-    records = rl.stability_sweep(cube8, 1.0, ONE, sweep_betas)
+    solutions = rl.solve_robin(cube8, 1.0, ONE, sweep_betas)
+    records = rl.stability_sweep(cube8, sweep_betas, solutions)
     return records, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
 def sweep12(cube12, sweep_betas):
     started = time.perf_counter()
-    records = rl.stability_sweep(cube12, 1.0, ONE, sweep_betas)
+    solutions = rl.solve_robin(cube12, 1.0, ONE, sweep_betas)
+    records = rl.stability_sweep(cube12, sweep_betas, solutions)
     return records, time.perf_counter() - started
 
 
@@ -63,7 +65,7 @@ def test_criterion_1_interval_oracle_accuracy():
     for n in (128, 256):
         mesh = rl.build_mesh("interval", n)
         (u,) = rl.solve_robin(mesh, 1.0, ONE, [rl.BoundaryField.constant(1.0)])
-        exact = np.array([oracle(float(x[0])) for x in mesh.vertices])
+        exact = np.array([oracle(float(x[0])) for x in all_vertices(mesh)])
         errors[n] = float(np.max(np.abs(u - exact)))
     elapsed = time.perf_counter() - started
     factor = errors[128] / errors[256]
@@ -144,14 +146,14 @@ def test_criterion_4_stability_sweep_mesh_stable(sweep8, sweep12):
 def test_criterion_5_corollary_convergence(cube8, sweep8):
     betas = [rl.BoundaryField.constant(1.0 + 1.0 / (k + 1)) for k in range(33)]
     limit = rl.BoundaryField.constant(1.0)
-    errs = np.array(rl.convergence_study(cube8, 1.0, ONE, betas, limit, tol=1e-11))
+    solutions = rl.solve_robin(cube8, 1.0, ONE, [*betas, limit], tol=1e-11)
+    errs = np.array(rl.convergence_study(solutions))
     monotone = bool(np.all(np.diff(errs) <= 1e-12))
     shrink = errs[32] / errs[1]
 
     # self-consistency: one constant must fit the sweep records and the
     # sequence-vs-limit pairs together (the sweep family alone stops at
     # beta = 1.1 and underestimates the near-limit ratios; see notes)
-    solutions = rl.solve_robin(cube8, 1.0, ONE, betas, tol=1e-11)
     boundary = rl.boundary_vertex_indices(cube8)
     pair_records = []
     for k, err in enumerate(errs):
@@ -353,8 +355,8 @@ def test_criterion_11_square_stability_against_series_oracle():
     errors = []
     for n in (8, 16, 32, 64):
         mesh = rl.build_mesh("square", n)
-        record = rl.stability_sweep(mesh, 1.0, ONE, betas)[0]
-        u_a, u_b = exact_a(mesh.vertices), exact_b(mesh.vertices)
+        record = rl.stability_sweep(mesh, betas, rl.solve_robin(mesh, 1.0, ONE, betas))[0]
+        u_a, u_b = exact_a(all_vertices(mesh)), exact_b(all_vertices(mesh))
         diff = np.max(np.abs(u_a - u_b))
         un_bd = np.max(np.abs(u_a[rl.boundary_vertex_indices(mesh)]))
         exact = np.array([diff, un_bd, diff / (un_bd * 0.5)])

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robin_lab.analysis import (
     level_set_measure,
@@ -11,9 +13,9 @@ from robin_lab.analysis import (
 )
 from robin_lab.errors import InvalidArgumentError, UnsupportedDimensionError
 from robin_lab.experiments import level_set_pipeline
-from robin_lab.fields import SourceField
+from robin_lab.fields import SourceField, interpolate
 from robin_lab.mesh import boundary_vertex_indices, build_mesh
-from robin_lab.quadrature import cell_rule
+from robin_lab.quadrature import cell_rule, facet_rule
 
 
 @pytest.mark.parametrize("d,q,s", [(3, 6.0, 4.0), (4, 4.0, 3.0), (6, 3.0, 2.5)])
@@ -109,6 +111,30 @@ def test_level_set_monotone_and_vanishing():
     phis = np.array([level_set_measure(u, m, float(k)) for k in ks])
     assert np.all(np.diff(phis) <= 0.0)
     assert np.all(phis[ks >= top] == 0.0)
+
+
+_NODAL = [0.0, 0.25, -0.25, 0.5, -1.0, 3.0, np.nan]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(["interval", "square", "cube"]), st.data())
+def test_level_set_counts_equal_a_comparison_per_level(domain, data):
+    # one search of the sorted samples counts those above every level, with
+    # ties at a level and NaN samples (never above) counted as a comparison
+    # per level counts them
+    m = build_mesh(domain, 2)
+    u = np.array(data.draw(st.lists(st.sampled_from(_NODAL), min_size=m.num_vertices,
+                                    max_size=m.num_vertices)))
+    points, _ = facet_rule(m.dim)
+    samples = np.vstack([points, np.full((1, m.dim), 1.0 / m.dim)])
+    values = np.abs(interpolate(u, m.facet_vertices, samples))
+    candidates = [0.0, 0.125, 1.0, np.inf, *values[np.isfinite(values)].tolist()]
+    ks = np.array(data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8)))
+    counts = [np.count_nonzero(values > k) for k in ks]
+    assert level_set_measure(u, m, ks).tolist() == [
+        m.facet_measure * c / len(samples) for c in counts
+    ]
+    assert level_set_measure(u, m, float(ks[0])) == m.facet_measure * counts[0] / len(samples)
 
 
 def test_solution_validation():

@@ -22,7 +22,7 @@ from robin_lab.fields import BLOCK, BoundaryField, SourceField, interpolate, sou
 from robin_lab.mesh import build_mesh, kuhn_paths, prolongations
 from robin_lab.quadrature import cell_rule
 
-from oracles import assemble_by_cells, simplex_geometry
+from oracles import all_cells, assemble_by_cells, simplex_geometry
 
 # hand-assembled P1 matrices on the 2-cell interval (h = 1/2):
 # element stiffness (1/h)[[1,-1],[-1,1]], element mass (h/6)[[2,1],[1,2]]
@@ -130,13 +130,15 @@ def _whole_mesh_load(mesh, f, p):
     bit for bit.  The norm is None where `lp_norm` refuses it: a nonzero
     source whose integral of |f|^p is subnormal or underflows to 0."""
     rule_points, weights = cell_rule(mesh.dim)
-    coords = interpolate(mesh.vertices.T, mesh.cells, rule_points).reshape(mesh.dim, -1)
+    cells = all_cells(mesh)
+    coords = interpolate(mesh.coordinates(0, mesh.num_vertices), cells, rule_points)
+    coords = coords.reshape(mesh.dim, -1)
     if f.kind == "constant":
         values = np.full((mesh.num_cells, len(weights)), f.constant_value)
     else:
         values = np.broadcast_to(f.closure(coords), coords.shape[1:]).reshape(mesh.num_cells, -1)
     local = mesh.cell_measure * (values @ (weights[:, None] * rule_points))
-    load = np.bincount(mesh.cells.ravel(), local.ravel(), minlength=mesh.num_vertices)
+    load = np.bincount(cells.ravel(), local.ravel(), minlength=mesh.num_vertices)
     integral = mesh.cell_measure * float(np.sum(np.abs(values) ** p @ weights))
     norm = None if integral < np.finfo(float).tiny and values.any() else integral ** (1 / p)
     return coords, values, load, norm
@@ -147,7 +149,7 @@ def _source_table(f, mesh):
     most BLOCK cells that come in cell order."""
     blocks = list(source_blocks(f, mesh))
     assert max(len(cells) for cells, _ in blocks) <= BLOCK
-    assert np.array_equal(np.concatenate([cells for cells, _ in blocks]), mesh.cells)
+    assert np.array_equal(np.concatenate([cells for cells, _ in blocks]), all_cells(mesh))
     return np.concatenate([values for _, values in blocks])
 
 

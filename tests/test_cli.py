@@ -598,9 +598,9 @@ def test_family_beyond_the_memory_cap_exits_2_before_assembly(tmp_path, capsys, 
     # 10 000 coefficients at cube n = 16 would need about 6 GB; the config is
     # refused once the mesh (4913 vertices) is known, before anything is solved
     def never(*args, **kwargs):
-        raise AssertionError("a refused family reached its experiment")
+        raise AssertionError("a refused family reached its solve")
 
-    monkeypatch.setattr(cli, "convergence_study", never)
+    monkeypatch.setattr(cli, "solve_robin", never)
     cfg = {
         "domain": "cube",
         "n": 16,
@@ -621,6 +621,48 @@ def test_family_beyond_the_memory_cap_exits_2_before_assembly(tmp_path, capsys, 
     assert _single_error_line(capsys)["field"] == "beta_sequence"
     assert peak < 16 * 2**20
     assert not (tmp_path / "o").exists()
+
+
+# experiment -> (domain, the beta list's constants); convergence adds a limit
+_FAMILIES = {
+    "solve": ("interval", [1.0]),
+    "stability": ("square", [1.0, 1.5, 2.0]),
+    "convergence": ("interval", [1.5, 1.25]),
+    "stampacchia": ("cube", [1.0, 1.5]),
+    "theorem0": ("cube", [1.0]),
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_each_experiment_solves_its_family_once(tmp_path, monkeypatch, experiment):
+    # the run's one solve gets the config's beta list, with the limit problem's
+    # beta last for convergence, and every table is reduced from its rows
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[3])
+        return solve_robin(*args, **kwargs)
+
+    solve_robin = cli.solve_robin
+    monkeypatch.setattr(cli, "solve_robin", recording)
+    domain, values = _FAMILIES[experiment]
+    cfg = {
+        "domain": domain,
+        "n": 2,
+        "lambda": 1.0,
+        "f": _constant(1.0),
+        "beta_sequence": [_constant(v) for v in values],
+        "experiment": experiment,
+        "output_dir": str(tmp_path / "out"),
+    }
+    if experiment == "convergence":
+        cfg["beta_limit"] = _constant(1.0)
+    config = parse_config(cfg)
+    assert run(config) == EXIT_OK
+    family = [*config.betas, config.beta_limit] if experiment == "convergence" else config.betas
+    assert len(calls) == 1
+    assert len(calls[0]) == len(family) == len(values) + (experiment == "convergence")
+    assert all(got is want for got, want in zip(calls[0], family))
 
 
 def test_family_cap_counts_coefficients_times_vertices():

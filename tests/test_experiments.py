@@ -39,6 +39,11 @@ def _solve(mesh, lam=1.0, beta=1.0, f=ONE, **kw):
     return u
 
 
+def _sweep(mesh, f, betas, **kw):
+    """The stability records of a family solved with lambda = 1."""
+    return stability_sweep(mesh, betas, solve_robin(mesh, 1.0, f, betas, **kw))
+
+
 def test_problem_requires_positive_lambda():
     m = build_mesh("interval", 4)
     with pytest.raises(InvalidArgumentError):
@@ -68,7 +73,7 @@ def test_interval_solution_matches_oracle():
     m = build_mesh("interval", 32)
     u = _solve(m, tol=1e-12)
     oracle = analytic_interval_solution(1.0, 1.0, 1.0)
-    exact = np.array([oracle(float(x[0])) for x in m.vertices])
+    exact = np.array([oracle(float(x)) for x in m.coordinates(0, m.num_vertices)[0]])
     assert np.max(np.abs(u - exact)) <= 5e-4
 
 
@@ -137,7 +142,7 @@ def test_stability_identical_coefficients():
     m = build_mesh("interval", 16)
     tol = 1e-10
     betas = [BoundaryField.constant(1.0)] * 3
-    records = stability_sweep(m, 1.0, ONE, betas, tol=tol)
+    records = _sweep(m, ONE, betas, tol=tol)
     assert len(records) == 6
     for rec in records:
         assert rec.diff_sup_closure <= 2 * tol
@@ -147,10 +152,10 @@ def test_stability_identical_coefficients():
 def test_stability_two_constants_against_oracle():
     m = build_mesh("interval", 128)
     betas = [BoundaryField.constant(1.0), BoundaryField.constant(1.5)]
-    records = stability_sweep(m, 1.0, ONE, betas, tol=1e-12)
+    records = _sweep(m, ONE, betas, tol=1e-12)
     u_a = analytic_interval_solution(1.0, 1.0, 1.0)
     u_b = analytic_interval_solution(1.0, 1.5, 1.0)
-    gap = max(abs(u_a(float(x[0])) - u_b(float(x[0]))) for x in m.vertices)
+    gap = max(abs(u_a(float(x)) - u_b(float(x))) for x in m.coordinates(0, m.num_vertices)[0])
     for rec in records:
         assert rec.diff_sup_closure == pytest.approx(gap, abs=1e-3)
         assert rec.beta_diff_sup == pytest.approx(0.5)
@@ -168,7 +173,7 @@ def test_stability_gaps_are_sup_norms_of_row_differences():
         BoundaryField.constant(0.0),
     ]
     rows = solve_robin(m, 1.0, ONE, betas)
-    records = stability_sweep(m, 1.0, ONE, betas)
+    records = stability_sweep(m, betas, rows)
     assert len(records) == 12
     for rec in records:
         assert rec.diff_sup_closure == sup_norm(rows[rec.n] - rows[rec.m])
@@ -192,7 +197,7 @@ def test_underflowing_denominator_is_uninformative():
     # and a family of only such pairs has no constant
     m = build_mesh("interval", 4)
     betas = [BoundaryField.constant(1.0), BoundaryField.constant(1.0 + 1e-11)]
-    records = stability_sweep(m, 1.0, SourceField.constant(1e-320), betas)
+    records = _sweep(m, SourceField.constant(1e-320), betas)
     assert all(r.un_sup_boundary > 0.0 and r.beta_diff_sup > 1e-12 for r in records)
     assert [r.ratio for r in records] == [None, None]
     with pytest.raises(NoInformativePairsError):
@@ -201,15 +206,25 @@ def test_underflowing_denominator_is_uninformative():
 
 def test_stability_needs_two_coefficients():
     m = build_mesh("interval", 4)
-    with pytest.raises(InvalidArgumentError):
-        stability_sweep(m, 1.0, ONE, [BoundaryField.constant(1.0)])
+    for count in (0, 1):
+        betas = [BoundaryField.constant(1.0)] * count
+        with pytest.raises(InvalidArgumentError, match="two or more coefficients"):
+            stability_sweep(m, betas, np.ones((count, m.num_vertices)))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 4), (5,), (2, 5, 1)])
+def test_stability_needs_one_row_per_coefficient_and_vertex(shape):
+    m = build_mesh("interval", 4)
+    betas = [BoundaryField.constant(1.0), BoundaryField.constant(2.0)]
+    with pytest.raises(InvalidArgumentError, match=r"shape \(2, 5\)"):
+        stability_sweep(m, betas, np.ones(shape))
 
 
 def test_stability_reports_failing_index():
     m = build_mesh("interval", 4)
     betas = [BoundaryField.constant(1.0), BoundaryField.from_function(lambda p: -1.0)]
     with pytest.raises(Exception, match="index 1"):
-        stability_sweep(m, 1.0, ONE, betas)
+        solve_robin(m, 1.0, ONE, betas)
 
 
 def test_failing_member_keeps_its_exception():
@@ -220,7 +235,7 @@ def test_failing_member_keeps_its_exception():
     m = build_mesh("interval", 4)
     betas = [BoundaryField.constant(1.0), BoundaryField.from_function(undecodable)]
     with pytest.raises(UnicodeDecodeError, match="index 1") as info:
-        convergence_study(m, 1.0, ONE, betas, BoundaryField.constant(1.0))
+        solve_robin(m, 1.0, ONE, [*betas, BoundaryField.constant(1.0)])
     assert info.value.reason == "invalid start byte"
 
 
@@ -238,13 +253,13 @@ def test_family_members_equal_independent_solves():
     alone = [_solve(m, beta=b, f=f) for b in betas + [limit]]
 
     boundary = boundary_vertex_indices(m)
-    records = stability_sweep(m, 1.0, f, betas)
+    records = _sweep(m, f, betas)
     for r in records:
         un, um = alone[r.n], alone[r.m]
         assert r.diff_sup_closure == sup_norm(un - um)
         assert r.un_sup_boundary == sup_norm(un[boundary])
 
-    errs = convergence_study(m, 1.0, f, betas, limit)
+    errs = convergence_study(solve_robin(m, 1.0, f, [*betas, limit]))
     assert errs == [sup_norm(u - alone[-1]) for u in alone[:-1]]
 
 
@@ -335,9 +350,8 @@ def test_mixed_family_rows_equal_lone_solves(domain, kinds):
         assert np.array_equal(row, _solve(m, beta=beta))
 
 
-def _reference_sweep(mesh, f, betas):
+def _reference_sweep(mesh, betas, rows):
     """The sweep as a loop over ordered pairs, one pair's reductions at a time."""
-    rows = solve_robin(mesh, 1.0, f, betas)
     boundary = boundary_vertex_indices(mesh)
     records = []
     for n, m in itertools.permutations(range(len(betas)), 2):
@@ -391,9 +405,10 @@ def test_stability_sweep_equals_a_per_pair_loop(key, zero_source, kinds):
             betas.append(BoundaryField.per_facet(levels))
         else:
             betas.append(BoundaryField.from_expression(_EXPRESSIONS[value]))
-    records = stability_sweep(m, 1.0, f, betas)
+    rows = solve_robin(m, 1.0, f, betas)
+    records = stability_sweep(m, betas, rows)
     assert all(type(r) is StabilityRecord for r in records)
-    assert [_bits(r) for r in records] == [_bits(r) for r in _reference_sweep(m, f, betas)]
+    assert [_bits(r) for r in records] == [_bits(r) for r in _reference_sweep(m, betas, rows)]
     if zero_source:
         assert all(r.ratio is None for r in records)
 
@@ -435,7 +450,7 @@ def test_convergence_identical_sequence():
     m = build_mesh("interval", 16)
     tol = 1e-10
     beta = BoundaryField.constant(1.0)
-    errs = convergence_study(m, 1.0, ONE, [beta, beta], beta, tol=tol)
+    errs = convergence_study(solve_robin(m, 1.0, ONE, [beta, beta, beta], tol=tol))
     assert len(errs) == 2
     assert all(err <= 2 * tol for err in errs)
 
@@ -444,9 +459,21 @@ def test_convergence_sequence_shrinks():
     m = build_mesh("interval", 64)
     betas = [BoundaryField.constant(1.0 + 1.0 / (k + 1)) for k in range(33)]
     limit = BoundaryField.constant(1.0)
-    errs = np.array(convergence_study(m, 1.0, ONE, betas, limit, tol=1e-11))
+    errs = np.array(convergence_study(solve_robin(m, 1.0, ONE, [*betas, limit], tol=1e-11)))
     assert np.all(np.diff(errs) <= 1e-12)
     assert errs[32] / errs[1] <= 0.1
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (0, 5), (5,), ()])
+def test_convergence_needs_a_row_and_the_limit(shape):
+    with pytest.raises(InvalidArgumentError, match="convergence study needs"):
+        convergence_study(np.ones(shape))
+
+
+def test_convergence_gaps_are_to_the_last_row():
+    rows = np.array([[1.0, -2.0], [0.5, 0.5], [0.0, 1.0]])
+    assert convergence_study(rows) == [3.0, 0.5]
+    assert convergence_study(rows.tolist()) == [3.0, 0.5]
 
 
 def test_theorem0_ratio_unit_source():

@@ -25,7 +25,7 @@ from robin_lab.fields import (
 from robin_lab.mesh import build_mesh
 from robin_lab.quadrature import facet_rule
 
-from oracles import cell_points_by_einsum, cells_by_formula
+from oracles import all_cells, all_vertices, cell_points_by_einsum, cells_by_formula
 
 
 def test_eval_constant():
@@ -58,7 +58,7 @@ def test_eval_closure_on_square_edge():
     m = build_mesh("square", 2)
     field = BoundaryField.from_function(lambda p: p[0] + 1.0)
     # bottom edge from (0, 0) to (0.5, 0), evaluated at its midpoint
-    corners = m.vertices[m.facet_vertices]  # (nf, 2, 2)
+    corners = all_vertices(m)[m.facet_vertices]  # (nf, 2, 2)
     bottom = np.all(corners[:, :, 1] == 0.0, axis=1) & (corners[:, :, 0].min(axis=1) == 0.0)
     facet = int(np.flatnonzero(bottom)[0])
     values = eval_boundary(field, m, np.array([[0.5, 0.5], [1.0, 0.0]]))
@@ -158,7 +158,7 @@ def _source_table(f, mesh):
     """The source at every cell's rule points, gathered from its blocks,
     which must come in cell order."""
     blocks = list(source_blocks(f, mesh))
-    assert np.array_equal(np.concatenate([cells for cells, _ in blocks]), mesh.cells)
+    assert np.array_equal(np.concatenate([cells for cells, _ in blocks]), all_cells(mesh))
     return np.concatenate([values for _, values in blocks])
 
 
@@ -169,7 +169,7 @@ def test_cell_blocks_starting_mid_box_concatenate_to_the_cells(monkeypatch, bloc
     # inside a box (at n = 14 the second block of 2^14 cells does); each block's
     # coordinates, cut from its vertex range, are the vertices' bits
     m = build_mesh("cube", n)
-    vertices = m.vertices
+    vertices = all_vertices(m)
     monkeypatch.setattr(fields, "BLOCK", block)
     blocks = [ids for ids, _ in source_blocks(SourceField.constant(1.0), m)]
     assert max(map(len, blocks)) <= block
@@ -269,7 +269,7 @@ _PROPERTY_MESHES = [build_mesh("interval", 5), build_mesh("square", 3), build_me
 
 
 def _simplices(mesh, kind):
-    return mesh.cells if kind == "cells" else mesh.facet_vertices
+    return all_cells(mesh) if kind == "cells" else mesh.facet_vertices
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -287,8 +287,8 @@ def test_interpolate_reproduces_affine_data(mesh, kind, count, seed):
     weights = rng.uniform(0.0, 1.0, (count, ids.shape[1]))
     weights /= weights.sum(axis=1, keepdims=True)
     slopes, offsets = rng.uniform(-5.0, 5.0, (2, mesh.dim)), rng.uniform(-5.0, 5.0, (2, 1))
-    nodal = offsets + slopes @ mesh.vertices.T  # two affine fields, (2, nv)
-    points = np.einsum("kj,cjd->dck", weights, mesh.vertices[ids])  # (dim, len(ids), k)
+    nodal = offsets + slopes @ all_vertices(mesh).T  # two affine fields, (2, nv)
+    points = np.einsum("kj,cjd->dck", weights, all_vertices(mesh)[ids])  # (dim, len(ids), k)
     exact = offsets[:, :, None] + np.einsum("ad,dck->ack", slopes, points)
     values = interpolate(nodal, ids, weights)
     assert values.shape == (2, len(ids), count)
