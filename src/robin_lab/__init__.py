@@ -2,12 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    level_set_measure,
-    lp_norm,
-    sup_norm,
-    trace_exponent,
-)
+from .analysis import level_set_measure, sup_norm
 from .assembly import (
     assemble_boundary_mass,
     assemble_load,
@@ -32,14 +27,5 @@ from .fields import (
     boundary_sup_diff,
     eval_boundary,
 )
-from .linalg import SolveReport, cg_solve
-from .mesh import Mesh, boundary_vertex_indices, build_mesh
-from .stampacchia import (
-    DecayReport,
-    PhiSamples,
-    StampacchiaParams,
-    fit_minimal_c,
-    stampacchia_gap,
-    theorem_constants,
-    verify_decay,
-)
+from .linalg import cg_solve
+from .mesh import boundary_vertex_indices, build_mesh

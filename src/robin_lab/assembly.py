@@ -17,7 +17,8 @@ stored zeros: K + lambda*M is written in CSR order from the stencil the
 one block tiles on the grid, and B is one scatter of facet blocks.
 K + lambda*M and the load do not depend on beta, so a family that differs
 only in beta builds them once (`assemble_operator`, `assemble_load`), and
-`assemble_system` gives each member its B, kept apart from K + lambda*M:
+`assemble_system` gives each member its B, kept apart from K + lambda*M,
+in a `System` of those terms and one member's count of stored entries:
 a constant beta scales one B(1), so a constant family assembles B once.
 """
 
@@ -121,13 +122,11 @@ def assemble_operator(mesh: Mesh, lam: float, lumped: bool = False) -> sp.csr_ar
 
 
 class System(NamedTuple):
-    """A family's matrices (K + lam*M) + w_i B_i, one (B_i, w_i) per member:
+    """A family's boundary terms, one (B_i, w_i) per member (K + lam*M) + w_i B_i:
     (B(beta), 1), or for a constant beta (B(1), beta) with one shared B(1)."""
 
-    operator: sp.csr_array
     boundary: list
-    # stored entries of one member's matrix: B's lie in the operator's pattern
-    nnz = property(lambda self: self.operator.nnz)
+    nnz: int  # stored entries of one member's matrix: B's lie in the operator's pattern
 
 
 def assemble_system(operator: sp.csr_array, mesh: Mesh, betas) -> System:
@@ -145,4 +144,4 @@ def assemble_system(operator: sp.csr_array, mesh: Mesh, betas) -> System:
         except Exception as exc:
             noted_member(exc, i)
             raise
-    return System(operator, boundary)
+    return System(boundary, operator.nnz)

@@ -454,9 +454,9 @@ def run(config: RunConfig) -> int:
         # non-finite results raise where they appear; numpy need not warn too
         with np.errstate(all="ignore"):
             tables, plots, summary = _run_experiment(config)
-    except RobinLabError as exc:
+    except (RobinLabError, MemoryError) as exc:  # a bare MemoryError has no message
         # a family member's failure carries a note naming its index
-        _emit_error("solve", ": ".join([*getattr(exc, "__notes__", ()), str(exc)]))
+        _emit_error("solve", ": ".join([*getattr(exc, "__notes__", ()), str(exc) or repr(exc)]))
         return EXIT_SOLVE
     timings["experiment_seconds"] = time.perf_counter() - started
 

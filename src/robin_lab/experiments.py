@@ -2,8 +2,8 @@
 
 `solve_robin` solves a family of problems that share the mesh, lambda and
 f and differ only in the boundary coefficient, into one (len(betas),
-num_vertices) array of nodal rows; a run solves its family once, and the
-experiments take the solved rows.
+num_vertices) array of nodal rows, and notes a failing member's index; a
+run solves its family once, and the experiments take the solved rows.
 `stability_sweep` tabulates, for every ordered pair (n, m), the sup-norm
 solution gap against the product of the boundary sup of u_n and the sup
 difference of the coefficients (one `fields.sup_gaps` table each), all
@@ -72,17 +72,13 @@ def solve_robin(
     The family is one batched solve: K + lam M, the load, the multigrid
     transfers and their Galerkin images are built once.  A member that
     fails raises its own exception, with a note naming its coefficient
-    index (0 for a failure of the whole family; none for an empty family).
+    index: 0 for a breakdown of the whole family, none for an input that no
+    member owns (an empty family, tol).
     """
     operator = assemble_operator(mesh, lam, lumped)
     load = assemble_load(mesh, f)
     system = assemble_system(operator, mesh, betas)
-    try:
-        solutions, report = cg_solve(operator, load, tol, prolongations(mesh), system.boundary)
-    except Exception as exc:  # a failure of the whole family shows first at member 0
-        if system.boundary and not getattr(exc, "__notes__", None):
-            noted_member(exc, 0)
-        raise
+    solutions, report = cg_solve(operator, load, tol, prolongations(mesh), system.boundary)
     for i, (rel, count) in enumerate(zip(report.member_residuals, report.member_iterations)):
         if not rel <= tol:
             message = f"conjugate gradient stopped at relative residual {rel:.3e}"

@@ -15,10 +15,10 @@ single float rounded once:
 * cube: six tetrahedra per grid cube, sharing its main diagonal: 6n^3
   cells of volume 1/(6n^3) and 12n^2 boundary triangles.
 
-A mesh stores only its boundary facets and scalars: its cells and vertex
-coordinates, closed forms of (dim, n), are generated for a range of cells
-(`Mesh.cell_rows`) or vertices (`Mesh.coordinates`) when needed; the whole
-arrays are the ranges from 0 to `num_cells` or `num_vertices`.
+A mesh stores only (dim, n) and its boundary facets; h, the measures, the
+cells and the vertex coordinates are closed forms of (dim, n), the last two
+generated for a range (`Mesh.cell_rows`, `Mesh.coordinates`) when needed;
+the whole arrays are the ranges from 0 to `num_cells` or `num_vertices`.
 `prolongations` interpolates from the mesh at ceil(n/2) to the one at n
 (nested for even n) in closed form, for the solver's multigrid cycle.
 A mesh is immutable (its arrays are read-only) and safe to share across threads.
@@ -74,17 +74,16 @@ class Mesh:
     sorted vertex indices of facet i (a single vertex in 1D), and a
     per-facet field's i-th value belongs to it.  The rows are cell-major
     and, within a cell, in ``itertools.combinations`` order of its vertex
-    columns.  ``cell_measure`` and ``facet_measure`` are the one measure
-    every cell and every boundary facet has (1.0 for interval endpoints).
+    columns.  A mesh stores only ``dim``, ``n``, ``facet_vertices`` and its
+    paths.  ``h``, the counts, and ``cell_measure`` and ``facet_measure`` (the
+    one measure every cell and every boundary facet has, 1.0 for interval
+    endpoints) are closed forms of (dim, n).
     """
 
     dim: int
     n: int
-    h: float = field(init=False)
     facet_vertices: np.ndarray = field(init=False)  # (num_facets, dim)
     _paths: np.ndarray = field(init=False, repr=False)  # (d!, d + 1) offsets from a box corner
-    cell_measure: float = field(init=False)  # of every cell
-    facet_measure: float = field(init=False)  # of every boundary facet
 
     def __post_init__(self):
         dim, n = self.dim, self.n
@@ -93,8 +92,7 @@ class Mesh:
         if not (is_integer(dim) and 1 <= dim <= 3):
             raise InvalidArgumentError(f"mesh dimension must be 1, 2 or 3, got {dim!r}")
         dim, n = int(dim), int(n)
-        cell_parts = math.factorial(dim) * n**dim  # n, 2n^2, 6n^3
-        if cell_parts > MAX_CELLS:
+        if math.factorial(dim) * n**dim > MAX_CELLS:  # n, 2n^2, 6n^3 cells
             raise InvalidArgumentError(
                 f"the {dim}-dimensional mesh with n = {n} has more than {MAX_CELLS} cells"
             )
@@ -114,12 +112,8 @@ class Mesh:
         offsets = _frozen(_index(paths, n + 1).astype(np.int32))
         faces = np.stack([offsets[:, :-1], offsets[:, 1:]], axis=1).reshape(-1, dim)
         facet_vertices = _frozen(_corners(box.astype(np.int32), dim, n)[:, None] + faces[face])
-        # d! equal cells split each grid box of side 1/n, and (d-1)! facets each box
-        # face; in 1D, 1/(0! n^0) = 1 is the counting measure on the endpoints
-        facet_parts = math.factorial(dim - 1) * n ** (dim - 1)
-        measures = {"cell_measure": 1.0 / cell_parts, "facet_measure": 1.0 / facet_parts}
         arrays = {"facet_vertices": facet_vertices, "_paths": offsets}
-        for name, value in dict(arrays, **measures, dim=dim, n=n, h=1.0 / n).items():
+        for name, value in dict(arrays, dim=dim, n=n).items():
             object.__setattr__(self, name, value)
 
     def cell_rows(self, start: int, stop: int) -> np.ndarray:
@@ -141,9 +135,14 @@ class Mesh:
         grid = [np.repeat(values[index], side) for index in lead] + [np.tile(values, last - first)]
         return np.stack(grid)[np.argsort(order), start - first * side : stop - first * side]
 
+    h = property(lambda self: 1.0 / self.n)
     num_vertices = property(lambda self: (self.n + 1) ** self.dim)
     num_cells = property(lambda self: math.factorial(self.dim) * self.n**self.dim)
     num_facets = property(lambda self: len(self.facet_vertices))
+    # d! equal cells split each grid box of side 1/n, and (d-1)! facets each box face:
+    # (d-1)! n^(d-1) = d! n^d / (d n); in 1D, 1/(0! n^0) = 1 is the counting measure on {0, 1}
+    cell_measure = property(lambda self: 1.0 / self.num_cells)
+    facet_measure = property(lambda self: 1.0 / (self.num_cells // (self.dim * self.n)))
 
 
 def build_mesh(domain: str, n: int) -> Mesh:

@@ -223,6 +223,15 @@ def test_system_is_sum_of_parts():
     assert np.allclose(A.toarray(), expected, atol=1e-14)
 
 
+def test_system_keeps_the_boundary_terms_and_the_member_size():
+    # the operator is the caller's; the system holds only what it adds
+    m = build_mesh("square", 4)
+    operator = assemble_operator(m, 1.0)
+    system = assemble_system(operator, m, [BoundaryField.constant(2.0)])
+    assert system._fields == ("boundary", "nnz")
+    assert system.nnz == operator.nnz == (operator + system.boundary[0][0]).nnz
+
+
 def test_system_rejects_negative_lambda():
     # lambda must be finite and > 0: lambda = 0 is rejected even when beta
     # would make the operator definite

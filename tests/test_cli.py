@@ -253,6 +253,16 @@ _INVALID_CONFIGS = {
         "beta_sequence.count",
         {"beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": True}},
     ),
+    # json.load reads the literal NaN, so a config file can hold it
+    "generator-base-nan": (
+        "beta_sequence.base",
+        {"beta_sequence": {"kind": "one_over_k", "base": float("nan"), "count": 1}},
+    ),
+    "generator-base-string": (
+        "beta_sequence.base",
+        {"beta_sequence": {"kind": "one_over_k", "base": "1.0", "count": 1}},
+    ),
+    "expr-not-a-string": ("f", {"f": {"kind": "expr", "expr": 5}}),
     # a kind that is not a string, or not one the field takes
     "f-kind-list": ("f", {"f": {"kind": [1]}}),
     "beta-kind-object": ("beta_sequence[0]", {"beta_sequence": [{"kind": {}}]}),
@@ -472,6 +482,32 @@ def test_unwritable_output_exits_4(tmp_path):
     cfg = _solve_config(str(blocker / "sub"))
     path = _write(tmp_path, "c.json", cfg)
     assert main(["solve", "--config", path]) == EXIT_OUTPUT
+
+
+def test_unwritable_result_file_exits_4_after_the_solve(tmp_path, capsys):
+    # the directory passes the write probe, but a directory stands where the
+    # solution table goes, so the failure comes at the results
+    out = tmp_path / "o"
+    (out / "solution.csv").mkdir(parents=True)
+    path = _write(tmp_path, "c.json", _solve_config(str(out)))
+    assert main(["solve", "--config", path]) == EXIT_OUTPUT
+    error = _single_error_line(capsys)
+    assert error["field"] == "output"
+    assert error["message"].startswith("cannot write results")
+
+
+def test_out_of_memory_in_the_experiment_exits_3(tmp_path, capsys, monkeypatch):
+    # the process outlives a failed allocation, so it is a solve failure with
+    # one error line, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve_robin", exhausted)
+    path = _write(tmp_path, "c.json", _solve_config(str(tmp_path / "o")))
+    assert main(["solve", "--config", path]) == EXIT_SOLVE
+    error = _single_error_line(capsys)
+    assert error == {"field": "solve", "message": "MemoryError()"}
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_runs_are_byte_deterministic(tmp_path):
@@ -890,6 +926,16 @@ def test_emit_svg_deterministic_and_covering(tmp_path):
     text = a.read_text()
     assert "<polyline" in text
     assert f"{max(ys) * 1.05:.6g}" in text  # top tick covers max * 1.05
+
+
+@pytest.mark.parametrize(
+    "xs,ys", [([], []), ([0.0, 1.0], [1.0]), ([0.0], [0.0, 1.0])], ids=["empty", "short", "long"]
+)
+def test_emit_svg_rejects_empty_or_unequal_series(tmp_path, xs, ys):
+    path = tmp_path / "a.svg"
+    with pytest.raises(RobinLabError, match="nonempty and equally long"):
+        emit_svg(xs, ys, str(path))
+    assert not path.exists()
 
 
 def test_emit_csv_rejects_columns_of_unequal_length(tmp_path):

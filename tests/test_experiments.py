@@ -429,6 +429,15 @@ def test_failing_member_is_named():
     assert info.value.__notes__ == ["solve failed for coefficient index 0"]
 
 
+def test_bad_tol_names_no_member():
+    # tol is every member's, so the error carries no coefficient index
+    m = build_mesh("square", 4)
+    betas = [BoundaryField.constant(1.0), BoundaryField.constant(2.0)]
+    with pytest.raises(InvalidArgumentError, match="tol") as info:
+        solve_robin(m, 1.0, SourceField.constant(1.0), betas, tol=0.0)
+    assert getattr(info.value, "__notes__", []) == []
+
+
 @pytest.mark.parametrize("value", [0.0, 1.0])
 def test_empty_family_refused_whatever_the_source(value):
     m = build_mesh("square", 4)

@@ -17,7 +17,7 @@ from robin_lab.assembly import (
     assemble_operator,
     assemble_stiffness,
 )
-from robin_lab.errors import InvalidArgumentError
+from robin_lab.errors import InvalidArgumentError, NumericBreakdownError
 from robin_lab.fields import BoundaryField, SourceField
 from robin_lab import linalg
 from robin_lab.linalg import _multigrid, cg_solve
@@ -103,6 +103,16 @@ def test_boundary_shape_checked_per_member():
     with pytest.raises(InvalidArgumentError, match="shape") as info:
         cg_solve(_identity(5), np.ones(5), 1e-10, (), [(sp.identity(4, format="csr"), 1.0)])
     assert info.value.__notes__ == ["solve failed for coefficient index 0"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_load_breaks_down_with_no_member_named(value):
+    # the load is every member's: no note names one of them
+    b = np.ones(5)
+    b[2] = value
+    with pytest.raises(NumericBreakdownError, match="right-hand side") as info:
+        cg_solve(_identity(5), b, 1e-10, (), [(_identity(5), 1.0), (_identity(5), 2.0)])
+    assert getattr(info.value, "__notes__", []) == []
 
 
 @pytest.mark.parametrize("load", [0.0, 1.0])

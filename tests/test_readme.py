@@ -1,9 +1,11 @@
 """The README's library example runs against the current API, and the
 limits it states are the code's constants."""
 
+import inspect
 import re
 from pathlib import Path
 
+import robin_lab
 from robin_lab import cli, fields, mesh
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -17,6 +19,14 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     assert "sup norm:" in capsys.readouterr().out
+
+
+def test_readme_names_what_the_package_top_level_binds():
+    text = README.read_text(encoding="utf-8")
+    stated = re.search(r"top level binds only (.*?)\.\n", text, re.S).group(1)
+    public = {name for name in vars(robin_lab) if not name.startswith("_")}
+    public -= {name for name, value in vars(robin_lab).items() if inspect.ismodule(value)}
+    assert set(re.findall(r"`(\w+)`", stated)) == public
 
 
 def _stated_limits(text: str) -> dict:

@@ -87,6 +87,12 @@ def test_samples_validation():
     with pytest.raises(InvalidArgumentError, match="phi values must be finite"):
         PhiSamples([0.0, 1.0], [np.nan, 0.5])
     PhiSamples(np.array([0.0, 1.0]), np.array([1.0, 1.0 + 1e-13]))  # inside slack
+    with pytest.raises(InvalidArgumentError, match="equally long"):
+        PhiSamples([0.0, 1.0, 2.0], [1.0, 0.5])
+    with pytest.raises(InvalidArgumentError, match="1-d"):
+        PhiSamples(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(InvalidArgumentError, match="nonempty"):
+        PhiSamples([], [])
 
 
 def test_fit_trivial_cases():
