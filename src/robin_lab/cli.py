@@ -107,14 +107,13 @@ class RunConfig:
     mesh_seconds: float  # time taken to build the mesh, for the manifest
     lam: float
     f: SourceField
-    betas: list  # BoundaryFields, generator already expanded
+    betas: list  # BoundaryFields, generator expanded, the limit problem's last for convergence
     experiment: str
     output_dir: str
     p: float
     c2: float
     lumped: bool
     tol: float
-    beta_limit: BoundaryField  # or None
     raw: dict  # echoed into the manifest
 
 
@@ -211,20 +210,20 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
         for i, spec in enumerate(beta_specs)
     ]
 
-    beta_limit = None
-    if data.get("beta_limit") is not None:
-        beta_limit = _parse_field(data["beta_limit"], "beta_limit", BoundaryField, mesh)
+    limit = data.get("beta_limit")
+    if limit is not None:  # checked for every experiment, solved for convergence
+        limit = _parse_field(limit, "beta_limit", BoundaryField, mesh)
     elif experiment == "convergence":
-        raw_seq = data.get("beta_sequence")
-        if isinstance(raw_seq, dict):
-            limit_spec = {"kind": "constant", "value": raw_seq["base"]}
-            beta_limit = _parse_field(limit_spec, "beta_sequence.base", BoundaryField, mesh)
-        else:
+        if not isinstance(data["beta_sequence"], dict):
             raise ConfigError(
                 "beta_limit",
                 "convergence runs need a beta_limit spec (it is implied only "
                 "by the one_over_k generator)",
             )
+        limit_spec = {"kind": "constant", "value": data["beta_sequence"]["base"]}
+        limit = _parse_field(limit_spec, "beta_sequence.base", BoundaryField, mesh)
+    if experiment == "convergence":
+        betas.append(limit)
 
     return RunConfig(
         mesh=mesh,
@@ -238,7 +237,6 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
         c2=numbers["c2"],
         lumped=lumped,
         tol=numbers["tol"],
-        beta_limit=beta_limit,
         raw={**data, "experiment": experiment},
     )
 
@@ -445,7 +443,7 @@ def run(config: RunConfig) -> int:
         with open(probe, "w", encoding="ascii") as handle:
             handle.write("ok")
         os.remove(probe)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or a lone surrogate
         _emit_error("output", f"cannot write to output directory {out!r}: {exc}")
         return EXIT_OUTPUT
 
@@ -494,8 +492,7 @@ def _run_experiment(config: RunConfig):
     """Returns (tables, plots, summary) for the configured experiment."""
     mesh, betas = config.mesh, config.betas
     tables, plots, summary = {}, {}, {}
-    family = [*betas, config.beta_limit] if config.experiment == "convergence" else betas
-    solutions = solve_robin(mesh, config.lam, config.f, family, config.lumped, config.tol)
+    solutions = solve_robin(mesh, config.lam, config.f, betas, config.lumped, config.tol)
 
     if config.experiment == "solve":
         u, coordinates = solutions[0], mesh.coordinates(0, mesh.num_vertices)

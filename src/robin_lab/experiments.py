@@ -6,8 +6,9 @@ num_vertices) array of nodal rows, and notes a failing member's index; a
 run solves its family once, and the experiments take the solved rows.
 `stability_sweep` tabulates, for every ordered pair (n, m), the sup-norm
 solution gap against the product of the boundary sup of u_n and the sup
-difference of the coefficients (one `fields.sup_gaps` table each), all
-pairs at once as arrays, into one `StabilityRecord` tuple per pair;
+difference of the coefficients (one `fields.sup_gaps` table each, the
+latter with beta = 0 appended for each sup beta_n, so each beta is sampled
+once), all pairs at once as arrays, into one `StabilityRecord` tuple per pair;
 `estimate_constant` extracts the smallest constant consistent with all
 informative pairs.  `convergence_study` compares the rows of a coefficient
 sequence against the last row, its limit problem's, on the same mesh, which
@@ -32,7 +33,7 @@ from .errors import (
     NoInformativePairsError,
     noted_member,
 )
-from .fields import SourceField, boundary_sup, boundary_sup_diff, sup_gaps
+from .fields import BoundaryField, SourceField, boundary_sup_diff, sup_gaps
 from .linalg import cg_solve
 from .mesh import Mesh, boundary_vertex_indices, prolongations
 from .stampacchia import (
@@ -94,13 +95,14 @@ def stability_sweep(mesh: Mesh, betas, solutions):
     if shape[0] < 2 or solutions.shape != shape:
         wanted = f"two or more coefficients and solutions of shape {shape}"
         raise InvalidArgumentError(f"stability sweep needs {wanted}, got {solutions.shape}")
-    sups = np.array([boundary_sup(beta, mesh) for beta in betas])
+    gaps = boundary_sup_diff([*betas, BoundaryField.constant(0.0)], mesh)
     boundary = boundary_vertex_indices(mesh)
     n, m = np.nonzero(~np.eye(len(betas), dtype=bool))  # row-major: permutations order
     un_bd = np.array([sup_norm(u[boundary]) for u in solutions])[n]
-    diff, beta_diff = sup_gaps(solutions)[n, m], boundary_sup_diff(betas, mesh)[n, m]
+    diff, beta_diff = sup_gaps(solutions)[n, m], gaps[n, m]
     tiny = np.finfo(float).tiny
-    informative = (beta_diff > _RATIO_FLOOR * (1.0 + sups[n])) & (un_bd >= tiny)
+    # gaps[-1, n] = sup |beta_n - 0| is sup beta_n exactly: sampling rejects a negative beta
+    informative = (beta_diff > _RATIO_FLOOR * (1.0 + gaps[-1, n])) & (un_bd >= tiny)
     informative &= un_bd * beta_diff >= tiny
     with np.errstate(all="ignore"):  # an uninformative pair's quotient is dropped
         ratio = np.where(informative, diff / (un_bd * beta_diff), None)

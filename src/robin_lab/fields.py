@@ -80,7 +80,7 @@ class BoundaryField(_Field):
 
     @classmethod
     def per_facet(cls, values) -> "BoundaryField":
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)  # a copy: the caller's array stays writable
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidArgumentError("per_facet values must be a nonempty 1-d sequence")
         arr.setflags(write=False)

@@ -42,15 +42,14 @@ MAX_DENSE = 1000
 class SolveReport:
     iterations: int  # summed over the members
     final_relative_residual: float  # the largest member's
-    converged: bool  # every member's
     member_iterations: list
     member_residuals: list  # each member's true final relative residual
 
 
-def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), boundary=None):
+def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float, transfers, boundary):
     """Solve (A + w_i B_i) x_i = b to a relative residual of tol for each
-    (B_i, w_i) of ``boundary``; without it, the one member solves A x = b.
-    B_i may be any scipy sparse matrix, and it is never modified.
+    (B_i, w_i) of ``boundary``.  B_i may be any scipy sparse matrix, and it
+    is never modified.
 
     ``transfers`` holds the prolongations P of the mesh hierarchy, finest
     first, as `mesh.prolongations` returns them.  Returns ``(X, SolveReport)``
@@ -66,7 +65,6 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
         raise InvalidArgumentError(f"right-hand side has shape {b.shape}, expected ({n},)")
     if not tol > 0.0:  # NaN included
         raise InvalidArgumentError(f"tol must be > 0, got {tol}")
-    boundary = [(sp.csr_array((n, n)), 0.0)] if boundary is None else boundary
     if len(boundary) == 0:
         raise InvalidArgumentError("boundary holds no (B, w) term: the family is empty")
     for i, (B, w) in enumerate(boundary):
@@ -82,7 +80,7 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
     if not np.isfinite(b_norm):
         raise NumericBreakdownError("norm of the right-hand side is not finite")
     if b_norm == 0.0:
-        return np.zeros((size, n)), SolveReport(0, 0.0, True, [0] * size, [0.0] * size)
+        return np.zeros((size, n)), SolveReport(0, 0.0, [0] * size, [0.0] * size)
 
     with np.errstate(all="ignore"):  # non-finite values are caught below
         apply, precondition = _multigrid(A, boundary, transfers)
@@ -128,8 +126,7 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float = 1e-10, transfers=(), b
         x = np.ldexp(x.T, scale, order="C")
     _check_finite(np.abs(x).max(axis=1), True, "solution is not finite at the load's scale")
 
-    converged = bool(np.all(residuals <= tol))
-    totals = (int(iterations.sum()), float(residuals.max(initial=0.0)), converged)
+    totals = (int(iterations.sum()), float(residuals.max(initial=0.0)))
     return x, SolveReport(*totals, iterations.tolist(), residuals.tolist())
 
 

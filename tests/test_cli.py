@@ -476,12 +476,16 @@ def test_empty_output_argument_exits_2(tmp_path, capsys):
     assert not (tmp_path / "from-config").exists()
 
 
-def test_unwritable_output_exits_4(tmp_path):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("plain file")
-    cfg = _solve_config(str(blocker / "sub"))
-    path = _write(tmp_path, "c.json", cfg)
+@pytest.mark.parametrize(
+    "name", ["blocker/sub", "out\x00x", "out\ud800x"], ids=["under-a-file", "nul", "surrogate"]
+)
+def test_unwritable_output_exits_4(tmp_path, capsys, name):
+    # a path under a regular file fails with OSError; a NUL byte or a lone
+    # surrogate, which the OS cannot take, with ValueError
+    (tmp_path / "blocker").write_text("plain file")
+    path = _write(tmp_path, "c.json", _solve_config(f"{tmp_path}/{name}"))
     assert main(["solve", "--config", path]) == EXIT_OUTPUT
+    assert _single_error_line(capsys)["field"] == "output"
 
 
 def test_unwritable_result_file_exits_4_after_the_solve(tmp_path, capsys):
@@ -607,6 +611,23 @@ def test_convergence_with_generator_implies_limit(tmp_path):
     assert errs == sorted(errs, reverse=True)
 
 
+@pytest.mark.parametrize(
+    "sequence,limit,values",
+    [([_constant(1.5), _constant(1.25)], _constant(1.0), [1.5, 1.25, 1.0]),
+     ({"kind": "one_over_k", "base": 1.0, "count": 2}, None, [2.0, 1.5, 1.0])],
+    ids=["beta_limit", "generator"],
+)
+def test_convergence_limit_is_the_last_beta(sequence, limit, values):
+    # the limit problem joins the parsed family last; the config stays as it was
+    cfg = {**_solve_config("unused", n=8), "experiment": "convergence", "beta_sequence": sequence}
+    if limit is not None:
+        cfg["beta_limit"] = limit
+    before = json.dumps(cfg)
+    betas = parse_config(cfg).betas
+    assert [beta.constant_value for beta in betas] == values
+    assert json.dumps(cfg) == before
+
+
 def test_convergence_with_explicit_list_needs_limit(tmp_path):
     cfg = {
         "domain": "interval",
@@ -695,10 +716,9 @@ def test_each_experiment_solves_its_family_once(tmp_path, monkeypatch, experimen
         cfg["beta_limit"] = _constant(1.0)
     config = parse_config(cfg)
     assert run(config) == EXIT_OK
-    family = [*config.betas, config.beta_limit] if experiment == "convergence" else config.betas
     assert len(calls) == 1
-    assert len(calls[0]) == len(family) == len(values) + (experiment == "convergence")
-    assert all(got is want for got, want in zip(calls[0], family))
+    assert len(calls[0]) == len(config.betas) == len(values) + (experiment == "convergence")
+    assert all(got is want for got, want in zip(calls[0], config.betas))
 
 
 def test_family_cap_counts_coefficients_times_vertices():
@@ -708,7 +728,7 @@ def test_family_cap_counts_coefficients_times_vertices():
     for n, most in ((16, cli.MAX_MEMBER_VERTICES // 17**3 - 1), (32, 99)):
         cfg["n"] = n
         cfg["beta_sequence"] = {"kind": "one_over_k", "base": 1.0, "count": most}
-        assert len(parse_config(cfg).betas) == most
+        assert len(parse_config(cfg).betas) == most + 1  # the limit problem last
         cfg["beta_sequence"]["count"] = most + 1
         with pytest.raises(ConfigError, match="coefficient-vertices") as caught:
             parse_config(cfg)

@@ -162,6 +162,19 @@ def test_stability_two_constants_against_oracle():
         assert rec.ratio is not None
 
 
+def test_stability_sweep_samples_each_beta_once():
+    # each beta's sup comes from the pairwise table, so a closure is called
+    # in one sampling pass (one block on this mesh), not once more for its sup
+    m = build_mesh("cube", 2)
+    calls = []
+    counted = BoundaryField.from_function(lambda p: calls.append(1) or 1.0 + p[0])
+    betas = [counted, BoundaryField.constant(2.0)]
+    solutions = solve_robin(m, 1.0, ONE, betas)
+    calls.clear()
+    stability_sweep(m, betas, solutions)
+    assert len(calls) == 1
+
+
 def test_stability_gaps_are_sup_norms_of_row_differences():
     # the sweep's one pairwise table has the bits of sup_norm on each pair
     m = build_mesh("square", 8)

@@ -147,6 +147,14 @@ def test_constant_norms_are_exact(n):
     assert boundary_sup(field, m) == 0.75
 
 
+def test_per_facet_leaves_the_callers_array_writable():
+    values = np.array([0.5, 2.0])
+    field = BoundaryField.per_facet(values)
+    values[0] = 3.0  # the field holds its own copy
+    assert field.facet_values.tolist() == [0.5, 2.0]
+    assert not field.facet_values.flags.writeable
+
+
 def test_per_facet_shape_validation():
     with pytest.raises(InvalidArgumentError):
         BoundaryField.per_facet([])
