@@ -21,6 +21,11 @@ per str.join, with one rule per cell: a string as it is, None as "", and a
 number with "%.17g" (floats round-trip, integers print digits).  Plot
 points are written as "%.3f" would write them, from numpy digits.
 
+The config echo is the config as read, except that each per_facet spec
+stands in as {"kind": "per_facet", "count": c, "sha256": h}: h is the
+SHA-256 of the c values the run used, as little-endian float64 bytes.  An
+echo re-runs as a config unless it holds such a spec, which exits 2.
+
 Exit codes: 0 success, 2 invalid config (an unknown key, also in a field
 spec or the generator) or command line, 3 solve failure, 4 unwritable output
 path.  Every failure writes one JSON error line naming the field to stderr.
@@ -29,6 +34,7 @@ path.  Every failure writes one JSON error line naming the field to stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -114,7 +120,7 @@ class RunConfig:
     c2: float
     lumped: bool
     tol: float
-    raw: dict  # echoed into the manifest
+    raw: dict  # the manifest's config echo, per_facet specs by count and digest (_echo)
 
 
 def expand_beta_sequence(raw) -> list:
@@ -225,6 +231,11 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
     if experiment == "convergence":
         betas.append(limit)
 
+    echo = {**data, "experiment": experiment}
+    if isinstance(data["beta_sequence"], list):
+        echo["beta_sequence"] = list(map(_echo, beta_specs, betas))
+    if data.get("beta_limit") is not None:
+        echo["beta_limit"] = _echo(data["beta_limit"], limit)
     return RunConfig(
         mesh=mesh,
         mesh_seconds=mesh_seconds,
@@ -237,8 +248,18 @@ def parse_config(data, experiment: str = None, output: str = None) -> RunConfig:
         c2=numbers["c2"],
         lumped=lumped,
         tol=numbers["tol"],
-        raw={**data, "experiment": experiment},
+        raw=echo,
     )
+
+
+def _echo(spec: dict, field: BoundaryField) -> dict:
+    """``spec`` as the manifest echoes it: as read, or a per_facet spec by its count and
+    the SHA-256 of the values the run used, as little-endian float64 bytes."""
+    if field.kind != "per_facet":
+        return spec
+    values = field.facet_values.astype("<f8", copy=False)
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    return {"kind": "per_facet", "count": values.size, "sha256": digest}
 
 
 def _check_keys(spec: dict, keys, where: str = None) -> None:
@@ -277,6 +298,8 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
     key = isinstance(kind, str) and _FIELD_PAYLOADS.get(kind)  # a list kind is unhashable
     if not key or (kind == "per_facet" and cls is not BoundaryField):
         raise ConfigError(where, f"unsupported field kind {kind!r}")
+    if kind == "per_facet" and "sha256" in spec:
+        raise ConfigError(where, "a manifest's per_facet echo has no values; run the original")
     _check_keys(spec, {"kind", key}, where)
     payload = spec.get(key)
     try:
@@ -436,6 +459,8 @@ def run(config: RunConfig) -> int:
     mesh = config.mesh
     timings = {"mesh_seconds": config.mesh_seconds}
     warnings = [_DIMENSION_CAVEAT] if mesh.dim < 3 else []
+    if config.experiment != "convergence" and config.raw.get("beta_limit") is not None:
+        warnings.append(f"beta_limit was validated but {config.experiment} runs do not solve it")
 
     try:
         os.makedirs(out, exist_ok=True)

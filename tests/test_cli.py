@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -543,9 +544,13 @@ def test_manifest_round_trip_reproduces_outputs(tmp_path):
     ).read_bytes()
 
 
+def _digest(values):
+    return hashlib.sha256(np.asarray(values, "<f8").tobytes()).hexdigest()
+
+
 def test_manifest_is_one_compact_sorted_encoding(tmp_path):
-    # the manifest is one json.dumps(..., sort_keys=True) and a newline,
-    # and its config echo is the config as read
+    # the manifest is one json.dumps(..., sort_keys=True) and a newline, and its
+    # config echo is the config as read, a per_facet spec by its count and digest
     cfg = _solve_config(str(tmp_path / "out"), n=4)
     cfg["experiment"] = "stability"
     cfg["beta_sequence"] = [
@@ -556,7 +561,59 @@ def test_manifest_is_one_compact_sorted_encoding(tmp_path):
     assert main(["stability", "--config", _write(tmp_path, "c.json", cfg)]) == EXIT_OK
     text = (tmp_path / "out" / "manifest.json").read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    cfg["beta_sequence"][0] = {"kind": "per_facet", "count": 2, "sha256": _digest([2.0, 3.0])}
     assert json.loads(text)["config"] == cfg
+
+
+def test_manifest_echoes_per_facet_values_by_count_and_digest(tmp_path):
+    # square n = 3 has 12 boundary facets; the digest is of the values as float64
+    sequence = [[1 + k % 4 for k in range(12)], [1.5 + k / 7 for k in range(12)]]
+    limit = [1, 2**60 + 1, *[0.25] * 10]  # 2**60 + 1 rounds to 2**60 as a float
+    cfg = {**_solve_config(str(tmp_path / "out"), n=3), "domain": "square",
+           "experiment": "convergence",
+           "beta_sequence": [{"kind": "per_facet", "values": v} for v in sequence],
+           "beta_limit": {"kind": "per_facet", "values": limit}}
+    assert main(["convergence", "--config", _write(tmp_path, "c.json", cfg)]) == EXIT_OK
+    echo = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert echo["beta_sequence"] == [
+        {"kind": "per_facet", "count": 12, "sha256": _digest(v)} for v in sequence
+    ]
+    assert echo["beta_limit"] == {"kind": "per_facet", "count": 12, "sha256": _digest(limit)}
+    assert _digest(limit) == _digest([1.0, 2.0**60, *[0.25] * 10])
+    assert {k: v for k, v in echo.items() if not k.startswith("beta")} == {
+        k: v for k, v in cfg.items() if not k.startswith("beta")
+    }
+
+
+def test_per_facet_echo_does_not_run_again(tmp_path, capsys):
+    cfg = _solve_config(str(tmp_path / "a"), n=4)
+    cfg["experiment"] = "stability"
+    cfg["beta_sequence"] = [_constant(1.0), {"kind": "per_facet", "values": [2.0, 3.0]}]
+    assert main(["stability", "--config", _write(tmp_path, "c.json", cfg)]) == EXIT_OK
+    echo = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
+    with pytest.raises(ConfigError) as raised:
+        parse_config(echo)
+    assert raised.value.field_name == "beta_sequence[1]"
+    echo["output_dir"] = str(tmp_path / "b")
+    assert main(["stability", "--config", _write(tmp_path, "echo.json", echo)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"]["field"] == "beta_sequence[1]"
+    assert not os.path.exists(tmp_path / "b")
+
+
+def test_unsolved_beta_limit_is_a_warning(tmp_path):
+    cfg = {**_solve_config(str(tmp_path / "plain"), n=8), "experiment": "stability",
+           "beta_sequence": {"kind": "one_over_k", "base": 1.0, "count": 3}}
+    limited = {**cfg, "output_dir": str(tmp_path / "limited"),
+               "beta_limit": {"kind": "expr", "expr": "2 + x"}}
+    for name, data in (("plain", cfg), ("limited", limited)):
+        assert main(["stability", "--config", _write(tmp_path, f"{name}.json", data)]) == EXIT_OK
+    warned = [json.loads((tmp_path / name / "manifest.json").read_text())["warnings"]
+              for name in ("plain", "limited")]
+    assert warned[1] == [*warned[0], "beta_limit was validated but stability runs do not solve it"]
+    for name in ("stability.csv", "stability.svg"):
+        assert (tmp_path / "plain" / name).read_bytes() == (
+            tmp_path / "limited" / name
+        ).read_bytes()
 
 
 def test_dimension_caveat_warnings(tmp_path):
