@@ -25,7 +25,6 @@ from .fields import (
     SourceField,
     boundary_sup,
     boundary_sup_diff,
-    eval_boundary,
 )
 from .linalg import cg_solve
 from .mesh import boundary_vertex_indices, build_mesh

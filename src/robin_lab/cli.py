@@ -87,6 +87,9 @@ _KEYS = {
     *_NUMERIC_KEYS,
     "n", "experiment", "domain", "lumped", "output_dir", "f", "beta_sequence", "beta_limit",
 }
+# key -> the one experiment that reads it, and how: a run of any other warns
+_EXPERIMENT_KEYS = {"beta_limit": ("convergence", "solve"), "p": ("theorem0", "read"),
+                    "c2": ("stampacchia", "read")}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -334,15 +337,15 @@ def _parse_field(spec, where: str, cls, mesh: Mesh):
 
 
 def emit_csv(header, columns, path) -> None:
-    """Write a table from its equally long columns, _BLOCK rows at a time.
+    """Write a table of equally long columns, one header name each, _BLOCK rows at a time.
 
     A string as it is, None as "", a number with "%.17g" (an integer array
     with str).  In a block of an array each distinct value, by its bits, is
     formatted once; the block's cells are joined by "," and "\\n" at once.
     """
     lengths = [len(column) for column in columns]
-    if len(set(lengths)) > 1:
-        raise RobinLabError(f"csv columns must be equally long, got lengths {lengths}")
+    if not columns or len(header) != len(columns) or len(set(lengths)) > 1:
+        raise RobinLabError(f"csv needs a name per equally long column, got {header}, {lengths}")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, lengths[0], _BLOCK):
@@ -459,8 +462,9 @@ def run(config: RunConfig) -> int:
     mesh = config.mesh
     timings = {"mesh_seconds": config.mesh_seconds}
     warnings = [_DIMENSION_CAVEAT] if mesh.dim < 3 else []
-    if config.experiment != "convergence" and config.raw.get("beta_limit") is not None:
-        warnings.append(f"beta_limit was validated but {config.experiment} runs do not solve it")
+    for key, (reader, verb) in _EXPERIMENT_KEYS.items():
+        if config.experiment != reader and config.raw.get(key) is not None:
+            warnings.append(f"{key} was validated but {config.experiment} runs do not {verb} it")
 
     try:
         os.makedirs(out, exist_ok=True)

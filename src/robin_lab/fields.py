@@ -28,12 +28,12 @@ operators included, besides finite constants and coordinate names.
 coordinates for a closure's points, a P1 solution for its level sets) to
 barycentric points of cells or facets, each point summed in vertex order.
 
-Sup norms are approximated by maxima over a per-facet sample set
-consisting of the facet vertices plus the facet quadrature nodes, so
-piecewise-linear and per-facet data are resolved exactly and closures are
-sampled up to the corners.  `sup_gaps` is the one pairwise loop: the sup of
-|row_n - row_m| for every pair of a family's coefficient tables or nodal
-solutions, one row against all later rows at a time.
+Sup norms are maxima over one per-facet sample set: a closure at the facet
+vertices and quadrature nodes, so up to the corners, and constant or
+per-facet data at one point per facet, which resolves it exactly.
+`sup_gaps` is the one pairwise loop: the sup of |row_n - row_m| for every
+pair of a family's coefficient tables or nodal solutions, one row against
+all later rows at a time.
 """
 
 from __future__ import annotations
@@ -165,24 +165,22 @@ def source_blocks(field: SourceField, mesh: Mesh):
         yield cells, values
 
 
-def _sample_points(mesh: Mesh) -> np.ndarray:
-    """Barycentric sample set: the facet vertices, then the quad nodes."""
-    rule_points, _ = facet_rule(mesh.dim)
-    return np.vstack([np.eye(mesh.dim), rule_points])
+def _samples(field: BoundaryField, mesh: Mesh) -> np.ndarray:
+    """The field on the boundary sample set: a closure at each facet's vertices, then its
+    quad nodes; a constant or per-facet field at one point per facet, which holds all its values."""
+    points = np.vstack([np.eye(mesh.dim), facet_rule(mesh.dim)[0]])
+    return eval_boundary(field, mesh, points if field.kind == "closure" else points[:1])
 
 
 def boundary_sup(field: BoundaryField, mesh: Mesh) -> float:
-    """Max of the field over the boundary sample set (exact for constants)."""
-    return float(eval_boundary(field, mesh, _sample_points(mesh)).max())
+    """Max of the field over the boundary sample set (exact for constant and per-facet data)."""
+    return float(_samples(field, mesh).max())
 
 
 def boundary_sup_diff(betas, mesh: Mesh) -> np.ndarray:
     """(N, N) table of the sup over the boundary sample set of |beta_n - beta_m|
-    (exact for per-facet data).  Each field is evaluated once; a constant or
-    per-facet one at one sample per facet, which holds all its values."""
-    points = _sample_points(mesh)
-    values = [eval_boundary(b, mesh, points if b.kind == "closure" else points[:1]) for b in betas]
-    return sup_gaps(values)
+    (exact for constant and per-facet data), each field sampled once."""
+    return sup_gaps([_samples(beta, mesh) for beta in betas])
 
 
 def sup_gaps(rows) -> np.ndarray:

@@ -40,10 +40,11 @@ MAX_DENSE = 1000
 
 @dataclass
 class SolveReport:
-    iterations: int  # summed over the members
-    final_relative_residual: float  # the largest member's
     member_iterations: list
     member_residuals: list  # each member's true final relative residual
+    iterations = property(lambda self: sum(self.member_iterations))  # summed over the members
+    final_relative_residual = property(  # the largest member's, 0.0 for no member
+        lambda self: float(np.max(self.member_residuals, initial=0.0)))
 
 
 def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float, transfers, boundary):
@@ -52,12 +53,12 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float, transfers, boundary):
     is never modified.
 
     ``transfers`` holds the prolongations P of the mesh hierarchy, finest
-    first, as `mesh.prolongations` returns them.  Returns ``(X, SolveReport)``
-    with member i's solution in row i of X.  Non-convergence is reported,
-    not raised.  An empty ``boundary`` raises :class:`InvalidArgumentError`.
-    A B_i that is not n x n or a non-finite w_i raises it too, and a
-    non-finite intermediate value :class:`NumericBreakdownError`, each
-    noted with the member's index.
+    first, as `mesh.prolongations` returns them.  Returns ``(X, SolveReport)``:
+    row i of X and entry i of the report's lists hold member i's solution,
+    iterations and true final residual.  Non-convergence is reported, not
+    raised.  An empty ``boundary`` raises :class:`InvalidArgumentError`; a
+    B_i not n x n or a non-finite w_i raises it, and a non-finite intermediate
+    value :class:`NumericBreakdownError`, each noted with the member's index.
     """
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
@@ -80,7 +81,7 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float, transfers, boundary):
     if not np.isfinite(b_norm):
         raise NumericBreakdownError("norm of the right-hand side is not finite")
     if b_norm == 0.0:
-        return np.zeros((size, n)), SolveReport(0, 0.0, [0] * size, [0.0] * size)
+        return np.zeros((size, n)), SolveReport([0] * size, [0.0] * size)
 
     with np.errstate(all="ignore"):  # non-finite values are caught below
         apply, precondition = _multigrid(A, boundary, transfers)
@@ -125,9 +126,7 @@ def cg_solve(A: sp.csr_array, b: np.ndarray, tol: float, transfers, boundary):
         residuals = np.sqrt(_dots(true_r, true_r, work)) / b_norm
         x = np.ldexp(x.T, scale, order="C")
     _check_finite(np.abs(x).max(axis=1), True, "solution is not finite at the load's scale")
-
-    totals = (int(iterations.sum()), float(residuals.max(initial=0.0)))
-    return x, SolveReport(*totals, iterations.tolist(), residuals.tolist())
+    return x, SolveReport(iterations.tolist(), residuals.tolist())
 
 
 def _dots(a, b, work) -> np.ndarray:

@@ -39,6 +39,9 @@ per-block formatting of distinct values that the CLI's writer does.
 blocks, and `points_pair_by_pair` formats polyline points one pair at a
 time with the % operator: the forms whose bytes the CLI's block joins and
 numpy rounding must reproduce.
+
+`random_coefficient` draws a nonnegative β of one kind from a seed, for the
+property tests.
 """
 
 import functools
@@ -50,6 +53,7 @@ import scipy.sparse as sp
 
 from robin_lab.cli import _cells
 from robin_lab.errors import InvalidArgumentError
+from robin_lab.fields import BoundaryField
 from robin_lab.mesh import Mesh, kuhn_paths
 from robin_lab.quadrature import cell_rule
 
@@ -64,6 +68,18 @@ def all_vertices(mesh):
     """Every vertex's coordinates, shape (num_vertices, dim): the one range
     from 0 to num_vertices, vertex-major."""
     return mesh.coordinates(0, mesh.num_vertices).T
+
+
+def random_coefficient(kind: str, mesh, seed: int) -> BoundaryField:
+    """A constant (possibly 0), per-facet (about 30 % zeros) or closure beta."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return BoundaryField.constant(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
+    if kind == "per_facet":
+        values = rng.uniform(0.0, 3.0, mesh.num_facets) * (rng.random(mesh.num_facets) < 0.7)
+        return BoundaryField.per_facet(values)
+    a = rng.uniform(0.1, 2.0, 3)
+    return BoundaryField.from_function(lambda p: a[0] + a[1] * np.abs(p[0] - a[2]) * p[-1])
 
 
 def analytic_interval_solution(lam: float, beta: float, f_const: float):

@@ -616,6 +616,22 @@ def test_unsolved_beta_limit_is_a_warning(tmp_path):
         ).read_bytes()
 
 
+def test_keys_of_other_experiments_are_warnings(tmp_path):
+    # p is read only by theorem0 and c2 only by stampacchia: a stability run
+    # validates them, warns once for each and writes the bytes it writes without them
+    cfg = {**_solve_config(str(tmp_path / "plain"), n=2), "domain": "cube",
+           "experiment": "stability", "beta_sequence": [_constant(1.0), _constant(2.0)]}
+    keyed = {**cfg, "output_dir": str(tmp_path / "keyed"), "p": 7.0, "c2": 3.0}
+    for name, data in (("plain", cfg), ("keyed", keyed)):
+        assert main(["stability", "--config", _write(tmp_path, f"{name}.json", data)]) == EXIT_OK
+    warned = [json.loads((tmp_path / name / "manifest.json").read_text())["warnings"]
+              for name in ("plain", "keyed")]
+    assert warned == [[], ["p was validated but stability runs do not read it",
+                           "c2 was validated but stability runs do not read it"]]
+    for name in ("stability.csv", "stability.svg"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "keyed" / name).read_bytes()
+
+
 def test_dimension_caveat_warnings(tmp_path):
     for domain, n, expect_warning in (("interval", 8, True), ("cube", 2, False)):
         cfg = _solve_config(str(tmp_path / domain), n=n)
@@ -1019,6 +1035,18 @@ def test_emit_csv_rejects_columns_of_unequal_length(tmp_path):
     path = tmp_path / "t.csv"
     with pytest.raises(RobinLabError, match=r"\[3, 1\]"):
         emit_csv(["a", "b"], [np.array([1.0, 2.0, 3.0]), np.array([4.0])], str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "header,columns",
+    [(["a", "b"], [np.arange(3)]), (["a"], [np.ones(2), np.ones(2)]), ([], [])],
+    ids=["too-many-names", "too-few-names", "no-column"],
+)
+def test_emit_csv_rejects_a_header_that_does_not_name_each_column(tmp_path, header, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(RobinLabError, match="a name per equally long column"):
+        emit_csv(header, columns, str(path))
     assert not path.exists()
 
 

@@ -26,7 +26,7 @@ from robin_lab.fields import BoundaryField, SourceField, boundary_sup, boundary_
 from robin_lab.linalg import cg_solve
 from robin_lab.mesh import boundary_vertex_indices, build_mesh, prolongations
 
-from oracles import analytic_interval_solution
+from oracles import analytic_interval_solution, random_coefficient
 
 ONE = SourceField.constant(1.0)
 
@@ -361,6 +361,29 @@ def test_mixed_family_rows_equal_lone_solves(domain, kinds):
     family = solve_robin(m, 1.0, ONE, betas)
     for row, beta in zip(family, betas):
         assert np.array_equal(row, _solve(m, beta=beta))
+
+
+_SMALL_MESHES = [build_mesh("interval", 6), build_mesh("square", 4), build_mesh("cube", 3)]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(_SMALL_MESHES),
+    st.booleans(),
+    st.lists(
+        st.tuples(st.sampled_from(["constant", "per_facet", "closure"]), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_small_family_rows_equal_lone_solves_in_either_order(m, lumped, draws):
+    # the linalg promise on meshes with at most one coarse level, lumped or
+    # not: a row's bits depend neither on the other members nor on its place
+    betas = [random_coefficient(kind, m, seed) for kind, seed in draws]
+    family = solve_robin(m, 1.0, ONE, betas, lumped)
+    for row, beta in zip(family, betas):
+        assert np.array_equal(row, _solve(m, beta=beta, lumped=lumped))
+    assert np.array_equal(solve_robin(m, 1.0, ONE, betas[::-1], lumped), family[::-1])
 
 
 def _reference_sweep(mesh, betas, rows):

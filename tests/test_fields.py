@@ -12,7 +12,6 @@ from robin_lab.errors import InvalidArgumentError, InvalidCoefficientError
 from robin_lab.fields import (
     BoundaryField,
     SourceField,
-    _sample_points,
     boundary_sup,
     boundary_sup_diff,
     check_expression_dimension,
@@ -25,7 +24,13 @@ from robin_lab.fields import (
 from robin_lab.mesh import build_mesh
 from robin_lab.quadrature import facet_rule
 
-from oracles import all_cells, all_vertices, cell_points_by_einsum, cells_by_formula
+from oracles import (
+    all_cells,
+    all_vertices,
+    cell_points_by_einsum,
+    cells_by_formula,
+    random_coefficient,
+)
 
 
 def test_eval_constant():
@@ -119,7 +124,7 @@ def test_sup_diff_symmetry_and_triangle_inequality():
         BoundaryField.constant(0.5),
     ]
     table = boundary_sup_diff(betas, m)
-    points = _sample_points(m)
+    points = np.vstack([np.eye(m.dim), facet_rule(m.dim)[0]])  # vertices, then quad nodes
     for n, k in itertools.product(range(len(betas)), repeat=2):
         # |beta_k - beta_n| on the full sample set, each field evaluated apart
         values = [eval_boundary(betas[i], m, points) for i in (k, n)]
@@ -145,6 +150,42 @@ def test_constant_norms_are_exact(n):
     m = build_mesh("square", n)
     field = BoundaryField.constant(0.75)
     assert boundary_sup(field, m) == 0.75
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["interval", "square", "cube"]),
+    st.integers(1, 4),
+    st.sampled_from(["constant", "per_facet", "closure"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_boundary_sup_is_the_max_over_vertices_and_quad_nodes(domain, n, kind, seed):
+    # the sup and the sup gap to beta = 0 read the same samples, and sampling
+    # a constant or per-facet field at one point per facet loses no value
+    m = build_mesh(domain, n)
+    beta = random_coefficient(kind, m, seed)
+    points = np.vstack([np.eye(m.dim), facet_rule(m.dim)[0]])
+    sup = boundary_sup(beta, m)
+    assert sup == eval_boundary(beta, m, points).max()
+    assert sup == boundary_sup_diff([beta, BoundaryField.constant(0.0)], m)[0, 1]
+
+
+def test_constant_and_per_facet_fields_are_sampled_at_one_point(monkeypatch):
+    m = build_mesh("cube", 2)
+    sampled = []
+
+    def recording(field, mesh, bary_points):
+        sampled.append((field.kind, np.shape(bary_points)))
+        return eval_boundary(field, mesh, bary_points)
+
+    monkeypatch.setattr(fields, "eval_boundary", recording)
+    betas = [BoundaryField.constant(2.0), BoundaryField.per_facet(np.ones(m.num_facets)),
+             BoundaryField.from_expression("1 + x")]
+    for beta in betas:
+        boundary_sup(beta, m)
+    boundary_sup_diff(betas, m)
+    closure = (3 + len(facet_rule(3)[0]), 3)  # each facet's vertices, then its quad nodes
+    assert sampled == 2 * [("constant", (1, 3)), ("per_facet", (1, 3)), ("closure", closure)]
 
 
 def test_per_facet_leaves_the_callers_array_writable():

@@ -52,6 +52,15 @@ def test_zero_rhs_is_immediate():
     assert np.all(x == 0.0)
 
 
+def test_report_totals_are_read_from_the_member_lists():
+    names = [field.name for field in dataclasses.fields(linalg.SolveReport)]
+    assert names == ["member_iterations", "member_residuals"]
+    report = linalg.SolveReport([3, 0, 5], [1e-11, 0.0, 4e-11])
+    assert (report.iterations, report.final_relative_residual) == (8, 4e-11)
+    empty = linalg.SolveReport([], [])
+    assert (empty.iterations, empty.final_relative_residual) == (0, 0.0)
+
+
 def test_report_has_no_family_verdict_and_every_argument_is_required():
     # each member is judged against tol by its caller, from member_residuals
     assert "converged" not in {field.name for field in dataclasses.fields(linalg.SolveReport)}
